@@ -102,7 +102,8 @@ def path_metrics(
 ) -> list[dict[str, float]]:
     """One row per path point: iteration, phase, rolling train loss, per-layer
     distance to the destination (per-layer norm when it is the origin), test
-    loss and accuracy.
+    loss and accuracy, and ``train_exhausted`` (1 when repair training ran
+    out of rounds before reaching its loss threshold, else 0).
 
     Rows come from the recorded point metrics; with ``recompute=True`` the
     distance and test columns are recomputed from stored checkpoints instead,
@@ -136,6 +137,7 @@ def path_metrics(
             row[f"dist:{name}"] = dists[name]
         row["test_loss"] = t_loss
         row["test_acc"] = t_acc
+        row["train_exhausted"] = int(p.train_exhausted)
         rows.append(row)
     return rows
 

@@ -68,6 +68,8 @@ def read_path_record(record_dir: str | Path, graph: ModelGraph, dtype=np.float32
                 test_loss=float(row["test_loss"]),
                 test_acc=float(row["test_acc"]),
                 params=params,
+                # records written before the column existed read as False
+                train_exhausted=bool(row.get("train_exhausted", 0)),
             )
         )
     return PathRecord(

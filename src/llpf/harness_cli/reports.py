@@ -71,9 +71,11 @@ def read_csv(path: str | Path) -> tuple[list[str], list[dict]]:
 
 def metric_fieldnames(rows: Sequence[Mapping]) -> list[str]:
     """Stable column order: iteration, phase, rolling loss, sorted per-layer
-    distance columns, then the test metrics."""
-    dist_cols = sorted({k for row in rows for k in row if k.startswith("dist:")})
-    return ["iteration", "phase", "rolling_train_loss", *dist_cols, "test_loss", "test_acc"]
+    distance columns, the test metrics, then any other columns sorted."""
+    keys = {k for row in rows for k in row}
+    dist_cols = sorted(k for k in keys if k.startswith("dist:"))
+    named = ["iteration", "phase", "rolling_train_loss", *dist_cols, "test_loss", "test_acc"]
+    return named + sorted(keys - set(named))
 
 
 # -- SVG ---------------------------------------------------------------------

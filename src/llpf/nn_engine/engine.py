@@ -108,7 +108,7 @@ def _execute(graph, params, x, mode, norm_state, want_caches):
         elif node.kind == "conv2d":
             arrays = _node_params(graph, params, name)
             w = arrays[0]
-            b = arrays[1] if len(arrays) > 1 else np.zeros(w.shape[0], dtype=w.dtype)
+            b = arrays[1] if len(arrays) > 1 else None
             stride = int(node.attrs.get("stride", 1))
             pad = int(node.attrs.get("pad", 0))
             y, cols = L.conv2d_forward(a, w, b, stride, pad)
@@ -129,9 +129,9 @@ def _execute(graph, params, x, mode, norm_state, want_caches):
             caches[name] = a
         elif node.kind == "max_pool":
             k = int(node.attrs["kernel"])
-            y, idx = L.maxpool_forward(a, k)
+            y, cache = L.maxpool_forward(a, k)
             values[name] = y
-            caches[name] = (a.shape, idx)
+            caches[name] = (a.shape, cache)
         elif node.kind == "avg_pool":
             k = None if node.attrs.get("mode") == "global" else int(node.attrs["kernel"])
             values[name] = L.avgpool_forward(a, k)
@@ -202,8 +202,8 @@ def loss_and_grad(
             a = caches[name]
             dx = g * (a > 0)
         elif node.kind == "max_pool":
-            x_shape, idx = caches[name]
-            dx = L.maxpool_backward(g, x_shape, int(node.attrs["kernel"]), idx)
+            x_shape, cache = caches[name]
+            dx = L.maxpool_backward(g, x_shape, int(node.attrs["kernel"]), cache)
         elif node.kind == "avg_pool":
             k = None if node.attrs.get("mode") == "global" else int(node.attrs["kernel"])
             dx = L.avgpool_backward(g, caches[name], k)

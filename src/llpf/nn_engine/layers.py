@@ -1,8 +1,11 @@
 """Array kernels for each layer kind: forward passes and their exact gradients.
 
-Everything is plain numpy on NCHW tensors.  Convolutions go through an
-im2col buffer which the backward pass reuses; pooling keeps explicit winner
-indices so ties never double-count gradient.
+Everything is plain numpy on NCHW tensors.  A convolution is an im2col
+patch buffer, which the backward pass reuses, times the weight matrix as one
+batched matmul.  Max-pooling forward is an elementwise max over the k*k
+strided window views; backward gives each output's gradient to the first
+input in row-major window order that equals the max, so ties (ReLU zeros)
+never double-count gradient and eval forwards never pay for picking winners.
 """
 
 from __future__ import annotations
@@ -59,12 +62,13 @@ def col2im(cols, x_shape, kernel, stride, pad, out_hw):
 
 
 def conv2d_forward(x, w, b, stride, pad):
+    """Returns (y, cols); ``b=None`` is a bias-less convolution."""
     n = x.shape[0]
     out_c, in_c, k, _ = w.shape
     cols, (oh, ow) = im2col(x, k, stride, pad)
-    wm = w.reshape(out_c, in_c * k * k)
-    y = np.einsum("of,nfp->nop", wm, cols, optimize=True)
-    y += b[None, :, None]
+    y = w.reshape(out_c, in_c * k * k) @ cols
+    if b is not None:
+        y += b[:, None]
     return y.reshape(n, out_c, oh, ow), cols
 
 
@@ -72,10 +76,9 @@ def conv2d_backward(g, x_shape, w, cols, stride, pad):
     n, out_c, oh, ow = g.shape
     _, in_c, k, _ = w.shape
     gm = g.reshape(n, out_c, oh * ow)
-    dw = np.einsum("nop,nfp->of", gm, cols, optimize=True).reshape(w.shape)
+    dw = (gm @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
     db = gm.sum(axis=(0, 2))
-    wm = w.reshape(out_c, in_c * k * k)
-    dcols = np.einsum("of,nop->nfp", wm, gm, optimize=True)
+    dcols = w.reshape(out_c, in_c * k * k).T @ gm
     dx = col2im(dcols, x_shape, k, stride, pad, (oh, ow))
     return dx, dw, db
 
@@ -138,23 +141,37 @@ def batchnorm_backward(g, x, scale, cache):
 # -- pooling -------------------------------------------------------------------
 
 
+def _pool_windows(kernel):
+    """Offsets of the k*k strided window views in row-major window order."""
+    return [(i, j) for i in range(kernel) for j in range(kernel)]
+
+
 def maxpool_forward(x, kernel):
-    n, c, h, w = x.shape
-    oh, ow = h // kernel, w // kernel
-    xr = x.reshape(n, c, oh, kernel, ow, kernel)
-    xr = xr.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, kernel * kernel)
-    idx = xr.argmax(axis=-1)
-    y = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
-    return y, idx
+    """Returns (y, cache); the cache is (x, y), from which backward picks winners."""
+    y = x[:, :, ::kernel, ::kernel].copy()
+    for i, j in _pool_windows(kernel)[1:]:
+        np.maximum(y, x[:, :, i::kernel, j::kernel], out=y)
+    return y, (x, y)
 
 
-def maxpool_backward(g, x_shape, kernel, idx):
-    n, c, h, w = x_shape
-    oh, ow = h // kernel, w // kernel
-    flat = np.zeros((n, c, oh, ow, kernel * kernel), dtype=g.dtype)
-    np.put_along_axis(flat, idx[..., None], g[..., None], axis=-1)
-    dx = flat.reshape(n, c, oh, ow, kernel, kernel).transpose(0, 1, 2, 4, 3, 5)
-    return dx.reshape(n, c, h, w)
+def maxpool_backward(g, x_shape, kernel, cache):
+    """Route each output gradient to the first window input equal to the max.
+
+    The gradient is copied as raw bits (multiplied by the 0/1 winner mask as
+    unsigned integers), so losers get +0.0 and winners the exact value of g,
+    signed zeros included: the same bits as an argmax scatter into zeros.
+    """
+    x, y = cache
+    bits = f"u{g.itemsize}"
+    dx = np.empty(x_shape, dtype=g.dtype)
+    g_bits, dx_bits = g.view(bits), dx.view(bits)
+    free = np.ones(y.shape, dtype=bool)  # outputs whose winner is not yet found
+    for i, j in _pool_windows(kernel):
+        hit = x[:, :, i::kernel, j::kernel] == y
+        hit &= free
+        np.multiply(g_bits, hit, out=dx_bits[:, :, i::kernel, j::kernel])
+        free ^= hit
+    return dx
 
 
 def avgpool_forward(x, kernel=None):

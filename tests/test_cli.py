@@ -623,3 +623,27 @@ class TestRecordRoundTrip:
                     restored.params.data,
                     original.params.data.astype(np.float32),
                 )
+
+    def test_train_exhausted_round_trip(self, tmp_path):
+        from llpf.harness_cli.records import write_path_record
+        from llpf.harness_cli.reports import emit_csv
+        from llpf.llpf_core import PathPoint, PathRecord
+
+        g = mlp2(10, 8, 3)
+        flags = [False, True, True, False]
+        record = PathRecord(points=[
+            PathPoint(iteration=i, phase=0, rolling_train_loss=0.1 * i,
+                      per_layer_dist={"fc1.weight": 1.0 - 0.1 * i}, train_exhausted=flag)
+            for i, flag in enumerate(flags)
+        ])
+        out = tmp_path / "rec"
+        write_path_record(out, record, g)
+        header, rows = read_csv(out / "metrics.csv")
+        assert header[-1] == "train_exhausted"
+        assert [row["train_exhausted"] for row in rows] == [0, 1, 1, 0]
+        assert [p.train_exhausted for p in read_path_record(out, g).points] == flags
+
+        # a record written before the column existed reads back as not exhausted
+        legacy = [name for name in header if name != "train_exhausted"]
+        emit_csv(legacy, rows, out / "metrics.csv")
+        assert [p.train_exhausted for p in read_path_record(out, g).points] == [False] * 4

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from llpf.nn_engine import layers as L
 from llpf.nn_engine import (
     Dataset,
     GraphError,
@@ -258,6 +259,112 @@ class TestLossAndGrad:
             GraphNode("d", "dense", ("f",), {"out": 3}),
         ]
         assert finite_difference_check(ModelGraph(nodes, (2, 6, 6)), batch=2) < 1e-4
+
+
+def conv2d_reference(x, w, b, stride, pad):
+    """Direct convolution: one loop step per output position."""
+    n, _, h, wd = x.shape
+    out_c, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    oh, ow = (h + 2 * pad - k) // stride + 1, (wd + 2 * pad - k) // stride + 1
+    y = np.zeros((n, out_c, oh, ow))
+    for p in range(oh):
+        for q in range(ow):
+            patch = xp[:, :, p * stride : p * stride + k, q * stride : q * stride + k]
+            y[:, :, p, q] = np.tensordot(patch, w, axes=([1, 2, 3], [1, 2, 3]))
+    if b is not None:
+        y += b[None, :, None, None]
+    return y
+
+
+def conv2d_backward_reference(g, x, w, stride, pad):
+    """(dx, dw, db) accumulated one output position at a time."""
+    k = w.shape[2]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for p in range(g.shape[2]):
+        for q in range(g.shape[3]):
+            rows = slice(p * stride, p * stride + k)
+            cols = slice(q * stride, q * stride + k)
+            dw += np.einsum("no,ncij->ocij", g[:, :, p, q], xp[:, :, rows, cols])
+            dxp[:, :, rows, cols] += np.einsum("no,ocij->ncij", g[:, :, p, q], w)
+    dx = dxp[:, :, pad : pad + x.shape[2], pad : pad + x.shape[3]]
+    return dx, dw, g.sum(axis=(0, 2, 3))
+
+
+def maxpool_reference(x, g, kernel):
+    """(y, dx): per-window argmax in row-major order, gradient scattered into zeros."""
+    n, c, h, w = x.shape
+    y = np.zeros((n, c, h // kernel, w // kernel), dtype=x.dtype)
+    dx = np.zeros(x.shape, dtype=g.dtype)
+    for p in range(h // kernel):
+        for q in range(w // kernel):
+            window = x[:, :, p * kernel : (p + 1) * kernel, q * kernel : (q + 1) * kernel]
+            flat = window.reshape(n, c, kernel * kernel)
+            idx = flat.argmax(axis=-1)
+            y[:, :, p, q] = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+            d = np.zeros((n, c, kernel * kernel), dtype=g.dtype)
+            np.put_along_axis(d, idx[..., None], g[:, :, p, q, None], axis=-1)
+            dx[:, :, p * kernel : (p + 1) * kernel, q * kernel : (q + 1) * kernel] = d.reshape(
+                n, c, kernel, kernel
+            )
+    return y, dx
+
+
+class TestKernelReference:
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_conv2d_matches_direct_loops(self, stride, pad, kernel, bias):
+        rng = np.random.default_rng(kernel * 100 + stride * 10 + pad)
+        x = rng.normal(size=(2, 3, 7, 7)).astype(np.float32)
+        w = rng.normal(size=(4, 3, kernel, kernel)).astype(np.float32)
+        b = rng.normal(size=4).astype(np.float32) if bias else None
+        y, cols = L.conv2d_forward(x, w, b, stride, pad)
+        ref = conv2d_reference(x.astype(np.float64), w.astype(np.float64),
+                               None if b is None else b.astype(np.float64), stride, pad)
+        assert y.dtype == np.float32 and y.shape == ref.shape
+        np.testing.assert_allclose(y, ref, rtol=1e-5, atol=1e-5)
+
+        g = rng.normal(size=y.shape).astype(np.float32)
+        dx, dw, db = L.conv2d_backward(g, x.shape, w, cols, stride, pad)
+        rdx, rdw, rdb = conv2d_backward_reference(
+            g.astype(np.float64), x.astype(np.float64), w.astype(np.float64), stride, pad
+        )
+        for got, want in ((dx, rdx), (dw, rdw), (db, rdb)):
+            assert got.dtype == np.float32 and got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("kernel", [2, 3])
+    def test_maxpool_matches_window_argmax(self, kernel):
+        rng = np.random.default_rng(kernel)
+        x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
+        y, cache = L.maxpool_forward(x, kernel)
+        g = rng.normal(size=y.shape).astype(np.float32)
+        dx = L.maxpool_backward(g, x.shape, kernel, cache)
+        ref_y, ref_dx = maxpool_reference(x, g, kernel)
+        assert np.array_equal(y, ref_y)
+        assert np.array_equal(dx, ref_dx)
+
+    @pytest.mark.parametrize("kernel", [2, 3])
+    def test_maxpool_ties_route_to_first_max(self, kernel):
+        # ReLU output: most windows hold several zeros and nothing larger
+        rng = np.random.default_rng(10 + kernel)
+        x = np.maximum(rng.normal(size=(3, 2, 12, 12)) - 1.5, 0).astype(np.float32)
+        y, cache = L.maxpool_forward(x, kernel)
+        assert (y == 0).mean() > 0.3
+        g = rng.choice([-1.5, -0.0, 0.25, 2.0], size=y.shape).astype(np.float32)
+        dx = L.maxpool_backward(g, x.shape, kernel, cache)
+        _, ref_dx = maxpool_reference(x, g, kernel)
+        assert np.array_equal(dx.view(np.uint32), ref_dx.view(np.uint32))
+        # exactly one input of each window receives its output's gradient
+        n, c, h, w = x.shape
+        ones = np.ones_like(g)
+        routed = L.maxpool_backward(ones, x.shape, kernel, cache)
+        per_window = routed.reshape(n, c, h // kernel, kernel, w // kernel, kernel).sum(axis=(3, 5))
+        assert np.array_equal(per_window, ones)
 
 
 class TestSgdStep:
