@@ -61,7 +61,6 @@ def interpolation_continuity(
     graph: ModelGraph,
     data: Dataset,
     eval_size: int = 2048,
-    eval_seed: int = 1,
     use_full_set: bool = False,
     norm_state: NormState | None = None,
 ) -> ContinuityReport:
@@ -75,7 +74,7 @@ def interpolation_continuity(
     stored = path.stored_points()
     if len(stored) < 2:
         raise ValueError("need at least two stored full-parameter points")
-    subset = data if use_full_set else fixed_subset(data, eval_size, eval_seed)
+    subset = data if use_full_set else fixed_subset(data, eval_size)
     alphas = np.linspace(0.0, 1.0, samples)
     seg_losses = []
     bounds = []

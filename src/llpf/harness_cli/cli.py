@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -72,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_config:
             p.add_argument("--config", required=True, help="experiment config file")
             p.add_argument("--out", help="override the [output] dir")
-            p.add_argument("--jobs", type=int, default=1, help="worker pool size")
             p.add_argument("--seed-override", type=int, dest="seed_override",
                            help="replace every configured seed")
             p.add_argument("--precision", choices=("f32", "f64"),
@@ -121,24 +119,13 @@ def cmd_train_modes(args) -> int:
     out.out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc)
 
-    def train_one(seed: int):
-        params = init_params(graph, seed, out.dtype)
-        rng = np.random.default_rng(seed)
+    subset = fixed_subset(train_data, out.eval_subset)
+    for seed in seeds:
         result = train_until(
-            graph, params, train_data, modes.trainer, modes.rule, rng,
-            augment=modes.augment,
+            graph, init_params(graph, seed, out.dtype), train_data, modes.trainer,
+            modes.rule, np.random.default_rng(seed), augment=modes.augment,
         )
-        subset = fixed_subset(train_data, out.eval_subset)
         loss, acc = evaluate(graph, result.params, subset)
-        return seed, result, loss, acc
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(train_one, seeds))
-    else:
-        results = [train_one(seed) for seed in seeds]
-
-    for seed, result, loss, acc in results:
         ckpt = out.out_dir / f"mode_{seed}.ckpt"
         save_checkpoint(result.params, graph, ckpt)
         rows = [

@@ -1,12 +1,16 @@
 """Low-loss path search between trained modes.
 
-Two drivers live here.  The model-to-model search walks one mode toward
-another along their shared per-layer variance spheres: move a little, project
-back onto the sphere, retrain briefly, project again.  The model-to-origin
-search walks a mode radially inward across shrinking spheres, rescaling each
-layer's learning rate so update angles stay comparable as the radius drops;
-it never applies variance correction and never touches normalization
-parameters.  Their composition connects modes that sit on different spheres.
+Every search is one walk loop: move the active layers a bounded step toward
+a destination, repair the moved point, record it.  Two repair policies plug
+into that loop.  The model-to-model search (``llpf_m2m``) walks one mode
+toward another along their shared per-layer variance spheres: it projects
+the moved point back onto the start mode's spheres, retrains briefly, and
+projects again.  The model-to-origin search (``llpf_m2o``) walks a mode
+inward across shrinking spheres: it never corrects variance and never
+touches normalization parameters, and instead rescales each layer's learning
+rate so update angles stay comparable as the radius drops.  The cross-sphere
+connection (``connect_cross_variance``) chains the two to join modes that
+sit on different spheres.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import heapq
 import logging
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,6 +28,7 @@ from .nn_engine.trainer import (
     Dataset,
     StopRule,
     TrainerConfig,
+    TrainResult,
     evaluate,
     fixed_subset,
     train_until,
@@ -123,7 +128,6 @@ class SearchSettings:
     seed: int = 0
     checkpoint_stride: int = 10
     eval_subset: int = 2048
-    eval_seed: int = 1
     variance_ratio_bound: float = 1.5
     mode_acceptance_loss: float | None = None
     record_test_metrics: bool = True
@@ -138,7 +142,6 @@ class M2OConfig:
     step: StepParams
     stop: StopRule
     eta_base: float
-    excluded_kinds: tuple[str, ...] = ("norm_scale", "norm_shift")
     excluded_layers: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -207,9 +210,8 @@ def angle_conformal(
     return rates
 
 
-def _capture_targets(params: ParamVector, source_id: str) -> VarianceTarget:
-    targets = {info.name: layer_stats(params.get(info.name)).variance for info in params.layout}
-    return VarianceTarget(targets=targets, captured_from=source_id)
+def _variances(params: ParamVector, names: Iterable[str]) -> dict[str, float]:
+    return {name: layer_stats(params.get(name)).variance for name in names}
 
 
 def correctable_layers(params: ParamVector, targets: VarianceTarget) -> tuple[str, ...]:
@@ -231,22 +233,11 @@ def _correct(params: ParamVector, names: Iterable[str], targets: VarianceTarget)
     return params.with_slices(updates)
 
 
-def _acceptance_loss(
-    graph: ModelGraph,
-    params: ParamVector,
-    data: Dataset,
-    settings: SearchSettings,
-    norm_state: NormState | None,
-) -> float:
-    subset = fixed_subset(data, settings.eval_subset, settings.eval_seed)
+def _accept_mode(graph, params, data, settings, threshold, label, norm_state) -> float:
+    """Loss of a mode on the fixed training subset; a positive ``threshold``
+    it does not beat raises :class:`PrerequisiteError`."""
+    subset = fixed_subset(data, settings.eval_subset)
     loss, _ = evaluate(graph, params, subset, norm_state)
-    return loss
-
-
-def _check_mode_acceptance(
-    graph, params, data, settings, threshold, label, norm_state=None
-) -> float:
-    loss = _acceptance_loss(graph, params, data, settings, norm_state)
     if threshold is not None and threshold > 0 and loss >= threshold:
         raise PrerequisiteError(
             f"{label} mode fails low-loss acceptance: loss {loss:.4g} >= {threshold:.4g}"
@@ -259,14 +250,86 @@ def _path_trainer(trainer: TrainerConfig) -> TrainerConfig:
     return replace(trainer, momentum=0.0, weight_decay=0.0)
 
 
-def _maybe_eval(graph, params, test_data, settings, norm_state):
-    if test_data is None or not settings.record_test_metrics:
-        return float("nan"), float("nan")
-    return evaluate(graph, params, test_data, norm_state)
+def _phase_arcs(current, dest, phase):
+    """Arc anchors toward ``dest`` for the phase's active layers, or None when
+    its step has no arc term."""
+    if phase.step.step_c == 0:
+        return None
+    arcs = {}
+    for name in phase.active_layers:
+        a = current.get(name)
+        b = dest.get(name)
+        if np.linalg.norm(a) == 0 or np.linalg.norm(b) == 0:
+            arcs[name] = 0.0  # arc undefined at the center; contributes nothing
+        else:
+            arcs[name] = arc_length(a, b)
+    return arcs
 
 
-def _store_params(i: int, total: int, stride: int) -> bool:
-    return i % stride == 0 or i == total
+# -- the walk loop -----------------------------------------------------------------
+
+
+def _walk(
+    graph: ModelGraph,
+    start: ParamVector,
+    dest: ParamVector,
+    phases: Sequence[Phase],
+    layers: Sequence[str],
+    start_loss: float,
+    repair: Callable[[ParamVector, Phase], tuple[ParamVector, TrainResult]],
+    arcs: Callable[[ParamVector, Phase], Mapping[str, float] | None],
+    *,
+    test_data: Dataset | None,
+    settings: SearchSettings,
+    norm_state: NormState | None,
+    stop_when: Callable[[ParamVector], bool] | None = None,
+) -> list[PathPoint]:
+    """Walk from ``start`` toward ``dest`` through the phase schedule.
+
+    Each iteration moves the phase's active layers, hands the moved point to
+    ``repair`` and records the repaired point: its repair loss, its
+    per-layer distance to ``dest`` over ``layers``, and its test metrics.
+    ``arcs`` supplies the arc anchors at each phase start.  The walk ends
+    early, before moving, once ``stop_when`` holds for the current point.
+    Params are kept for the start, every ``checkpoint_stride``-th iteration,
+    the scheduled last iteration, and the point the walk ends on.
+    """
+    total = sum(p.iterations for p in phases)
+    record_test = test_data is not None and settings.record_test_metrics
+    points: list[PathPoint] = []
+
+    def record(iteration, phase_idx, params, loss, exhausted):
+        t_loss, t_acc = float("nan"), float("nan")
+        if record_test:
+            t_loss, t_acc = evaluate(graph, params, test_data, norm_state)
+        keep = iteration % settings.checkpoint_stride == 0 or iteration == total
+        points.append(
+            PathPoint(
+                iteration=iteration,
+                phase=phase_idx,
+                rolling_train_loss=loss,
+                per_layer_dist=l2_distance(params, dest, layers),
+                test_loss=t_loss,
+                test_acc=t_acc,
+                params=params if keep else None,
+                train_exhausted=exhausted,
+            )
+        )
+
+    record(0, 0, start, start_loss, False)
+    schedule = [(k, phase) for k, phase in enumerate(phases) for _ in range(phase.iterations)]
+    current, arc_phase, arc0 = start, None, None
+    for iteration, (k, phase) in enumerate(schedule, 1):
+        if stop_when is not None and stop_when(current):
+            break
+        if k != arc_phase:
+            arc_phase, arc0 = k, arcs(current, phase)
+        moved = move_toward(current, dest, arc0, phase.step, phase.active_layers)
+        current, result = repair(moved, phase)
+        exhausted = phase.stop.loss_threshold > 0 and not result.hit_threshold
+        record(iteration, k, current, result.rolling_loss, exhausted)
+    points[-1].params = current
+    return points
 
 
 # -- model-to-model search ------------------------------------------------------
@@ -297,17 +360,16 @@ def llpf_m2m(
     rng = np.random.default_rng(settings.seed)
     trainer = _path_trainer(trainer)
 
-    targets = _capture_targets(start, settings.endpoint_ids[0])
+    targets = VarianceTarget(_variances(start, start.names()), settings.endpoint_ids[0])
     correctable = correctable_layers(start, targets)
 
     bound = settings.variance_ratio_bound
     if bound <= 1:
         raise ValueError("variance_ratio_bound must exceed 1")
-    dest_stats = {name: layer_stats(dest.get(name)).variance for name in correctable}
-    for name in correctable:
-        if dest_stats[name] <= EPS_VAR:
+    for name, v_dest in _variances(dest, correctable).items():
+        if v_dest <= EPS_VAR:
             continue
-        ratio = targets[name] / dest_stats[name]
+        ratio = targets[name] / v_dest
         if not (1.0 / bound <= ratio <= bound):
             raise PrerequisiteError(
                 f"modes on distant variance spheres (layer {name!r} ratio {ratio:.3g});"
@@ -319,73 +381,27 @@ def llpf_m2m(
         acceptance = plan.phases[0].stop.loss_threshold
     if acceptance <= 0:
         log.warning("no positive mode-acceptance threshold; skipping the check")
-    start_loss = _check_mode_acceptance(
-        graph, start, train_data, settings, acceptance, "start", norm_state
-    )
-    _check_mode_acceptance(graph, dest, train_data, settings, acceptance, "dest", norm_state)
+    start_loss = _accept_mode(graph, start, train_data, settings, acceptance, "start", norm_state)
+    _accept_mode(graph, dest, train_data, settings, acceptance, "dest", norm_state)
 
-    total_iters = sum(p.iterations for p in plan.phases)
-    all_layers = graph.slice_names()
-    t_loss, t_acc = _maybe_eval(graph, start, test_data, settings, norm_state)
-    points = [
-        PathPoint(
-            iteration=0,
-            phase=0,
-            rolling_train_loss=start_loss,
-            per_layer_dist=l2_distance(start, dest, all_layers),
-            test_loss=t_loss,
-            test_acc=t_acc,
-            params=start,
+    def repair(moved, phase):
+        names = [n for n in phase.active_layers if n in correctable]
+        result = train_until(
+            graph, _correct(moved, names, targets), train_data, trainer, phase.stop, rng,
+            norm_state=norm_state, augment=settings.augment_path_steps,
         )
-    ]
+        return _correct(result.params, names, targets), result
 
-    current = start
-    iteration = 0
-    for phase_idx, phase in enumerate(plan.phases):
-        arc0 = None
-        if phase.step.step_c > 0:
-            arc0 = _phase_arcs(current, dest, phase.active_layers)
-        for _ in range(phase.iterations):
-            iteration += 1
-            moved = move_toward(current, dest, arc0, phase.step, phase.active_layers)
-            active_correctable = [n for n in phase.active_layers if n in correctable]
-            corrected = _correct(moved, active_correctable, targets)
-            result = train_until(
-                graph, corrected, train_data, trainer, phase.stop, rng,
-                norm_state=norm_state, augment=settings.augment_path_steps,
-            )
-            current = _correct(result.params, active_correctable, targets)
-            exhausted = phase.stop.loss_threshold > 0 and not result.hit_threshold
-            t_loss, t_acc = _maybe_eval(graph, current, test_data, settings, norm_state)
-            points.append(
-                PathPoint(
-                    iteration=iteration,
-                    phase=phase_idx,
-                    rolling_train_loss=result.rolling_loss,
-                    per_layer_dist=l2_distance(current, dest, all_layers),
-                    test_loss=t_loss,
-                    test_acc=t_acc,
-                    params=current if _store_params(iteration, total_iters, settings.checkpoint_stride) else None,
-                    train_exhausted=exhausted,
-                )
-            )
+    points = _walk(
+        graph, start, dest, plan.phases, graph.slice_names(), start_loss, repair,
+        lambda current, phase: _phase_arcs(current, dest, phase),
+        test_data=test_data, settings=settings, norm_state=norm_state,
+    )
     return PathRecord(
         points=points,
         config_hash=settings.config_hash,
         endpoints=settings.endpoint_ids,
     )
-
-
-def _phase_arcs(current, dest, active_layers):
-    arcs = {}
-    for name in active_layers:
-        a = current.get(name)
-        b = dest.get(name)
-        if np.linalg.norm(a) == 0 or np.linalg.norm(b) == 0:
-            arcs[name] = 0.0  # arc undefined at the center; contributes nothing
-        else:
-            arcs[name] = arc_length(a, b)
-    return arcs
 
 
 # -- model-to-origin search ------------------------------------------------------
@@ -409,23 +425,23 @@ def llpf_m2o(
     The destination defaults to the origin restricted to the non-excluded
     layers.  There is no variance correction; instead each layer's learning
     rate is rescaled by its current-to-start variance ratio, so excluded
-    layers (all normalization parameters by default) stay bit-identical.
-    ``var_stop`` optionally ends the walk once every correctable layer's
-    variance is within a factor of the given targets (used by the
-    cross-sphere connection).
+    layers (``cfg.excluded_layers`` and every normalization parameter) stay
+    bit-identical.  ``var_stop`` optionally ends the walk once every
+    correctable layer's variance is within a factor of the given targets
+    (used by the cross-sphere connection).
     """
     rng = np.random.default_rng(settings.seed)
     trainer = _path_trainer(trainer)
 
     excluded = set(cfg.excluded_layers)
     excluded.update(
-        info.name for info in start.layout if info.kind in cfg.excluded_kinds
+        info.name for info in start.layout if info.kind in ("norm_scale", "norm_shift")
     )
     active = tuple(n for n in graph.slice_names() if n not in excluded)
     if not active:
         raise ValueError("every layer is excluded; nothing to move")
 
-    v_base = {name: layer_stats(start.get(name)).variance for name in active}
+    v_base = _variances(start, active)
     for name, v in v_base.items():
         if v <= 0:
             raise ValueError(f"base variance must be positive for layer {name!r}")
@@ -433,74 +449,51 @@ def llpf_m2o(
     acceptance = settings.mode_acceptance_loss
     if acceptance is None:
         acceptance = cfg.stop.loss_threshold
-    start_loss = _check_mode_acceptance(
-        graph, start, train_data, settings, acceptance, "start", norm_state
-    )
+    start_loss = _accept_mode(graph, start, train_data, settings, acceptance, "start", norm_state)
 
     if destination is None:
         dest = start.with_slices({n: np.zeros(start.info(n).length) for n in active})
-        arc0 = {n: float(np.linalg.norm(start.get(n).astype(np.float64))) for n in active}
+
+        def arcs(current, phase):  # the walk's single phase starts at the start radii
+            return {n: float(np.linalg.norm(current.get(n).astype(np.float64))) for n in active}
     else:
         start.require_compatible(destination)
         dest = destination
-        arc0 = _phase_arcs(start, dest, active) if cfg.step.step_c > 0 else None
 
-    t_loss, t_acc = _maybe_eval(graph, start, test_data, settings, norm_state)
-    points = [
-        PathPoint(
-            iteration=0,
-            phase=0,
-            rolling_train_loss=start_loss,
-            per_layer_dist=l2_distance(start, dest, active),
-            test_loss=t_loss,
-            test_acc=t_acc,
-            params=start,
-        )
-    ]
+        def arcs(current, phase):
+            return _phase_arcs(current, dest, phase)
 
-    current = start
     step_trainer = replace(trainer, lr=cfg.eta_base)
-    for i in range(1, cfg.iterations + 1):
-        if var_stop is not None and _vars_within(current, *var_stop):
-            break
-        moved = move_toward(current, dest, arc0, cfg.step, active)
+
+    def repair(moved, phase):
         rates = angle_conformal(moved, v_base, cfg.eta_base, excluded)
         result = train_until(
-            graph, moved, train_data, step_trainer,
-            cfg.stop, rng, norm_state=norm_state, lr_map=rates,
-            augment=settings.augment_path_steps,
+            graph, moved, train_data, step_trainer, phase.stop, rng,
+            norm_state=norm_state, lr_map=rates, augment=settings.augment_path_steps,
         )
-        current = result.params
-        exhausted = cfg.stop.loss_threshold > 0 and not result.hit_threshold
-        t_loss, t_acc = _maybe_eval(graph, current, test_data, settings, norm_state)
-        points.append(
-            PathPoint(
-                iteration=i,
-                phase=0,
-                rolling_train_loss=result.rolling_loss,
-                per_layer_dist=l2_distance(current, dest, active),
-                test_loss=t_loss,
-                test_acc=t_acc,
-                params=current if _store_params(i, cfg.iterations, settings.checkpoint_stride) else None,
-                train_exhausted=exhausted,
+        return result.params, result
+
+    stop_when = None
+    if var_stop is not None:
+        stop_targets, rtol = var_stop
+        stop_layers = correctable_layers(start, stop_targets)
+
+        def stop_when(current):
+            return all(
+                1.0 / rtol <= v / stop_targets[name] <= rtol
+                for name, v in _variances(current, stop_layers).items()
             )
-        )
-    if points[-1].params is None:
-        points[-1].params = current
+
+    points = _walk(
+        graph, start, dest, [Phase(active, cfg.iterations, cfg.step, cfg.stop)], active,
+        start_loss, repair, arcs,
+        test_data=test_data, settings=settings, norm_state=norm_state, stop_when=stop_when,
+    )
     return PathRecord(
         points=points,
         config_hash=settings.config_hash,
         endpoints=(settings.endpoint_ids[0], "origin" if destination is None else settings.endpoint_ids[1]),
     )
-
-
-def _vars_within(params: ParamVector, targets: VarianceTarget, rtol: float) -> bool:
-    for name in correctable_layers(params, targets):
-        current = layer_stats(params.get(name)).variance
-        ratio = current / targets[name]
-        if not (1.0 / rtol <= ratio <= rtol):
-            return False
-    return True
 
 
 # -- cross-sphere connection ------------------------------------------------------
@@ -536,15 +529,12 @@ def connect_cross_variance(
     """
     start.require_compatible(dest)
 
-    dest_targets = _capture_targets(dest, settings.endpoint_ids[1])
+    dest_targets = VarianceTarget(_variances(dest, dest.names()), settings.endpoint_ids[1])
     correctable = correctable_layers(dest, dest_targets)
     if not correctable:
         raise ValueError("no correctable layers to project")
-    ratios = []
-    for name in correctable:
-        v_start = layer_stats(start.get(name)).variance
-        ratios.append(v_start / dest_targets[name])
-    if float(np.mean(ratios)) < 1.0:
+    v_start = _variances(start, correctable)
+    if float(np.mean([v_start[name] / dest_targets[name] for name in correctable])) < 1.0:
         raise PrerequisiteError("destination on larger sphere; swap endpoints")
 
     projection = _correct(start, correctable, dest_targets)
@@ -561,11 +551,11 @@ def connect_cross_variance(
         destination=projection,
         var_stop=(dest_targets, cfg.sphere_match_rtol),
     )
-    hand_off = stage1.points[-1].params
-    assert hand_off is not None
+    hand_off = stage1.points[-1]
+    assert hand_off.params is not None
 
     stage2 = llpf_m2m(
-        hand_off,
+        hand_off.params,
         dest,
         cfg.m2m_plan,
         trainer,
@@ -576,29 +566,18 @@ def connect_cross_variance(
         graph=graph,
     )
 
-    boundary = len(stage1.points) - 1
-    offset = stage1.points[-1].iteration
-    phase_offset = max(p.phase for p in stage1.points) + 1
-    merged = list(stage1.points)
-    for p in stage2.points[1:]:
-        merged.append(
-            PathPoint(
-                iteration=p.iteration + offset,
-                phase=p.phase + phase_offset,
-                rolling_train_loss=p.rolling_train_loss,
-                per_layer_dist=p.per_layer_dist,
-                test_loss=p.test_loss,
-                test_acc=p.test_acc,
-                params=p.params,
-                train_exhausted=p.train_exhausted,
-            )
-        )
+    # stage 1 is the single phase 0, so stage 2's phases follow from 1
+    merged = stage1.points + [
+        replace(p, iteration=p.iteration + hand_off.iteration, phase=p.phase + 1)
+        for p in stage2.points[1:]
+    ]
     return PathRecord(
         points=merged,
         config_hash=settings.config_hash,
         endpoints=settings.endpoint_ids,
-        stage_boundary=boundary,
+        stage_boundary=len(stage1.points) - 1,
     )
+
 
 
 # -- data-flow phase ordering ------------------------------------------------------

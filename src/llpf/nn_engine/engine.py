@@ -188,7 +188,10 @@ def loss_and_grad(
             w = params.get(f"{name}.weight").reshape(graph.slice_shape(f"{name}.weight"))
             stride = int(node.attrs.get("stride", 1))
             pad = int(node.attrs.get("pad", 0))
-            dx, dw, db = L.conv2d_backward(g, x_shape, w, cols, stride, pad)
+            # a conv that reads the batch has no input whose gradient is needed
+            dx, dw, db = L.conv2d_backward(
+                g, x_shape, w, cols, stride, pad, need_dx=bool(node.inputs)
+            )
             store(f"{name}.weight", dw)
             if f"{name}.bias" in offsets:
                 store(f"{name}.bias", db)

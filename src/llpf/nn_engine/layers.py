@@ -72,12 +72,16 @@ def conv2d_forward(x, w, b, stride, pad):
     return y.reshape(n, out_c, oh, ow), cols
 
 
-def conv2d_backward(g, x_shape, w, cols, stride, pad):
+def conv2d_backward(g, x_shape, w, cols, stride, pad, need_dx=True):
+    """Returns (dx, dw, db); ``need_dx=False`` skips the input gradient and
+    returns ``dx=None`` (for a convolution that reads the model input)."""
     n, out_c, oh, ow = g.shape
     _, in_c, k, _ = w.shape
     gm = g.reshape(n, out_c, oh * ow)
     dw = (gm @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
     db = gm.sum(axis=(0, 2))
+    if not need_dx:
+        return None, dw, db
     dcols = w.reshape(out_c, in_c * k * k).T @ gm
     dx = col2im(dcols, x_shape, k, stride, pad, (oh, ow))
     return dx, dw, db

@@ -307,23 +307,6 @@ dir = out
         assert (tmp_path / "out" / "mode_9.ckpt").is_file()
         assert not (tmp_path / "out" / "mode_1.ckpt").exists()
 
-    def test_jobs_fan_out(self, tmp_path):
-        cfg = write_cfg(
-            tmp_path,
-            BASE + """
-[modes]
-seeds = 1, 2, 3
-lr = 0.1
-max_rounds = 20
-
-[output]
-dir = out
-""",
-        )
-        assert main(["train-modes", "--config", str(cfg), "--jobs", "3"]) == 0
-        for seed in (1, 2, 3):
-            assert (tmp_path / "out" / f"mode_{seed}.ckpt").is_file()
-
 
 class TestShippedConfigs:
     def test_examples_parse_and_validate(self):

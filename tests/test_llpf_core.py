@@ -1,6 +1,9 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
+from llpf import llpf_core
 from llpf.llpf_core import (
     CrossVarianceConfig,
     M2OConfig,
@@ -350,6 +353,75 @@ class TestCrossVariance:
         assert iters == sorted(iters) and len(set(iters)) == len(iters)
 
 
+class TestCrossVarianceEarlyStop:
+    """Stage 1 ends on the sphere match long before its iteration cap, with a
+    checkpoint stride larger than the whole chain."""
+
+    STRIDE = 1000
+    RTOL = 1.05
+
+    @pytest.fixture(scope="class")
+    def chain(self, blobs, quick_mode):
+        train, test = blobs
+        g, mode = quick_mode
+        bigger = mode.with_slices({n: mode.get(n) * 1.1 for n in ("fc1.weight", "fc2.weight")})
+        # a repair threshold no point reaches: every stage-2 repair runs out of rounds
+        plan = single_phase_plan(g, 4, StepParams(step_f=2e-3), StopRule(1e-12, 2, 1))
+        cfg = CrossVarianceConfig(
+            m2o=M2OConfig(iterations=5000, step=StepParams(step_a=5e-3),
+                          stop=StopRule(0.0, 2, 1), eta_base=1e-3),
+            m2m_plan=plan,
+            sphere_match_rtol=self.RTOL,
+        )
+        trainer = TrainerConfig(lr=1e-3, batch_size=32)
+        settings = SearchSettings(seed=3, checkpoint_stride=self.STRIDE, mode_acceptance_loss=0.5)
+        record = connect_cross_variance(
+            bigger, mode, cfg, trainer, train, test, settings=settings, graph=g,
+        )
+        hand_off = record.points[record.stage_boundary]
+        standalone = llpf_m2m(
+            hand_off.params, mode, plan, trainer, train, test,
+            settings=replace(settings, endpoint_ids=("stage-1-endpoint", settings.endpoint_ids[1])),
+            graph=g,
+        )
+        return g, mode, record, standalone
+
+    def test_hand_off_and_final_points_keep_params(self, chain):
+        g, mode, record, _ = chain
+        hand_off = record.points[record.stage_boundary]
+        assert 0 < hand_off.iteration < self.STRIDE
+        assert record.points[record.stage_boundary - 1].params is None
+        assert record.points[record.stage_boundary + 1].phase == 1
+        assert all(p.phase == 0 for p in record.points[: record.stage_boundary + 1])
+        assert [p.iteration for p in record.stored_points()] == [
+            0, hand_off.iteration, record.points[-1].iteration,
+        ]
+        # stage 1 stopped because the hand-off sits on the destination's spheres
+        for name in ("fc1.weight", "fc2.weight"):
+            ratio = (layer_stats(hand_off.params.get(name)).variance
+                     / layer_stats(mode.get(name)).variance)
+            assert 1 / self.RTOL <= ratio <= self.RTOL
+
+    def test_merged_stage_two_equals_standalone(self, chain):
+        _, _, record, standalone = chain
+        hand_off = record.points[record.stage_boundary]
+        merged = record.points[record.stage_boundary + 1 :]
+        assert len(merged) == len(standalone.points) - 1
+        for m, s in zip(merged, standalone.points[1:]):
+            assert m.iteration == s.iteration + hand_off.iteration
+            assert m.phase == s.phase + 1
+            assert m.train_exhausted is True
+            for f in fields(PathPoint):
+                if f.name in ("iteration", "phase"):
+                    continue
+                a, b = getattr(m, f.name), getattr(s, f.name)
+                if f.name == "params":
+                    assert (a is None) == (b is None)
+                    assert a is None or np.array_equal(a.data, b.data)
+                else:
+                    assert a == b, f.name
+
+
 class TestFdfPhasePlan:
     def test_linear_chain(self):
         nodes = [
@@ -442,6 +514,34 @@ class TestMultiPhase:
         d0 = record.points[0].per_layer_dist["fc1.weight"]
         d3 = record.points[-1].per_layer_dist["fc1.weight"]
         assert d3 < d0  # the arc term alone produces forward progress
+
+    def test_arc_anchors_recaptured_at_each_phase_start(self, blobs, quick_mode, monkeypatch):
+        train, _ = blobs
+        g, mode = quick_mode
+        partner = mode.with_slices({"fc1.weight": mode.get("fc1.weight")[::-1]})
+        step, stop = StepParams(step_c=1e-3), StopRule(0.0, 1, 10)
+        plan = PhasePlan(
+            (
+                Phase(("fc1.weight", "fc1.bias"), 3, step, stop),
+                Phase(tuple(g.slice_names()), 3, step, stop),
+            )
+        )
+        anchored = []
+        real = llpf_core._phase_arcs
+
+        def spy(current, dest, phase):
+            anchored.append((current, phase.active_layers))
+            return real(current, dest, phase)
+
+        monkeypatch.setattr(llpf_core, "_phase_arcs", spy)
+        record = llpf_m2m(
+            mode, partner, plan, TrainerConfig(lr=1e-5, batch_size=32), train, None,
+            settings=SearchSettings(seed=0, mode_acceptance_loss=0.0, checkpoint_stride=1),
+            graph=g,
+        )
+        assert [layers for _, layers in anchored] == [p.active_layers for p in plan.phases]
+        assert anchored[0][0] is mode
+        assert anchored[1][0] is record.points[3].params  # the last point of phase 1
 
 
 class TestBatchNormPath:

@@ -337,6 +337,29 @@ class TestKernelReference:
             assert got.dtype == np.float32 and got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
+        no_dx, dw2, db2 = L.conv2d_backward(g, x.shape, w, cols, stride, pad, need_dx=False)
+        assert no_dx is None
+        assert np.array_equal(dw2, dw) and np.array_equal(db2, db)
+
+    def test_input_conv_skips_dx_without_changing_grads(self, monkeypatch):
+        g = lenet_micro()
+        params = init_params(g, 0)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(4,) + g.input_shape).astype(np.float32)
+        y = rng.integers(0, g.shapes[g.sink][0], size=4)
+        _, grads = loss_and_grad(g, params, x, y)
+        full = L.conv2d_backward
+        asked = {}
+
+        def always_dx(*args, need_dx=True):
+            asked[args[1]] = need_dx
+            return full(*args)
+
+        monkeypatch.setattr(L, "conv2d_backward", always_dx)
+        _, grads_full = loss_and_grad(g, params, x, y)
+        assert asked[x.shape] is False and list(asked.values()).count(False) == 1
+        assert np.array_equal(grads.data, grads_full.data)
+
     @pytest.mark.parametrize("kernel", [2, 3])
     def test_maxpool_matches_window_argmax(self, kernel):
         rng = np.random.default_rng(kernel)
