@@ -73,8 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", help="override the [output] dir")
             p.add_argument("--seed-override", type=int, dest="seed_override",
                            help="replace every configured seed")
-            p.add_argument("--precision", choices=("f32", "f64"),
-                           help="override the [output] precision")
         p.set_defaults(handler=handler)
         return p
 
@@ -103,8 +101,6 @@ def _load_common(args):
     out = rc.build_output(cfg)
     if args.out:
         out.out_dir = Path(args.out)
-    if args.precision:
-        out.precision = args.precision
     if args.seed_override is not None:
         out.seed = args.seed_override
     return cfg, graph, train_data, test_data, out
@@ -122,7 +118,7 @@ def cmd_train_modes(args) -> int:
     subset = fixed_subset(train_data, out.eval_subset)
     for seed in seeds:
         result = train_until(
-            graph, init_params(graph, seed, out.dtype), train_data, modes.trainer,
+            graph, init_params(graph, seed), train_data, modes.trainer,
             modes.rule, np.random.default_rng(seed), augment=modes.augment,
         )
         loss, acc = evaluate(graph, result.params, subset)
@@ -161,8 +157,8 @@ def cmd_connect_m2m(args) -> int:
     cfg, graph, train_data, test_data, out = _load_common(args)
     block = rc.build_m2m(cfg, graph)
     started = datetime.now(timezone.utc)
-    start = load_checkpoint(graph, block.start, out.dtype)
-    dest = load_checkpoint(graph, block.dest, out.dtype)
+    start = load_checkpoint(graph, block.start)
+    dest = load_checkpoint(graph, block.dest)
     settings = rc.search_settings(
         out, cfg.digest, (block.start.name, block.dest.name),
         block.mode_acceptance_loss, block.variance_ratio_bound,
@@ -179,7 +175,7 @@ def cmd_collapse_m2o(args) -> int:
     cfg, graph, train_data, test_data, out = _load_common(args)
     block = rc.build_m2o(cfg, graph)
     started = datetime.now(timezone.utc)
-    start = load_checkpoint(graph, block.start, out.dtype)
+    start = load_checkpoint(graph, block.start)
     settings = rc.search_settings(
         out, cfg.digest, (block.start.name, "origin"), block.mode_acceptance_loss,
         augment_path_steps=block.augment_path_steps,
@@ -195,8 +191,8 @@ def cmd_connect_avs(args) -> int:
     cfg, graph, train_data, test_data, out = _load_common(args)
     block = rc.build_avs(cfg, graph)
     started = datetime.now(timezone.utc)
-    start = load_checkpoint(graph, block.start, out.dtype)
-    dest = load_checkpoint(graph, block.dest, out.dtype)
+    start = load_checkpoint(graph, block.start)
+    dest = load_checkpoint(graph, block.dest)
     settings = rc.search_settings(
         out, cfg.digest, (block.start.name, block.dest.name), block.mode_acceptance_loss
     )
@@ -210,7 +206,8 @@ def cmd_connect_avs(args) -> int:
 def cmd_continuity(args) -> int:
     cfg, graph, train_data, _test_data, out = _load_common(args)
     block = rc.build_continuity(cfg)
-    record = read_path_record(block.record_dir, graph, out.dtype)
+    started = datetime.now(timezone.utc)
+    record = read_path_record(block.record_dir, graph)
     report = interpolation_continuity(
         record, block.samples, graph, train_data,
         eval_size=block.eval_subset, use_full_set=block.use_full_set,
@@ -229,7 +226,6 @@ def cmd_continuity(args) -> int:
                 }
             )
     out.out_dir.mkdir(parents=True, exist_ok=True)
-    started = datetime.now(timezone.utc)
     emit_csv(
         ["position", "segment_start", "segment_end", "alpha", "train_loss"],
         rows, out.out_dir / "continuity.csv",
@@ -252,6 +248,7 @@ def cmd_seed_study(args) -> int:
     seeds = block.seeds if block.seeds else list(range(block.n_seeds))
     if args.seed_override is not None:
         seeds = [args.seed_override + i for i in range(len(seeds))]
+    started = datetime.now(timezone.utc)
     table = seed_variance_study(
         graph, modes.trainer, len(seeds), train_data,
         rule=None if block.init_only else modes.rule,
@@ -274,7 +271,6 @@ def cmd_seed_study(args) -> int:
     fields += [f"var:{n}" for n in layer_names]
     fields += [f"mean:{n}" for n in layer_names]
     out.out_dir.mkdir(parents=True, exist_ok=True)
-    started = datetime.now(timezone.utc)
     emit_csv(fields, rows, out.out_dir / "seed_study.csv")
     summary_rows = [
         {

@@ -11,8 +11,6 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from ..llpf_core import (
     CrossVarianceConfig,
     M2OConfig,
@@ -123,26 +121,17 @@ def build_modes(cfg: ConfigFile) -> ModesBlock:
 class OutputBlock:
     out_dir: Path
     checkpoint_stride: int
-    precision: str
     eval_subset: int
     seed: int
     test_metrics: bool
-
-    @property
-    def dtype(self):
-        return np.float64 if self.precision == "f64" else np.float32
 
 
 def build_output(cfg: ConfigFile) -> OutputBlock:
     sec = Section(cfg, "output")
     dir_text = sec.get_str("dir", "out")
-    precision = sec.get_str("precision", "f32")
-    if precision not in ("f32", "f64"):
-        raise cfg.error(sec.line, f"precision must be f32 or f64, got {precision!r}")
     block = OutputBlock(
         out_dir=resolve_path(cfg, dir_text),
         checkpoint_stride=sec.positive_int("checkpoint_stride", 10),
-        precision=precision,
         eval_subset=sec.positive_int("eval_subset", 2048),
         seed=sec.get_int("seed", 0),
         test_metrics=sec.get_bool("test_metrics", True),

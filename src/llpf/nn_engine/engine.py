@@ -1,11 +1,19 @@
 """Graph execution: parameter init, forward pass, and backpropagation.
 
+Execution walks ``graph.plan``, the per-node records the graph resolved once
+at construction: each node's parameters are views at its slices' offsets,
+reshaped to their resolved shapes, and its gradients are written back
+through one loop over the same slices.  Kernels are looked up in
+:mod:`.layers` at call time.
+
 Normalization running statistics are buffers, not trainable parameters; they
 live in a :class:`NormState` owned by the caller and never appear in the
 ``ParamVector`` layout.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -19,10 +27,10 @@ class NormState:
 
     def __init__(self, graph: ModelGraph, dtype=np.float32):
         self.buffers: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for node in graph.nodes:
+        for node in graph.plan:
             if node.kind != "batch_norm":
                 continue
-            c = graph.input_shape_of(node.name)[0]
+            c = node.in_shape[0]
             self.buffers[node.name] = (
                 np.zeros(c, dtype=dtype),
                 np.ones(c, dtype=dtype),
@@ -46,23 +54,18 @@ def init_params(graph: ModelGraph, seed: int, dtype=np.float32) -> ParamVector:
     vectors because slices are drawn in fixed layout order."""
     rng = np.random.default_rng(seed)
     data = np.empty(graph.num_params, dtype=dtype)
-    for info in graph.layout:
-        view = data[info.offset : info.offset + info.length]
+    slices = [s for node in graph.plan for s in node.slices]
+    for info, (offset, length, shape) in zip(graph.layout, slices):
+        view = data[offset : offset + length]
         if info.kind == "weight":
-            shape = graph.slice_shape(info.name)
-            fan_in = int(np.prod(shape[1:])) if len(shape) == 4 else shape[0]
+            fan_in = math.prod(shape[1:]) if len(shape) == 4 else shape[0]
             bound = np.sqrt(6.0 / fan_in)
-            view[:] = rng.uniform(-bound, bound, size=info.length).astype(dtype)
+            view[:] = rng.uniform(-bound, bound, size=length).astype(dtype)
         elif info.kind == "norm_scale":
             view[:] = 1.0
         else:  # bias, norm_shift
             view[:] = 0.0
     return graph.wrap(data)
-
-
-def _node_params(graph: ModelGraph, params: ParamVector, name: str):
-    shapes = graph.param_shapes(name)
-    return [params.get(s).reshape(shape) for s, shape in shapes.items()]
 
 
 def forward(
@@ -93,32 +96,28 @@ def _execute(graph, params, x, mode, norm_state, want_caches):
         if mode == "eval":
             raise ValueError("eval mode needs a NormState with fitted buffers")
         norm_state = NormState(graph, dtype=x.dtype)
+    data = params.data
     values: dict[str, np.ndarray] = {}
     caches: dict[str, object] = {}
-    for name in graph.topo_order:
-        node = graph.node(name)
+    for node in graph.plan:
+        name = node.name
         ins = [values[s] for s in node.inputs] if node.inputs else [x]
         a = ins[0]
+        p = [data[o : o + n].reshape(shape) for o, n, shape in node.slices]
         if node.kind == "dense":
             if a.ndim > 2:
                 a = a.reshape(a.shape[0], -1)
-            w, b = _node_params(graph, params, name)
-            values[name] = L.dense_forward(a, w, b)
+            values[name] = L.dense_forward(a, p[0], p[1])
             caches[name] = a
         elif node.kind == "conv2d":
-            arrays = _node_params(graph, params, name)
-            w = arrays[0]
-            b = arrays[1] if len(arrays) > 1 else None
-            stride = int(node.attrs.get("stride", 1))
-            pad = int(node.attrs.get("pad", 0))
-            y, cols = L.conv2d_forward(a, w, b, stride, pad)
+            b = p[1] if len(p) > 1 else None
+            y, cols = L.conv2d_forward(a, p[0], b, node.stride, node.pad)
             values[name] = y
             caches[name] = (a.shape, cols)
         elif node.kind == "batch_norm":
-            scale, shift = _node_params(graph, params, name)
             r_mean, r_var = norm_state.get(name)
             y, cache, new_mean, new_var = L.batchnorm_forward(
-                a, scale, shift, mode, r_mean, r_var
+                a, p[0], p[1], mode, r_mean, r_var
             )
             if mode == "train":
                 norm_state.put(name, new_mean, new_var)
@@ -128,13 +127,11 @@ def _execute(graph, params, x, mode, norm_state, want_caches):
             values[name] = np.maximum(a, 0)
             caches[name] = a
         elif node.kind == "max_pool":
-            k = int(node.attrs["kernel"])
-            y, cache = L.maxpool_forward(a, k)
+            y, cache = L.maxpool_forward(a, node.kernel)
             values[name] = y
             caches[name] = (a.shape, cache)
         elif node.kind == "avg_pool":
-            k = None if node.attrs.get("mode") == "global" else int(node.attrs["kernel"])
-            values[name] = L.avgpool_forward(a, k)
+            values[name] = L.avgpool_forward(a, node.kernel)
             caches[name] = a.shape
         elif node.kind == "flatten":
             values[name] = a.reshape(a.shape[0], -1)
@@ -162,59 +159,48 @@ def loss_and_grad(
     loss, dlogits = L.softmax_cross_entropy(logits, np.asarray(batch_y))
 
     grads: dict[str, np.ndarray] = {graph.sink: dlogits}
+    data = params.data
     gdata = np.zeros(graph.num_params, dtype=params.dtype)
-    offsets = {s.name: (s.offset, s.length) for s in graph.layout}
-
-    def store(slice_name, arr):
-        off, length = offsets[slice_name]
-        gdata[off : off + length] = arr.reshape(-1).astype(params.dtype)
-
-    for name in reversed(graph.topo_order):
-        node = graph.node(name)
+    for node in reversed(graph.plan):
+        name = node.name
         g = grads.pop(name, None)
         if g is None:
             continue
+        pgrads = ()
+        if node.slices:
+            o, n, shape = node.slices[0]
+            w = data[o : o + n].reshape(shape)  # a weight, or a batch_norm's scale
         if node.kind == "dense":
-            a = caches[name]
-            w = params.get(f"{name}.weight").reshape(graph.slice_shape(f"{name}.weight"))
-            dx, dw, db = L.dense_backward(g, a, w)
-            in_shape = graph.input_shape_of(name)
-            if len(in_shape) > 1:
-                dx = dx.reshape((g.shape[0],) + in_shape)
-            store(f"{name}.weight", dw)
-            store(f"{name}.bias", db)
+            dx, dw, db = L.dense_backward(g, caches[name], w)
+            if len(node.in_shape) > 1:
+                dx = dx.reshape((g.shape[0],) + node.in_shape)
+            pgrads = (dw, db)
         elif node.kind == "conv2d":
             x_shape, cols = caches[name]
-            w = params.get(f"{name}.weight").reshape(graph.slice_shape(f"{name}.weight"))
-            stride = int(node.attrs.get("stride", 1))
-            pad = int(node.attrs.get("pad", 0))
             # a conv that reads the batch has no input whose gradient is needed
             dx, dw, db = L.conv2d_backward(
-                g, x_shape, w, cols, stride, pad, need_dx=bool(node.inputs)
+                g, x_shape, w, cols, node.stride, node.pad, need_dx=bool(node.inputs)
             )
-            store(f"{name}.weight", dw)
-            if f"{name}.bias" in offsets:
-                store(f"{name}.bias", db)
+            pgrads = (dw, db)  # a bias-less conv owns one slice; zip drops db
         elif node.kind == "batch_norm":
             a, cache = caches[name]
-            scale = params.get(f"{name}.scale")
-            dx, dscale, dshift = L.batchnorm_backward(g, a, scale, cache)
-            store(f"{name}.scale", dscale)
-            store(f"{name}.shift", dshift)
+            dx, dscale, dshift = L.batchnorm_backward(g, a, w, cache)
+            pgrads = (dscale, dshift)
         elif node.kind == "relu":
             a = caches[name]
             dx = g * (a > 0)
         elif node.kind == "max_pool":
             x_shape, cache = caches[name]
-            dx = L.maxpool_backward(g, x_shape, int(node.attrs["kernel"]), cache)
+            dx = L.maxpool_backward(g, x_shape, node.kernel, cache)
         elif node.kind == "avg_pool":
-            k = None if node.attrs.get("mode") == "global" else int(node.attrs["kernel"])
-            dx = L.avgpool_backward(g, caches[name], k)
+            dx = L.avgpool_backward(g, caches[name], node.kernel)
         elif node.kind == "flatten":
             dx = g.reshape(caches[name])
         elif node.kind == "residual_add":
             dx = g  # both inputs receive the same gradient
 
+        for (o, n, _), arr in zip(node.slices, pgrads):
+            gdata[o : o + n] = arr.reshape(-1).astype(params.dtype)
         for src in node.inputs:
             if src in grads:
                 grads[src] = grads[src] + dx

@@ -1,22 +1,24 @@
 """Model graphs: typed layer DAGs with shape inference and the desk-scale zoo.
 
 A model is a DAG of named nodes.  Nodes with no inputs read the batch (exactly
-one such node is allowed) and exactly one node must have no consumers.  Shapes
-are inferred once at construction, which also derives every trainable node's
-parameter slice sizes, so a ``ParamVector`` layout is a pure function of the
-graph.
+one such node is allowed) and exactly one node must have no consumers.  One
+pass at construction resolves each node into a frozen :class:`ResolvedNode`
+(``graph.plan``, in topological order) and builds the output shapes and the
+validated parameter ``Layout`` with it, so the engine never re-derives them
+and a ``ParamVector`` layout is a pure function of the graph.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from ..param_space import ParamVector, SliceInfo
+from ..param_space import Layout, ParamVector, SliceInfo
 
 NODE_KINDS = (
     "dense",
@@ -40,6 +42,25 @@ class GraphNode:
     kind: str
     inputs: tuple[str, ...] = ()
     attrs: Mapping[str, int | str] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class ResolvedNode:
+    """One node with everything the engine needs resolved at construction.
+
+    ``slices`` holds ``(offset, length, shape)`` for each parameter slice the
+    node owns, in layout order; ``kernel``/``stride``/``pad`` are as
+    ``_window`` resolves them.
+    """
+
+    name: str
+    kind: str
+    inputs: tuple[str, ...]
+    in_shape: tuple[int, ...]
+    slices: tuple[tuple[int, int, tuple[int, ...]], ...]
+    kernel: int | None
+    stride: int
+    pad: int
 
 
 class ModelGraph:
@@ -69,8 +90,7 @@ class ModelGraph:
         self.source = sources[0]
         self.sink = sinks[0]
         self.topo_order = self._topo_sort()
-        self.shapes = self._infer_shapes()
-        self._layout = self._build_layout()
+        self._resolve()
 
     # -- structure ---------------------------------------------------------
 
@@ -101,80 +121,45 @@ class ModelGraph:
 
     # -- shapes and parameters ----------------------------------------------
 
-    def _infer_shapes(self) -> dict[str, tuple[int, ...]]:
+    def _resolve(self) -> None:
+        """Set ``plan``, ``shapes`` and ``layout`` in one topological pass."""
         shapes: dict[str, tuple[int, ...]] = {}
-        for name in self.topo_order:
-            node = self._by_name[name]
-            ins = [shapes[s] for s in node.inputs]
-            if not node.inputs:
-                ins = [self.input_shape]
-            shapes[name] = _node_output_shape(node, ins)
-        return shapes
-
-    def input_shape_of(self, name: str) -> tuple[int, ...]:
-        node = self._by_name[name]
-        if not node.inputs:
-            return self.input_shape
-        return self.shapes[node.inputs[0]]
-
-    def param_shapes(self, name: str) -> dict[str, tuple[int, ...]]:
-        """Map of slice name -> array shape for one node (empty if untrainable)."""
-        node = self._by_name[name]
-        in_shape = self.input_shape_of(name)
-        if node.kind == "dense":
-            fan_in = int(np.prod(in_shape))
-            out = int(node.attrs["out"])
-            return {f"{name}.weight": (fan_in, out), f"{name}.bias": (out,)}
-        if node.kind == "conv2d":
-            in_c = in_shape[0]
-            out_c = int(node.attrs["out_channels"])
-            k = int(node.attrs["kernel"])
-            shapes = {f"{name}.weight": (out_c, in_c, k, k)}
-            if int(node.attrs.get("bias", 1)):
-                # convs feeding batch_norm drop the bias: the normalization
-                # re-centers channels, leaving such a bias with zero gradient
-                shapes[f"{name}.bias"] = (out_c,)
-            return shapes
-        if node.kind == "batch_norm":
-            c = in_shape[0] if len(in_shape) > 1 else in_shape[0]
-            return {f"{name}.scale": (c,), f"{name}.shift": (c,)}
-        return {}
-
-    def _build_layout(self) -> tuple[SliceInfo, ...]:
+        plan = []
         layout = []
         offset = 0
         for name in self.topo_order:
             node = self._by_name[name]
-            for slice_name, shape in self.param_shapes(name).items():
-                kind = _slice_kind(node.kind, slice_name)
-                length = int(np.prod(shape))
-                layout.append(SliceInfo(slice_name, offset, length, kind))
+            ins = [shapes[s] for s in node.inputs] if node.inputs else [self.input_shape]
+            kernel, stride, pad = _window(node)
+            shapes[name] = _node_output_shape(node, ins, kernel, stride, pad)
+            slices = []
+            for leaf, kind, shape in _param_slices(node, ins[0]):
+                length = math.prod(shape)
+                layout.append(SliceInfo(f"{name}.{leaf}", offset, length, kind))
+                slices.append((offset, length, shape))
                 offset += length
+            plan.append(
+                ResolvedNode(name, node.kind, node.inputs, ins[0], tuple(slices), kernel, stride, pad)
+            )
         if not layout:
             raise GraphError("graph has no trainable parameters")
-        return tuple(layout)
-
-    @property
-    def layout(self) -> tuple[SliceInfo, ...]:
-        return self._layout
+        self.shapes = shapes
+        self.plan: tuple[ResolvedNode, ...] = tuple(plan)
+        self.layout = Layout(layout)
+        self._has_norm = any(n.kind == "batch_norm" for n in self.nodes)
 
     @property
     def num_params(self) -> int:
-        last = self._layout[-1]
-        return last.offset + last.length
+        return self.layout.size
 
     def slice_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self._layout)
-
-    def slice_shape(self, slice_name: str) -> tuple[int, ...]:
-        node_name = slice_name.rsplit(".", 1)[0]
-        return self.param_shapes(node_name)[slice_name]
+        return tuple(self.layout.index)
 
     def wrap(self, data: np.ndarray) -> ParamVector:
-        return ParamVector(data, self._layout)
+        return ParamVector(data, self.layout)
 
     def has_norm_layers(self) -> bool:
-        return any(n.kind == "batch_norm" for n in self.nodes)
+        return self._has_norm
 
     def digest(self) -> bytes:
         """Stable 32-byte digest of the architecture (names, kinds, shapes)."""
@@ -194,41 +179,62 @@ class ModelGraph:
         return hashlib.sha256(blob).digest()
 
 
-def _slice_kind(node_kind: str, slice_name: str) -> str:
-    leaf = slice_name.rsplit(".", 1)[1]
-    if node_kind == "batch_norm":
-        return "norm_scale" if leaf == "scale" else "norm_shift"
-    return "weight" if leaf == "weight" else "bias"
+def _window(node: GraphNode) -> tuple[int | None, int, int]:
+    """kernel, stride and pad as ints.  kernel is None for a global pool and
+    for kinds without a window; stride and pad apply to conv2d only."""
+    a = node.attrs
+    if node.kind == "conv2d":
+        return int(a["kernel"]), int(a.get("stride", 1)), int(a.get("pad", 0))
+    if node.kind in ("max_pool", "avg_pool") and a.get("mode") != "global":
+        return int(a["kernel"]), 1, 0
+    return None, 1, 0
 
 
-def _node_output_shape(node: GraphNode, ins: list[tuple[int, ...]]) -> tuple[int, ...]:
+def _param_slices(node: GraphNode, in_shape: tuple[int, ...]) -> list[tuple[str, str, tuple[int, ...]]]:
+    """(leaf name, parameter kind, array shape) of each slice a node owns."""
+    if node.kind == "dense":
+        out = int(node.attrs["out"])
+        return [("weight", "weight", (math.prod(in_shape), out)), ("bias", "bias", (out,))]
+    if node.kind == "conv2d":
+        out_c = int(node.attrs["out_channels"])
+        k = int(node.attrs["kernel"])
+        slices = [("weight", "weight", (out_c, in_shape[0], k, k))]
+        if int(node.attrs.get("bias", 1)):
+            # convs feeding batch_norm drop the bias: the normalization
+            # re-centers channels, leaving such a bias with zero gradient
+            slices.append(("bias", "bias", (out_c,)))
+        return slices
+    if node.kind == "batch_norm":
+        c = in_shape[0]
+        return [("scale", "norm_scale", (c,)), ("shift", "norm_shift", (c,))]
+    return []
+
+
+def _node_output_shape(
+    node: GraphNode, ins: list[tuple[int, ...]], kernel: int | None, stride: int, pad: int
+) -> tuple[int, ...]:
     kind = node.kind
     if kind == "dense":
         return (int(node.attrs["out"]),)
     if kind == "conv2d":
         c, h, w = ins[0]
         out_c = int(node.attrs["out_channels"])
-        k = int(node.attrs["kernel"])
-        stride = int(node.attrs.get("stride", 1))
-        pad = int(node.attrs.get("pad", 0))
-        oh = (h + 2 * pad - k) // stride + 1
-        ow = (w + 2 * pad - k) // stride + 1
+        oh = (h + 2 * pad - kernel) // stride + 1
+        ow = (w + 2 * pad - kernel) // stride + 1
         if oh < 1 or ow < 1:
             raise GraphError(f"{node.name!r}: kernel does not fit input {ins[0]}")
         return (out_c, oh, ow)
     if kind in ("batch_norm", "relu"):
         return ins[0]
     if kind == "max_pool" or kind == "avg_pool":
-        if node.attrs.get("mode") == "global":
-            c, h, w = ins[0]
-            return (c, 1, 1)
-        k = int(node.attrs["kernel"])
         c, h, w = ins[0]
-        if h % k or w % k:
-            raise GraphError(f"{node.name!r}: input {ins[0]} not divisible by {k}")
-        return (c, h // k, w // k)
+        if kernel is None:
+            return (c, 1, 1)
+        if h % kernel or w % kernel:
+            raise GraphError(f"{node.name!r}: input {ins[0]} not divisible by {kernel}")
+        return (c, h // kernel, w // kernel)
     if kind == "flatten":
-        return (int(np.prod(ins[0])),)
+        return (math.prod(ins[0]),)
     if kind == "residual_add":
         if len(ins) != 2:
             raise GraphError(f"{node.name!r}: residual_add needs two inputs")

@@ -1,10 +1,12 @@
 """Flat parameter vectors and the per-layer variance-sphere geometry.
 
 A model's trainable parameters live in one contiguous 1-D array split into
-named layer slices.  Every statistic here uses the population (1/n) variance
-and accumulates in float64 regardless of the storage dtype; slices whose
-variance falls below ``EPS_VAR`` are treated as degenerate by the correction
-step.  All operations are pure: inputs are never mutated.
+named layer slices, described by a :class:`Layout` that is validated once and
+shared by every vector derived from it.  Every statistic here uses the
+population (1/n) variance and accumulates in float64 regardless of the
+storage dtype; slices whose variance falls below ``EPS_VAR`` are treated as
+degenerate by the correction step.  All operations are pure: inputs are never
+mutated.
 """
 
 from __future__ import annotations
@@ -60,14 +62,44 @@ class VarianceTarget:
         return self.targets[name]
 
 
+class Layout(tuple):
+    """A validated tuple of :class:`SliceInfo`: contiguous from offset 0,
+    unique names, known kinds.  It also carries ``index`` (slice name ->
+    ``SliceInfo``) and ``size`` (total scalar count)."""
+
+    def __new__(cls, slices: Iterable[SliceInfo]) -> "Layout":
+        self = super().__new__(cls, slices)
+        if not self:
+            raise ValueError("layout must contain at least one slice")
+        index: dict[str, SliceInfo] = {}
+        expected = 0
+        for s in self:
+            if s.kind not in PARAM_KINDS:
+                raise ValueError(f"unknown parameter kind {s.kind!r}")
+            if s.name in index:
+                raise ValueError(f"duplicate slice name {s.name!r}")
+            index[s.name] = s
+            if s.offset != expected:
+                raise ValueError(
+                    f"slice {s.name!r} at offset {s.offset}, expected {expected}"
+                )
+            if s.length < 1:
+                raise ValueError(f"slice {s.name!r} has non-positive length")
+            expected += s.length
+        self.index = index
+        self.size = expected
+        return self
+
+
 class ParamVector:
     """Immutable flat parameter array with a named slice layout.
 
     The constructor takes ownership of ``data`` and marks it read-only;
-    callers that keep a writable reference must pass a copy.
+    callers that keep a writable reference must pass a copy.  A plain
+    sequence of slices is validated into a :class:`Layout` here, once.
     """
 
-    __slots__ = ("data", "layout", "_index")
+    __slots__ = ("data", "layout")
 
     def __init__(self, data: np.ndarray, layout: Sequence[SliceInfo]):
         data = np.asarray(data)
@@ -75,12 +107,15 @@ class ParamVector:
             raise ValueError("parameter data must be 1-D")
         if not np.issubdtype(data.dtype, np.floating):
             raise ValueError("parameter data must be floating point")
-        layout = tuple(layout)
-        _validate_layout(layout, data.shape[0])
+        if not isinstance(layout, Layout):
+            layout = Layout(layout)
+        if layout.size != data.shape[0]:
+            raise ValueError(
+                f"layout covers {layout.size} scalars, data holds {data.shape[0]}"
+            )
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "_index", {s.name: s for s in layout})
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("ParamVector is immutable")
@@ -94,11 +129,11 @@ class ParamVector:
         return self.data.dtype
 
     def names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.layout)
+        return tuple(self.layout.index)
 
     def info(self, name: str) -> SliceInfo:
         try:
-            return self._index[name]
+            return self.layout.index[name]
         except KeyError:
             raise KeyError(f"no layer slice named {name!r}") from None
 
@@ -111,7 +146,7 @@ class ParamVector:
         return self.data.copy()
 
     def layout_compatible(self, other: "ParamVector") -> bool:
-        return self.layout == other.layout
+        return self.layout is other.layout or self.layout == other.layout
 
     def require_compatible(self, other: "ParamVector") -> None:
         if not self.layout_compatible(other):
@@ -136,32 +171,10 @@ class ParamVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParamVector):
             return NotImplemented
-        return self.layout == other.layout and np.array_equal(self.data, other.data)
+        return self.layout_compatible(other) and np.array_equal(self.data, other.data)
 
     def __repr__(self) -> str:
         return f"ParamVector(D={self.size}, slices={len(self.layout)})"
-
-
-def _validate_layout(layout: Sequence[SliceInfo], total: int) -> None:
-    if not layout:
-        raise ValueError("layout must contain at least one slice")
-    expected = 0
-    seen = set()
-    for s in layout:
-        if s.kind not in PARAM_KINDS:
-            raise ValueError(f"unknown parameter kind {s.kind!r}")
-        if s.name in seen:
-            raise ValueError(f"duplicate slice name {s.name!r}")
-        seen.add(s.name)
-        if s.offset != expected:
-            raise ValueError(
-                f"slice {s.name!r} at offset {s.offset}, expected {expected}"
-            )
-        if s.length < 1:
-            raise ValueError(f"slice {s.name!r} has non-positive length")
-        expected += s.length
-    if expected != total:
-        raise ValueError(f"layout covers {expected} scalars, data holds {total}")
 
 
 def zeros_like(pv: ParamVector) -> ParamVector:

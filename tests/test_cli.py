@@ -1,8 +1,11 @@
 """End-to-end command tests on a tiny blobs experiment."""
 
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
 
+from llpf.harness_cli import cli
 from llpf.harness_cli.checkpoint import load_checkpoint
 from llpf.harness_cli.cli import main
 from llpf.harness_cli.records import read_path_record
@@ -40,6 +43,26 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def record_calls(monkeypatch, name):
+    """Replace ``cli.<name>`` with a wrapper that notes when each call began."""
+    calls = []
+    fn = getattr(cli, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(datetime.now(timezone.utc))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, wrapper)
+    return calls
+
+
+def manifest_started(out_dir):
+    for line in (out_dir / "manifest.txt").read_text().splitlines():
+        if line.startswith("started = "):
+            return datetime.fromisoformat(line.split(" = ", 1)[1])
+    raise AssertionError("manifest has no started line")
 
 
 @pytest.fixture(scope="module")
@@ -206,7 +229,9 @@ seed = 5
 
 
 class TestContinuityCommand:
-    def test_continuity_csv(self, modes_dir, tmp_path):
+    @staticmethod
+    def run(modes_dir, tmp_path):
+        """A four-iteration path record, then continuity over it."""
         run_cfg = write_cfg(
             tmp_path,
             BASE
@@ -241,13 +266,23 @@ dir = cont_out
             "cont.cfg",
         )
         assert main(["continuity", "--config", str(cont_cfg)]) == 0
-        header, rows = read_csv(tmp_path / "cont_out" / "continuity.csv")
+        return tmp_path / "cont_out"
+
+    def test_continuity_csv(self, modes_dir, tmp_path):
+        out = self.run(modes_dir, tmp_path)
+        header, rows = read_csv(out / "continuity.csv")
         assert header == ["position", "segment_start", "segment_end", "alpha", "train_loss"]
         assert len(rows) == 2 * 5  # two stored segments (0-2, 2-4), five samples
 
+    def test_manifest_started_precedes_work(self, modes_dir, tmp_path, monkeypatch):
+        calls = record_calls(monkeypatch, "interpolation_continuity")
+        out = self.run(modes_dir, tmp_path)
+        assert len(calls) == 1 and manifest_started(out) <= calls[0]
+
 
 class TestSeedStudyCommand:
-    def test_tables_written(self, modes_dir, tmp_path):
+    @staticmethod
+    def run(tmp_path):
         cfg = write_cfg(
             tmp_path,
             BASE + MODES + """
@@ -259,11 +294,20 @@ dir = study
 """,
         )
         assert main(["seed-study", "--config", str(cfg)]) == 0
-        header, rows = read_csv(tmp_path / "study" / "seed_study.csv")
+        return tmp_path / "study"
+
+    def test_tables_written(self, modes_dir, tmp_path):
+        out = self.run(tmp_path)
+        header, rows = read_csv(out / "seed_study.csv")
         assert header[0] == "seed" and len(rows) == 3
-        s_header, s_rows = read_csv(tmp_path / "study" / "seed_study_summary.csv")
+        s_header, s_rows = read_csv(out / "seed_study_summary.csv")
         assert s_header == ["layer", "variance_cov", "max_abs_mean_over_std"]
         assert {r["layer"] for r in s_rows} == {"fc1.weight", "fc2.weight"}
+
+    def test_manifest_started_precedes_work(self, tmp_path, monkeypatch):
+        calls = record_calls(monkeypatch, "seed_variance_study")
+        out = self.run(tmp_path)
+        assert len(calls) == 1 and manifest_started(out) <= calls[0]
 
 
 class TestPlot:
@@ -286,6 +330,18 @@ class TestExitCodes:
     def test_unknown_key_in_config(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE + "\n[output]\ndir = out\nwat = 1\n" + MODES)
         assert main(["train-modes", "--config", str(cfg)]) == 1
+
+    def test_precision_flag_removed(self, tmp_path):
+        cfg = write_cfg(tmp_path, BASE + MODES + "\n[output]\ndir = out\n")
+        assert main(["train-modes", "--config", str(cfg), "--precision", "f64"]) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_precision_key_rejected_with_line(self, tmp_path, capsys):
+        text = BASE + MODES + "\n[output]\ndir = out\nprecision = f64\n"
+        cfg = write_cfg(tmp_path, text)
+        line = text.splitlines().index("precision = f64") + 1
+        assert main(["train-modes", "--config", str(cfg)]) == 1
+        assert f"{cfg}:{line}: unknown key 'precision'" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["train-modes", "--config", str(tmp_path / "none.cfg")]) == 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from llpf.nn_engine import (
     NormState,
     StopRule,
     TrainerConfig,
+    build_model,
     evaluate,
     forward,
     init_params,
@@ -20,6 +23,7 @@ from llpf.nn_engine import (
     sgd_step,
     train_until,
 )
+from llpf.nn_engine.graph import MODEL_BUILDERS
 from llpf.harness_cli.datasets import gen_blobs
 from llpf.param_space import layer_stats
 
@@ -106,6 +110,29 @@ class TestGraph:
         # running statistics live in NormState, keyed by batch_norm node
         state = NormState(g)
         assert set(state.buffers) == {n.name for n in g.nodes if n.kind == "batch_norm"}
+
+
+class TestResolvedPlan:
+    @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
+    def test_records_reproduce_layout(self, model):
+        g = build_model(model)
+        assert [node.name for node in g.plan] == list(g.topo_order)
+        rows = [(node.name, o, n, shape) for node in g.plan for o, n, shape in node.slices]
+        assert len(rows) == len(g.layout)
+        for (node_name, o, n, shape), info in zip(rows, g.layout):
+            assert info.name.rsplit(".", 1)[0] == node_name
+            assert (o, n) == (info.offset, info.length)
+            assert math.prod(shape) == n
+
+    def test_resnet_bias_less_convs_own_one_slice(self):
+        g = resnet_micro()
+        convs = {node.name: node for node in g.plan if node.kind == "conv2d"}
+        assert len(convs) == 6
+        assert all(len(node.slices) == 1 for node in convs.values())
+        assert not [s for s in g.layout if s.name.rsplit(".", 1)[0] in convs and s.kind == "bias"]
+        conv = convs["block2.conv_a"]
+        assert (conv.kernel, conv.stride, conv.pad) == (3, 2, 1)
+        assert conv.in_shape == (8, 28, 28) and conv.slices[0][2] == (16, 8, 3, 3)
 
 
 class TestInit:

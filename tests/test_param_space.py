@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from llpf.harness_cli.checkpoint import load_checkpoint, save_checkpoint
+from llpf.llpf_core import StepParams, move_toward
+from llpf.nn_engine import TrainerConfig, init_params, mlp2, sgd_step
 from llpf.param_space import (
     EPS_VAR,
     DegenerateVariance,
+    Layout,
     LayoutMismatch,
     ParamVector,
     SliceInfo,
@@ -74,6 +78,32 @@ class TestParamVector:
         pv = two_layer_vector([1.0, 2.0], [3.0])
         z = zeros_like(pv)
         assert np.all(z.data == 0) and z.layout == pv.layout
+
+
+class TestLayout:
+    def test_plain_sequence_validated_once(self):
+        pv = two_layer_vector([1.0, 2.0], [3.0])
+        assert isinstance(pv.layout, Layout)
+        assert pv.layout.size == 3 and pv.layout.index["b.weight"].offset == 2
+        assert pv.names() == ("a.weight", "b.weight")
+
+    def test_derived_vectors_share_the_graph_layout(self, monkeypatch, tmp_path):
+        g = mlp2(4, 3, 2)
+        layout = g.layout
+
+        def revalidate(cls, slices):
+            raise AssertionError("layout validated again")
+
+        monkeypatch.setattr(Layout, "__new__", revalidate)
+        a = init_params(g, 1)
+        grad = g.wrap(np.ones(g.num_params, dtype=np.float32))
+        stepped, _ = sgd_step(a, grad, TrainerConfig(lr=0.1), None)
+        replaced = a.with_slices({"fc2.bias": np.ones(2)})
+        moved = move_toward(a, init_params(g, 2), None, StepParams(step_f=0.1), ["fc1.weight"])
+        save_checkpoint(a, g, tmp_path / "a.ckpt")
+        loaded = load_checkpoint(g, tmp_path / "a.ckpt")
+        for pv in (a, stepped, replaced, a.astype(np.float64), moved, loaded):
+            assert pv.layout is layout
 
 
 class TestLayerStats:
