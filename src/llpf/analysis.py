@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .llpf_core import PathRecord
-from .nn_engine.engine import NormState, init_params
+from .nn_engine.engine import init_params
 from .nn_engine.graph import ModelGraph
 from .nn_engine.trainer import (
     Dataset,
@@ -61,20 +61,19 @@ def interpolation_continuity(
     graph: ModelGraph,
     data: Dataset,
     eval_size: int = 2048,
-    use_full_set: bool = False,
-    norm_state: NormState | None = None,
 ) -> ContinuityReport:
     """Training loss along straight lines between consecutive stored points.
 
     Every alpha is evaluated on one fixed, seeded subset of the training set
-    so segment curves are comparable and the check is deterministic.
+    so segment curves are comparable and the check is deterministic; an
+    ``eval_size`` at least the size of the set evaluates all of it.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
     stored = path.stored_points()
     if len(stored) < 2:
         raise ValueError("need at least two stored full-parameter points")
-    subset = data if use_full_set else fixed_subset(data, eval_size)
+    subset = fixed_subset(data, eval_size)
     alphas = np.linspace(0.0, 1.0, samples)
     seg_losses = []
     bounds = []
@@ -85,7 +84,7 @@ def interpolation_continuity(
         for alpha in alphas:
             blend = ((1.0 - alpha) * pa + alpha * pb).astype(a.params.dtype)
             params = ParamVector(blend, a.params.layout)
-            loss, _ = evaluate(graph, params, subset, norm_state)
+            loss, _ = evaluate(graph, params, subset)
             losses.append(loss)
         seg_losses.append(losses)
         bounds.append((a.iteration, b.iteration))
@@ -159,17 +158,18 @@ def seed_variance_study(
     trainer: TrainerConfig,
     n_seeds: int,
     data: Dataset,
-    rule: StopRule | None = None,
+    rule: StopRule,
     seeds: Sequence[int] | None = None,
     acceptance_loss: float | None = None,
     eval_size: int = 2048,
-    augment: bool = True,
 ) -> SeedStudyTable:
     """Train modes from independent seeds and tabulate per-layer statistics.
 
-    ``rule=None`` (or ``max_rounds`` absent) skips training and studies the
-    initialization itself.  Seeds whose final loss misses the acceptance bar
-    are excluded from the table and reported in ``failed_seeds``.
+    Each seed initializes and trains one mode under ``rule`` with the
+    dataset's augmentation, if it has any.  ``seeds`` defaults to
+    ``0..n_seeds-1``.  With an ``acceptance_loss``, every mode is scored on
+    one fixed ``eval_size`` training subset, and seeds whose loss misses the
+    bar are excluded from the table and reported in ``failed_seeds``.
     """
     if seeds is None:
         seeds = list(range(n_seeds))
@@ -178,20 +178,17 @@ def seed_variance_study(
     per_layer: dict[str, list[tuple[int, float, float]]] = {
         name: [] for name in graph.slice_names()
     }
+    subset = fixed_subset(data, eval_size)
     failed = []
     for seed in seeds:
-        params = init_params(graph, seed)
-        if rule is not None:
-            rng = np.random.default_rng(seed)
-            result = train_until(graph, params, data, trainer, rule, rng, augment=augment)
-            params = result.params
-            if acceptance_loss is not None:
-                subset = fixed_subset(data, eval_size)
-                loss, _ = evaluate(graph, params, subset)
-                if loss >= acceptance_loss:
-                    log.warning("seed %d failed mode acceptance (loss %.4g)", seed, loss)
-                    failed.append(seed)
-                    continue
+        rng = np.random.default_rng(seed)
+        params = train_until(graph, init_params(graph, seed), data, trainer, rule, rng).params
+        if acceptance_loss is not None:
+            loss, _ = evaluate(graph, params, subset)
+            if loss >= acceptance_loss:
+                log.warning("seed %d failed mode acceptance (loss %.4g)", seed, loss)
+                failed.append(seed)
+                continue
         for name in graph.slice_names():
             stats = layer_stats(params.get(name))
             per_layer[name].append((seed, stats.variance, stats.mean))
@@ -211,25 +208,3 @@ def seed_variance_study(
         }
     return SeedStudyTable(per_layer=per_layer, summary=summary, failed_seeds=failed)
 
-
-def aggregate_records(
-    records: Sequence[PathRecord], metric: str = "rolling_train_loss"
-) -> list[dict[str, float]]:
-    """Mean and standard deviation of one metric across repeated runs, keyed
-    by iteration index (the shaded-band post-processing step)."""
-    by_iter: dict[int, list[float]] = {}
-    for record in records:
-        for p in record.points:
-            by_iter.setdefault(p.iteration, []).append(getattr(p, metric))
-    rows = []
-    for iteration in sorted(by_iter):
-        values = np.asarray(by_iter[iteration], dtype=np.float64)
-        rows.append(
-            {
-                "iteration": iteration,
-                "mean": float(values.mean()),
-                "std": float(values.std()),
-                "count": len(values),
-            }
-        )
-    return rows

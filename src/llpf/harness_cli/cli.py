@@ -119,7 +119,7 @@ def cmd_train_modes(args) -> int:
     for seed in seeds:
         result = train_until(
             graph, init_params(graph, seed), train_data, modes.trainer,
-            modes.rule, np.random.default_rng(seed), augment=modes.augment,
+            modes.rule, np.random.default_rng(seed),
         )
         loss, acc = evaluate(graph, result.params, subset)
         ckpt = out.out_dir / f"mode_{seed}.ckpt"
@@ -162,7 +162,6 @@ def cmd_connect_m2m(args) -> int:
     settings = rc.search_settings(
         out, cfg.digest, (block.start.name, block.dest.name),
         block.mode_acceptance_loss, block.variance_ratio_bound,
-        block.augment_path_steps,
     )
     record = llpf_m2m(
         start, dest, block.plan, block.trainer, train_data, test_data,
@@ -177,8 +176,7 @@ def cmd_collapse_m2o(args) -> int:
     started = datetime.now(timezone.utc)
     start = load_checkpoint(graph, block.start)
     settings = rc.search_settings(
-        out, cfg.digest, (block.start.name, "origin"), block.mode_acceptance_loss,
-        augment_path_steps=block.augment_path_steps,
+        out, cfg.digest, (block.start.name, "origin"), block.mode_acceptance_loss
     )
     record = llpf_m2o(
         start, block.cfg, block.trainer, train_data, test_data,
@@ -209,8 +207,7 @@ def cmd_continuity(args) -> int:
     started = datetime.now(timezone.utc)
     record = read_path_record(block.record_dir, graph)
     report = interpolation_continuity(
-        record, block.samples, graph, train_data,
-        eval_size=block.eval_subset, use_full_set=block.use_full_set,
+        record, block.samples, graph, train_data, eval_size=block.eval_subset
     )
     rows = []
     for (lo, hi), losses in zip(report.segment_bounds, report.segment_losses):
@@ -245,17 +242,15 @@ def cmd_seed_study(args) -> int:
     cfg, graph, train_data, _test_data, out = _load_common(args)
     modes = rc.build_modes(cfg)
     block = rc.build_seed_study(cfg)
-    seeds = block.seeds if block.seeds else list(range(block.n_seeds))
+    seeds = block.seeds
     if args.seed_override is not None:
         seeds = [args.seed_override + i for i in range(len(seeds))]
     started = datetime.now(timezone.utc)
     table = seed_variance_study(
-        graph, modes.trainer, len(seeds), train_data,
-        rule=None if block.init_only else modes.rule,
+        graph, modes.trainer, len(seeds), train_data, modes.rule,
         seeds=seeds,
         acceptance_loss=block.acceptance_loss,
         eval_size=out.eval_subset,
-        augment=modes.augment,
     )
     layer_names = list(table.per_layer)
     rows = []

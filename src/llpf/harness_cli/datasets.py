@@ -122,35 +122,34 @@ def _first_per_class(labels: np.ndarray, per_class: int) -> np.ndarray:
     return np.sort(np.concatenate(keep))
 
 
-def gen_blobs(
-    classes: int, dim: int, n: int, seed: int, separation: float = 48.0
-) -> tuple[Dataset, Dataset]:
+BLOB_SPACING = 48.0
+
+
+def gen_blobs(classes: int, dim: int, n: int, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded Gaussian clusters with unit within-class spread and class
-    centers at least ``separation`` units apart (6 is the floor; the default
-    keeps desk modes far above the minimal low-loss sphere), split 80/20 per
-    class.  Center directions avoid the all-ones axis so trained weight
-    slices keep near-zero entry means."""
+    centers ``BLOB_SPACING`` units apart (far enough that desk modes sit well
+    above the minimal low-loss sphere), split 80/20 per class.  Center
+    directions avoid the all-ones axis so trained weight slices keep
+    near-zero entry means."""
     if classes < 2:
         raise ValueError("classes must be >= 2")
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if n < classes:
         raise ValueError("need at least one sample per class")
-    if separation < 6.0:
-        raise ValueError("separation must be >= 6")
     rng = np.random.default_rng(seed)
     if dim >= classes:
-        # orthonormal directions: pairwise center distance is exactly `separation`
+        # orthonormal directions: pairwise center distance is exactly the spacing
         raw = rng.normal(size=(dim, classes))
         if dim > classes:
             ones = np.ones((dim, 1)) / np.sqrt(dim)
             raw = raw - ones @ (ones.T @ raw)
         basis, r = np.linalg.qr(raw)
         basis = basis * np.sign(np.diag(r))
-        centers = (separation / np.sqrt(2.0)) * basis.T
+        centers = (BLOB_SPACING / np.sqrt(2.0)) * basis.T
     else:
         centers = np.zeros((classes, dim))
-        centers[:, 0] = separation * np.arange(classes)
+        centers[:, 0] = BLOB_SPACING * np.arange(classes)
     labels = np.arange(n) % classes
     inputs = centers[labels] + rng.normal(size=(n, dim))
     train_idx, test_idx = [], []

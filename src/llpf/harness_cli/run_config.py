@@ -60,9 +60,8 @@ def build_datasets(cfg: ConfigFile) -> tuple[Dataset, Dataset]:
         dim = sec.require_int("dim")
         n = sec.require_int("n")
         seed = sec.get_int("seed", 0)
-        separation = sec.get_float("separation", 48.0)
         sec.finish()
-        return gen_blobs(classes, dim, n, seed, separation)
+        return gen_blobs(classes, dim, n, seed)
     if name in ("mnist", "mnist-subset"):
         dir_text = sec.get_str("dir")
         if dir_text is None:
@@ -92,7 +91,6 @@ class ModesBlock:
     trainer: TrainerConfig
     rule: StopRule
     acceptance_loss: float | None
-    augment: bool
 
 
 def build_modes(cfg: ConfigFile) -> ModesBlock:
@@ -112,9 +110,8 @@ def build_modes(cfg: ConfigFile) -> ModesBlock:
         window=sec.positive_int("window", 10),
     )
     acceptance = sec.get_float("acceptance_loss")
-    augment = sec.get_bool("augment", True)
     sec.finish()
-    return ModesBlock(seeds, trainer, rule, acceptance, augment)
+    return ModesBlock(seeds, trainer, rule, acceptance)
 
 
 @dataclass
@@ -123,7 +120,6 @@ class OutputBlock:
     checkpoint_stride: int
     eval_subset: int
     seed: int
-    test_metrics: bool
 
 
 def build_output(cfg: ConfigFile) -> OutputBlock:
@@ -134,7 +130,6 @@ def build_output(cfg: ConfigFile) -> OutputBlock:
         checkpoint_stride=sec.positive_int("checkpoint_stride", 10),
         eval_subset=sec.positive_int("eval_subset", 2048),
         seed=sec.get_int("seed", 0),
-        test_metrics=sec.get_bool("test_metrics", True),
     )
     sec.finish()
     return block
@@ -178,7 +173,6 @@ class M2MBlock:
     trainer: TrainerConfig
     mode_acceptance_loss: float | None
     variance_ratio_bound: float
-    augment_path_steps: bool
 
 
 def _phase_sections(cfg: ConfigFile, prefix: str) -> list[str]:
@@ -215,7 +209,6 @@ def build_m2m(cfg: ConfigFile, graph: ModelGraph, section: str = "m2m") -> M2MBl
     phases_kind = sec.get_str("phases", "all")
     acceptance = sec.get_float("mode_acceptance_loss")
     bound = sec.get_float("variance_ratio_bound", 1.5)
-    augment_steps = sec.get_bool("augment_path_steps", False)
     phase_names = _phase_sections(cfg, f"{section}.phase")
     if phase_names:
         if phases_kind != "all":
@@ -247,7 +240,7 @@ def build_m2m(cfg: ConfigFile, graph: ModelGraph, section: str = "m2m") -> M2MBl
     for path, label in ((start, "start"), (dest, "dest")):
         if not path.is_file():
             raise ConfigError(f"{cfg.path}: [{section}] {label} checkpoint {path} does not exist")
-    return M2MBlock(start, dest, plan, trainer, acceptance, bound, augment_steps)
+    return M2MBlock(start, dest, plan, trainer, acceptance, bound)
 
 
 @dataclass
@@ -256,7 +249,6 @@ class M2OBlock:
     cfg: M2OConfig
     trainer: TrainerConfig
     mode_acceptance_loss: float | None
-    augment_path_steps: bool
 
 
 def build_m2o(cfg: ConfigFile, graph: ModelGraph, section: str = "m2o", need_start: bool = True) -> M2OBlock:
@@ -273,7 +265,6 @@ def build_m2o(cfg: ConfigFile, graph: ModelGraph, section: str = "m2o", need_sta
     batch_size = sec.positive_int("batch_size", 64)
     extra = sec.get_str_list("exclude", [])
     acceptance = sec.get_float("mode_acceptance_loss")
-    augment_steps = sec.get_bool("augment_path_steps", False)
     sec.finish()
     excluded_layers = tuple(_expand_layers(cfg, extra, graph, sec.line)) if extra else ()
     m2o_cfg = M2OConfig(
@@ -286,7 +277,7 @@ def build_m2o(cfg: ConfigFile, graph: ModelGraph, section: str = "m2o", need_sta
     trainer = TrainerConfig(lr=eta, batch_size=batch_size)
     if start is not None and not start.is_file():
         raise ConfigError(f"{cfg.path}: [{section}] start checkpoint {start} does not exist")
-    return M2OBlock(start, m2o_cfg, trainer, acceptance, augment_steps)
+    return M2OBlock(start, m2o_cfg, trainer, acceptance)
 
 
 @dataclass
@@ -331,7 +322,6 @@ class ContinuityBlock:
     record_dir: Path
     samples: int
     eval_subset: int
-    use_full_set: bool
 
 
 def build_continuity(cfg: ConfigFile) -> ContinuityBlock:
@@ -341,46 +331,46 @@ def build_continuity(cfg: ConfigFile) -> ContinuityBlock:
     record_dir = resolve_path(cfg, sec.require_str("record_dir"))
     samples = sec.positive_int("samples", 50)
     eval_subset = sec.positive_int("eval_subset", 2048)
-    use_full = sec.get_bool("use_full_set", False)
     sec.finish()
     if not record_dir.is_dir():
         raise ConfigError(f"{cfg.path}: record_dir {record_dir} does not exist")
     if samples < 2:
         raise ConfigError(f"{cfg.path}: continuity samples must be >= 2")
-    return ContinuityBlock(record_dir, samples, eval_subset, use_full)
+    return ContinuityBlock(record_dir, samples, eval_subset)
 
 
 @dataclass
 class SeedStudyBlock:
-    n_seeds: int
-    seeds: list[int] | None
-    init_only: bool
+    seeds: list[int]
     acceptance_loss: float | None
 
 
 def build_seed_study(cfg: ConfigFile) -> SeedStudyBlock:
+    """The studied seeds: the ``seeds`` list, or ``0..n_seeds-1``; a section
+    may set one of the two keys, not both."""
     sec = Section(cfg, "seed_study")
     if not cfg.has("seed_study"):
         raise ConfigError(f"{cfg.path}: missing [seed_study] section")
     seeds = sec.get_int_list("seeds")
-    n_seeds = sec.positive_int("n_seeds", len(seeds) if seeds else 10)
-    init_only = sec.get_bool("init_only", False)
+    if seeds and "n_seeds" in sec.values:
+        raise cfg.error(
+            sec.values["n_seeds"].line, "[seed_study] takes 'seeds' or 'n_seeds', not both"
+        )
+    if not seeds:
+        seeds = list(range(sec.positive_int("n_seeds", 10)))
     acceptance = sec.get_float("acceptance_loss")
     sec.finish()
-    return SeedStudyBlock(n_seeds, seeds, init_only, acceptance)
+    return SeedStudyBlock(seeds, acceptance)
 
 
 def search_settings(out: OutputBlock, cfg_digest: str, endpoints: tuple[str, str],
-                    mode_acceptance: float | None, bound: float = 1.5,
-                    augment_path_steps: bool = False) -> SearchSettings:
+                    mode_acceptance: float | None, bound: float = 1.5) -> SearchSettings:
     return SearchSettings(
         seed=out.seed,
         checkpoint_stride=out.checkpoint_stride,
         eval_subset=out.eval_subset,
         variance_ratio_bound=bound,
         mode_acceptance_loss=mode_acceptance,
-        record_test_metrics=out.test_metrics,
-        augment_path_steps=augment_path_steps,
         config_hash=cfg_digest,
         endpoint_ids=endpoints,
     )

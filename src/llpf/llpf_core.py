@@ -22,7 +22,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .nn_engine.engine import NormState
 from .nn_engine.graph import ModelGraph
 from .nn_engine.trainer import (
     Dataset,
@@ -123,15 +122,22 @@ class PathRecord:
 
 @dataclass(frozen=True)
 class SearchSettings:
-    """Bookkeeping shared by both drivers."""
+    """Bookkeeping shared by every driver.
+
+    ``seed`` drives repair-round batch sampling; ``checkpoint_stride`` sets
+    which points keep their params; ``eval_subset`` sizes the fixed training
+    subset the endpoint modes are scored on; ``variance_ratio_bound`` is the
+    per-layer sphere-match prerequisite of the model-to-model search; and
+    ``mode_acceptance_loss`` is the endpoint low-loss gate (unset means the
+    first phase's loss threshold).  Repair rounds never augment, and test
+    metrics are recorded whenever test data is given.
+    """
 
     seed: int = 0
     checkpoint_stride: int = 10
     eval_subset: int = 2048
     variance_ratio_bound: float = 1.5
     mode_acceptance_loss: float | None = None
-    record_test_metrics: bool = True
-    augment_path_steps: bool = False
     config_hash: str = ""
     endpoint_ids: tuple[str, str] = ("start", "dest")
 
@@ -233,11 +239,10 @@ def _correct(params: ParamVector, names: Iterable[str], targets: VarianceTarget)
     return params.with_slices(updates)
 
 
-def _accept_mode(graph, params, data, settings, threshold, label, norm_state) -> float:
+def _accept_mode(graph, params, subset, threshold, label) -> float:
     """Loss of a mode on the fixed training subset; a positive ``threshold``
     it does not beat raises :class:`PrerequisiteError`."""
-    subset = fixed_subset(data, settings.eval_subset)
-    loss, _ = evaluate(graph, params, subset, norm_state)
+    loss, _ = evaluate(graph, params, subset)
     if threshold is not None and threshold > 0 and loss >= threshold:
         raise PrerequisiteError(
             f"{label} mode fails low-loss acceptance: loss {loss:.4g} >= {threshold:.4g}"
@@ -281,7 +286,6 @@ def _walk(
     *,
     test_data: Dataset | None,
     settings: SearchSettings,
-    norm_state: NormState | None,
     stop_when: Callable[[ParamVector], bool] | None = None,
 ) -> list[PathPoint]:
     """Walk from ``start`` toward ``dest`` through the phase schedule.
@@ -295,13 +299,12 @@ def _walk(
     the scheduled last iteration, and the point the walk ends on.
     """
     total = sum(p.iterations for p in phases)
-    record_test = test_data is not None and settings.record_test_metrics
     points: list[PathPoint] = []
 
     def record(iteration, phase_idx, params, loss, exhausted):
         t_loss, t_acc = float("nan"), float("nan")
-        if record_test:
-            t_loss, t_acc = evaluate(graph, params, test_data, norm_state)
+        if test_data is not None:
+            t_loss, t_acc = evaluate(graph, params, test_data)
         keep = iteration % settings.checkpoint_stride == 0 or iteration == total
         points.append(
             PathPoint(
@@ -345,7 +348,6 @@ def llpf_m2m(
     *,
     graph: ModelGraph,
     settings: SearchSettings = SearchSettings(),
-    norm_state: NormState | None = None,
 ) -> PathRecord:
     """Walk ``start`` toward ``dest`` along their shared variance spheres.
 
@@ -381,21 +383,22 @@ def llpf_m2m(
         acceptance = plan.phases[0].stop.loss_threshold
     if acceptance <= 0:
         log.warning("no positive mode-acceptance threshold; skipping the check")
-    start_loss = _accept_mode(graph, start, train_data, settings, acceptance, "start", norm_state)
-    _accept_mode(graph, dest, train_data, settings, acceptance, "dest", norm_state)
+    subset = fixed_subset(train_data, settings.eval_subset)
+    start_loss = _accept_mode(graph, start, subset, acceptance, "start")
+    _accept_mode(graph, dest, subset, acceptance, "dest")
 
     def repair(moved, phase):
         names = [n for n in phase.active_layers if n in correctable]
         result = train_until(
             graph, _correct(moved, names, targets), train_data, trainer, phase.stop, rng,
-            norm_state=norm_state, augment=settings.augment_path_steps,
+            augment=False,
         )
         return _correct(result.params, names, targets), result
 
     points = _walk(
         graph, start, dest, plan.phases, graph.slice_names(), start_loss, repair,
         lambda current, phase: _phase_arcs(current, dest, phase),
-        test_data=test_data, settings=settings, norm_state=norm_state,
+        test_data=test_data, settings=settings,
     )
     return PathRecord(
         points=points,
@@ -416,7 +419,6 @@ def llpf_m2o(
     *,
     graph: ModelGraph,
     settings: SearchSettings = SearchSettings(),
-    norm_state: NormState | None = None,
     destination: ParamVector | None = None,
     var_stop: tuple[VarianceTarget, float] | None = None,
 ) -> PathRecord:
@@ -449,7 +451,9 @@ def llpf_m2o(
     acceptance = settings.mode_acceptance_loss
     if acceptance is None:
         acceptance = cfg.stop.loss_threshold
-    start_loss = _accept_mode(graph, start, train_data, settings, acceptance, "start", norm_state)
+    start_loss = _accept_mode(
+        graph, start, fixed_subset(train_data, settings.eval_subset), acceptance, "start"
+    )
 
     if destination is None:
         dest = start.with_slices({n: np.zeros(start.info(n).length) for n in active})
@@ -469,7 +473,7 @@ def llpf_m2o(
         rates = angle_conformal(moved, v_base, cfg.eta_base, excluded)
         result = train_until(
             graph, moved, train_data, step_trainer, phase.stop, rng,
-            norm_state=norm_state, lr_map=rates, augment=settings.augment_path_steps,
+            lr_map=rates, augment=False,
         )
         return result.params, result
 
@@ -487,7 +491,7 @@ def llpf_m2o(
     points = _walk(
         graph, start, dest, [Phase(active, cfg.iterations, cfg.step, cfg.stop)], active,
         start_loss, repair, arcs,
-        test_data=test_data, settings=settings, norm_state=norm_state, stop_when=stop_when,
+        test_data=test_data, settings=settings, stop_when=stop_when,
     )
     return PathRecord(
         points=points,
@@ -516,7 +520,6 @@ def connect_cross_variance(
     *,
     graph: ModelGraph,
     settings: SearchSettings = SearchSettings(),
-    norm_state: NormState | None = None,
 ) -> PathRecord:
     """Connect modes on different variance spheres.
 
@@ -546,7 +549,6 @@ def connect_cross_variance(
         train_data,
         test_data,
         settings=replace(settings, endpoint_ids=(settings.endpoint_ids[0], "sphere-projection")),
-        norm_state=norm_state,
         graph=graph,
         destination=projection,
         var_stop=(dest_targets, cfg.sphere_match_rtol),
@@ -562,7 +564,6 @@ def connect_cross_variance(
         train_data,
         test_data,
         settings=replace(settings, endpoint_ids=("stage-1-endpoint", settings.endpoint_ids[1])),
-        norm_state=norm_state,
         graph=graph,
     )
 

@@ -177,10 +177,6 @@ class ParamVector:
         return f"ParamVector(D={self.size}, slices={len(self.layout)})"
 
 
-def zeros_like(pv: ParamVector) -> ParamVector:
-    return ParamVector(np.zeros(pv.size, dtype=pv.dtype), pv.layout)
-
-
 def layer_stats(values: np.ndarray) -> LayerStats:
     """Population mean/variance of one layer slice, accumulated in float64."""
     values = np.asarray(values).reshape(-1)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from llpf.analysis import (
-    aggregate_records,
     interpolation_continuity,
     path_metrics,
     rolling_average,
@@ -184,17 +183,6 @@ class TestSeedVarianceStudy:
         for name, stats in table.summary.items():
             assert stats["variance_cov"] == pytest.approx(0.0, abs=1e-12)
 
-    def test_init_only_study(self, blobs):
-        train, _ = blobs
-        g = mlp2(100, 64, 10)
-        table = seed_variance_study(g, TrainerConfig(lr=0.1), 12, train.__class__(
-            inputs=np.zeros((10, 100), dtype=np.float32),
-            labels=np.zeros(10, dtype=np.int64),
-            split="train",
-            num_classes=10,
-        ), rule=None)
-        assert table.summary["fc1.weight"]["variance_cov"] < 0.10
-
     def test_failed_seed_excluded_with_warning(self, blobs, caplog):
         train, _ = blobs
         g = mlp2(20, 8, 3)
@@ -213,7 +201,9 @@ class TestSeedVarianceStudy:
     def test_needs_two_seeds(self, blobs):
         train, _ = blobs
         with pytest.raises(ValueError):
-            seed_variance_study(mlp2(20, 8, 3), TrainerConfig(lr=0.1), 1, train, seeds=[1])
+            seed_variance_study(
+                mlp2(20, 8, 3), TrainerConfig(lr=0.1), 1, train, StopRule(0.0, 1, 10), seeds=[1]
+            )
 
     def test_summary_covers_exactly_weight_slices(self, blobs):
         train, _ = blobs
@@ -226,28 +216,22 @@ class TestSeedVarianceStudy:
             split="train",
             num_classes=3,
         )
-        table = seed_variance_study(g, TrainerConfig(lr=0.1), 3, data, rule=None)
+        table = seed_variance_study(g, TrainerConfig(lr=0.1), 3, data, StopRule(0.0, 1, 10))
         weight_names = {s.name for s in g.layout if s.kind == "weight"}
         assert set(table.summary) == weight_names
 
 
-class TestAggregateRecords:
-    def test_mean_and_std_by_iteration(self):
-        def rec(losses):
-            return PathRecord(
-                points=[PathPoint(i, 0, v, {}) for i, v in enumerate(losses)]
-            )
-
-        rows = aggregate_records([rec([1.0, 2.0]), rec([3.0, 4.0])])
-        assert rows[0]["mean"] == 2.0 and rows[0]["std"] == 1.0
-        assert rows[1]["mean"] == 3.0 and rows[1]["count"] == 2
-
-
 class TestContinuityFullSet:
-    def test_full_set_flag_uses_every_sample(self, short_path, blobs):
+    def test_eval_size_at_least_the_set_uses_every_sample(self, short_path, blobs):
         train, _ = blobs
         g, record, _, _ = short_path
-        small = interpolation_continuity(record, 3, g, train, eval_size=64)
-        full = interpolation_continuity(record, 3, g, train, use_full_set=True)
-        assert small.segment_losses != full.segment_losses
-        assert full.samples == 3
+        stored = record.stored_points()
+        endpoints = [
+            [evaluate(g, a.params, train)[0], evaluate(g, b.params, train)[0]]
+            for a, b in zip(stored, stored[1:])
+        ]
+        for size in (len(train), len(train) + 1):
+            full = interpolation_continuity(record, 2, g, train, eval_size=size)
+            assert full.segment_losses == endpoints
+        small = interpolation_continuity(record, 2, g, train, eval_size=64)
+        assert small.segment_losses != endpoints

@@ -309,6 +309,21 @@ dir = study
         out = self.run(tmp_path)
         assert len(calls) == 1 and manifest_started(out) <= calls[0]
 
+    def test_seeds_and_n_seeds_together_rejected(self, tmp_path, capsys):
+        text = BASE + MODES + """
+[seed_study]
+seeds = 1, 2, 3
+n_seeds = 5
+
+[output]
+dir = study
+"""
+        cfg = write_cfg(tmp_path, text)
+        line = text.splitlines().index("n_seeds = 5") + 1
+        assert main(["seed-study", "--config", str(cfg)]) == 1
+        assert f"{cfg}:{line}: [seed_study] takes 'seeds' or 'n_seeds'" in capsys.readouterr().err
+        assert not (tmp_path / "study").exists()
+
 
 class TestPlot:
     def test_plot_from_metrics(self, modes_dir, tmp_path):
@@ -336,12 +351,54 @@ class TestExitCodes:
         assert main(["train-modes", "--config", str(cfg), "--precision", "f64"]) == 1
         assert not (tmp_path / "out").exists()
 
-    def test_precision_key_rejected_with_line(self, tmp_path, capsys):
-        text = BASE + MODES + "\n[output]\ndir = out\nprecision = f64\n"
+    @pytest.mark.parametrize(
+        "command, section, key",
+        [
+            ("train-modes", "output", "precision"),
+            ("train-modes", "output", "test_metrics"),
+            ("train-modes", "dataset", "separation"),
+            ("train-modes", "modes", "augment"),
+            ("connect-m2m", "m2m", "augment_path_steps"),
+            ("collapse-m2o", "m2o", "augment_path_steps"),
+            ("connect-avs", "avs.m2o", "augment_path_steps"),
+            ("continuity", "continuity", "use_full_set"),
+            ("seed-study", "seed_study", "init_only"),
+        ],
+        ids=lambda value: value,
+    )
+    def test_removed_key_rejected_with_line(self, tmp_path, capsys, command, section, key):
+        text = BASE + MODES + """
+[m2m]
+start = a.ckpt
+dest = b.ckpt
+step_f = 1e-3
+
+[m2o]
+start = a.ckpt
+step_a = 1e-3
+
+[avs]
+start = a.ckpt
+dest = b.ckpt
+
+[avs.m2o]
+step_a = 1e-3
+
+[continuity]
+record_dir = path
+
+[seed_study]
+n_seeds = 2
+
+[output]
+dir = out
+"""
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n", 1)
         cfg = write_cfg(tmp_path, text)
-        line = text.splitlines().index("precision = f64") + 1
-        assert main(["train-modes", "--config", str(cfg)]) == 1
-        assert f"{cfg}:{line}: unknown key 'precision'" in capsys.readouterr().err
+        line = text.splitlines().index(f"{key} = 1") + 1
+        assert main([command, "--config", str(cfg)]) == 1
+        assert f"{cfg}:{line}: unknown key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert main(["train-modes", "--config", str(tmp_path / "none.cfg")]) == 1
@@ -365,26 +422,59 @@ dir = out
 
 
 class TestShippedConfigs:
-    def test_examples_parse_and_validate(self):
+    def test_examples_parse_and_validate(self, tmp_path, monkeypatch):
+        """Every section of every shipped config goes through its builder, so
+        a key no builder reads any more fails here, not on a user's first run."""
+        import shutil
         from pathlib import Path
 
         from llpf.harness_cli import run_config as rc
-        from llpf.harness_cli.config import parse_config
+        from llpf.harness_cli.checkpoint import save_checkpoint
+        from llpf.harness_cli.config import parse_config, resolve_path
+        from llpf.nn_engine import init_params
+        from test_datasets import write_tiny_mnist
 
-        for name in (
-            "blobs_m2m.cfg",
-            "blobs_m2o.cfg",
-            "blobs_avs.cfg",
-            "blobs_continuity.cfg",
-            "blobs_seed_study.cfg",
-            "lenet_mnist_m2m.cfg",
-        ):
-            cfg = parse_config(Path(__file__).parent.parent / "configs" / name)
+        mnist = tmp_path / "mnist"
+        mnist.mkdir()
+        write_tiny_mnist(mnist)
+        monkeypatch.setenv("LLPF_DATA_DIR", str(mnist))
+        builders = {
+            "dataset": rc.build_datasets,
+            "output": rc.build_output,
+            "modes": rc.build_modes,
+            "continuity": rc.build_continuity,
+            "seed_study": rc.build_seed_study,
+        }
+        graph_builders = {"m2m": rc.build_m2m, "m2o": rc.build_m2o, "avs": rc.build_avs}
+        checkpoints = (("m2m", "start"), ("m2m", "dest"), ("m2o", "start"),
+                       ("avs", "start"), ("avs", "dest"))
+        configs = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
+        assert len(configs) == 6
+        for path in configs:
+            copy = tmp_path / path.name
+            shutil.copy(path, copy)
+            cfg = parse_config(copy)
             graph = rc.build_graph(cfg)
             assert graph.num_params > 0
-            if cfg.has("modes"):
-                rc.build_modes(cfg)
-            rc.build_output(cfg)
+            for section, key in checkpoints:
+                if cfg.has(section):
+                    ckpt = resolve_path(cfg, cfg.sections[section][key].text)
+                    ckpt.parent.mkdir(parents=True, exist_ok=True)
+                    save_checkpoint(init_params(graph, 0), graph, ckpt)
+            if cfg.has("continuity"):
+                resolve_path(cfg, cfg.sections["continuity"]["record_dir"].text).mkdir(
+                    parents=True, exist_ok=True
+                )
+            built = {"model"}
+            for section in cfg.sections:
+                top = section.split(".")[0]
+                if top in built:
+                    continue
+                if top in graph_builders:
+                    graph_builders[top](cfg, graph)
+                else:
+                    builders[top](cfg)
+                built.add(top)  # stage and phase sections are read by their parent's builder
 
     def test_long_convnet_schedule_builds(self, tmp_path):
         """The documented 30000-iteration convnet schedule parses into the
@@ -569,26 +659,6 @@ checkpoint_stride = 1
             if point.params is not None:
                 assert np.array_equal(point.params.get("fc2.weight"), start.get("fc2.weight"))
                 assert np.array_equal(point.params.get("fc2.bias"), start.get("fc2.bias"))
-
-
-class TestSeedStudyInitOnly:
-    def test_init_only_flag(self, tmp_path):
-        cfg = write_cfg(
-            tmp_path,
-            BASE + MODES + """
-[seed_study]
-seeds = 1, 2, 3, 4
-init_only = true
-
-[output]
-dir = study
-""",
-        )
-        assert main(["seed-study", "--config", str(cfg)]) == 0
-        header, rows = read_csv(tmp_path / "study" / "seed_study.csv")
-        assert len(rows) == 4
-        # untrained bias slices are exactly zero at init
-        assert all(row["var:fc1.bias"] == 0 for row in rows)
 
 
 class TestMnistEnvVar:

@@ -108,13 +108,3 @@ class TestSection:
         assert resolve_path(cfg, "data/x.bin") == (sub / "data" / "x.bin").resolve()
         assert resolve_path(cfg, "/abs/x.bin").as_posix() == "/abs/x.bin"
 
-
-    def test_blobs_separation_key(self, tmp_path):
-        from llpf.harness_cli import run_config as rc
-
-        cfg = parse_config(write(
-            tmp_path,
-            "[dataset]\nname = blobs\nclasses = 3\ndim = 6\nn = 60\nseparation = 12\n",
-        ))
-        train, test = rc.build_datasets(cfg)
-        assert len(train) + len(test) == 60

@@ -602,32 +602,37 @@ class TestMoveTowardProperties:
 
 
 class TestPathStepAugmentation:
-    def test_flag_changes_training_batches(self):
+    def test_repair_rounds_ignore_the_dataset_spec(self):
         from llpf.nn_engine import AugmentSpec, Dataset
 
         rng = np.random.default_rng(6)
         x = rng.normal(size=(80, 1, 8, 8)).astype(np.float32)
         y = rng.integers(0, 3, size=80).astype(np.int64)
-        data = Dataset(x, y, "train", 3, augment=AugmentSpec(rotate_deg=5, crop_pad=2, fill=0.0))
+        plain = Dataset(x, y, "train", 3)
+        spec = AugmentSpec(rotate_deg=5, crop_pad=2, fill=0.0)
+        augmented = replace(plain, augment=spec)
         g = lenet_micro(in_channels=1, hw=8, classes=3)
         mode = init_params(g, 0)
-        plan = PhasePlan(
-            (Phase(tuple(g.slice_names()), 2, StepParams(step_f=1e-3), StopRule(0.0, 2, 10)),)
+        trainer = TrainerConfig(lr=1e-2, batch_size=8)
+        settings = SearchSettings(seed=0, mode_acceptance_loss=0.0, checkpoint_stride=1)
+        stop = StopRule(0.0, 2, 10)
+        plan = PhasePlan((Phase(tuple(g.slice_names()), 2, StepParams(step_f=1e-3), stop),))
+        m2o_cfg = M2OConfig(
+            iterations=2, step=StepParams(step_a=1e-2), stop=stop, eta_base=1e-2,
+            excluded_layers=tuple(n for n in g.slice_names() if n.endswith(".bias")),
         )
 
-        def run(flag):
-            return llpf_m2m(
-                mode, mode, plan, TrainerConfig(lr=1e-2, batch_size=8), data, None,
-                settings=SearchSettings(seed=0, mode_acceptance_loss=0.0,
-                                        augment_path_steps=flag, checkpoint_stride=1),
-                graph=g,
-            )
+        def m2m(data):
+            return llpf_m2m(mode, mode, plan, trainer, data, None, settings=settings, graph=g)
 
-        plain = run(False)
-        augmented = run(True)
-        assert not np.array_equal(
-            plain.points[-1].params.data, augmented.points[-1].params.data
-        )
-        # and the default remains deterministic
-        again = run(False)
-        assert np.array_equal(plain.points[-1].params.data, again.points[-1].params.data)
+        def m2o(data):
+            return llpf_m2o(mode, m2o_cfg, trainer, data, None, settings=settings, graph=g)
+
+        for run in (m2m, m2o):
+            a, b = run(plain), run(augmented)
+            assert len(a.points) == len(b.points) == 3
+            for p, q in zip(a.points, b.points):
+                assert p.rolling_train_loss == q.rolling_train_loss
+                assert p.params.data.tobytes() == q.params.data.tobytes()
+            # the repair rounds did train: the walk left the start mode
+            assert a.points[-1].params != mode

@@ -19,7 +19,6 @@ from llpf.param_space import (
     layer_stats,
     radial_norm_sq,
     variance_correction,
-    zeros_like,
 )
 
 
@@ -73,11 +72,6 @@ class TestParamVector:
         assert not a.layout_compatible(c)
         with pytest.raises(LayoutMismatch):
             a.require_compatible(c)
-
-    def test_zeros_like(self):
-        pv = two_layer_vector([1.0, 2.0], [3.0])
-        z = zeros_like(pv)
-        assert np.all(z.data == 0) and z.layout == pv.layout
 
 
 class TestLayout:
