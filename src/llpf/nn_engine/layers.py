@@ -198,18 +198,33 @@ def avgpool_backward(g, x_shape, kernel=None):
 # -- loss ----------------------------------------------------------------------
 
 
+def _log_softmax(logits):
+    """Row-wise log-softmax, computed in float64 whatever the logits dtype."""
+    z = logits.astype(np.float64, copy=False)
+    z = z - z.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def cross_entropy_loss(logits, labels):
+    """Mean cross-entropy over the batch, accumulated in float64.
+
+    The same loss, bit for bit, as :func:`softmax_cross_entropy`, without
+    building the gradient that evaluation would throw away.
+    """
+    log_probs = _log_softmax(logits)
+    return float(-log_probs[np.arange(logits.shape[0]), labels].mean())
+
+
 def softmax_cross_entropy(logits, labels):
     """Mean cross-entropy over the batch plus the gradient w.r.t. logits.
 
     The loss accumulates in float64; the gradient keeps the logits dtype.
     """
-    z = logits.astype(np.float64, copy=False)
-    z = z - z.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    log_probs = z - log_norm
+    log_probs = _log_softmax(logits)
     n = logits.shape[0]
-    loss = float(-log_probs[np.arange(n), labels].mean())
+    rows = np.arange(n)
+    loss = float(-log_probs[rows, labels].mean())
     probs = np.exp(log_probs)
-    probs[np.arange(n), labels] -= 1.0
+    probs[rows, labels] -= 1.0
     dlogits = (probs / n).astype(logits.dtype)
     return loss, dlogits

@@ -1,11 +1,20 @@
-"""Datasets, SGD, and the rolling-average stop rule used everywhere.
+"""Datasets, SGD, the rolling-average stop rule, and evaluation.
 
 Batch sampling draws uniformly with replacement from a seeded generator, so a
 run is bit-reproducible from (seed, config, data) on a single thread.
+
+Evaluation runs the dataset through the model in chunks sized from the
+model: as many rows as keep the widest array one sample makes in a forward
+(a node output or a conv's im2col patch matrix) within ``EVAL_CHUNK_BYTES``.
+Larger chunks allocate fresh multi-MB buffers that page-fault on every
+forward.  Two cases keep 512-row chunks: a model too wide for 64 rows in the
+budget, and the batch-statistics fallback of a batch-norm model evaluated
+without a ``NormState``, whose loss depends on the chunk.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -14,8 +23,19 @@ import numpy as np
 
 from ..param_space import ParamVector
 from .engine import NormState, forward, loss_and_grad
-from .layers import softmax_cross_entropy
+from .layers import cross_entropy_loss
 from .graph import ModelGraph
+
+# Byte budget for the widest per-sample array of one evaluation chunk.  In a
+# sweep of chunk sizes, each in a fresh process (2-vCPU VM, one BLAS thread),
+# lenet-micro ran fastest at 64-120 rows (widest array 1.8-3.4 MB) and
+# page-faulted on every forward from 128 rows up; mlp2 kept getting faster up
+# to one chunk for a 2048-row set.
+EVAL_CHUNK_BYTES = 2 << 20
+# A budget that fits fewer rows than MIN_EVAL_CHUNK_ROWS, and the batch-norm
+# fallback, evaluate in chunks of FALLBACK_EVAL_CHUNK_ROWS.
+MIN_EVAL_CHUNK_ROWS = 64
+FALLBACK_EVAL_CHUNK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -207,17 +227,36 @@ def train_until(
     return TrainResult(params, rounds, rolling, hit, losses)
 
 
+def eval_chunk_rows(graph: ModelGraph, itemsize: int) -> int:
+    """Rows per evaluation chunk for a forward whose arrays hold
+    ``itemsize``-byte elements: as many as keep the widest per-sample array
+    (a node output, or a conv's im2col patch matrix) within
+    ``EVAL_CHUNK_BYTES``, or ``FALLBACK_EVAL_CHUNK_ROWS`` when that is fewer
+    than ``MIN_EVAL_CHUNK_ROWS``."""
+    widest = 0
+    for node in graph.plan:
+        out = graph.shapes[node.name]
+        widest = max(widest, math.prod(out))
+        if node.kind == "conv2d":
+            widest = max(widest, node.in_shape[0] * node.kernel**2 * out[1] * out[2])
+    rows = EVAL_CHUNK_BYTES // (widest * itemsize)
+    return rows if rows >= MIN_EVAL_CHUNK_ROWS else FALLBACK_EVAL_CHUNK_ROWS
+
+
 def evaluate(
     graph: ModelGraph,
     params: ParamVector,
     data: Dataset,
     norm_state: NormState | None = None,
-    batch_size: int = 512,
 ) -> tuple[float, float]:
     """Full-dataset mean loss and top-1 accuracy in eval mode.
 
-    Models with batch_norm need fitted buffers; without any, the batch
-    statistics of the evaluated chunks are used as a fallback.
+    The data runs in chunks of :func:`eval_chunk_rows` rows: as many as keep
+    the widest array of a forward within ``EVAL_CHUNK_BYTES``, or 512 for a
+    model too wide for 64 rows in that budget.  The chunk size changes the
+    loss only in the last bits of its float64 sum.  Models with batch_norm
+    need fitted buffers; without any, the batch statistics of 512-row chunks
+    are used as a fallback, and the loss depends on that chunk size.
     """
     if len(data) == 0:
         raise ValueError("empty dataset")
@@ -225,14 +264,16 @@ def evaluate(
     if graph.has_norm_layers() and norm_state is None:
         mode = "train"  # batch-statistics fallback; see fit_norm_buffers
         norm_state = NormState(graph, dtype=params.dtype)
+        rows = FALLBACK_EVAL_CHUNK_ROWS
+    else:
+        rows = eval_chunk_rows(graph, np.result_type(data.inputs, params.data).itemsize)
     total_loss = 0.0
     correct = 0
-    for start in range(0, len(data), batch_size):
-        x = data.inputs[start : start + batch_size]
-        y = data.labels[start : start + batch_size]
+    for start in range(0, len(data), rows):
+        x = data.inputs[start : start + rows]
+        y = data.labels[start : start + rows]
         logits = forward(graph, params, x, mode, norm_state)
-        loss, _ = softmax_cross_entropy(logits, y)
-        total_loss += loss * len(y)
+        total_loss += cross_entropy_loss(logits, y) * len(y)
         correct += int((logits.argmax(axis=1) == y).sum())
     return total_loss / len(data), correct / len(data)
 

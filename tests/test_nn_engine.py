@@ -23,6 +23,7 @@ from llpf.nn_engine import (
     sgd_step,
     train_until,
 )
+from llpf.nn_engine import trainer
 from llpf.nn_engine.graph import MODEL_BUILDERS
 from llpf.harness_cli.datasets import gen_blobs
 from llpf.param_space import layer_stats
@@ -549,6 +550,110 @@ class TestTrainAndEvaluate:
         )
         with pytest.raises(ValueError, match="empty"):
             evaluate(g, params, empty)
+
+
+def _softmax_cross_entropy_reference(logits, labels):
+    """softmax_cross_entropy as it was before it shared its log-softmax with
+    the loss-only kernel: the oracle its loss and gradient must match bit for bit."""
+    z = logits.astype(np.float64, copy=False)
+    z = z - z.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    log_probs = z - log_norm
+    n = logits.shape[0]
+    loss = float(-log_probs[np.arange(n), labels].mean())
+    probs = np.exp(log_probs)
+    probs[np.arange(n), labels] -= 1.0
+    dlogits = (probs / n).astype(logits.dtype)
+    return loss, dlogits
+
+
+def _logit_cases():
+    rng = np.random.default_rng(11)
+    for dtype in (np.float32, np.float64):
+        for scale in (1.0, 30.0):
+            yield rng.normal(0, scale, size=(67, 10)).astype(dtype), rng.integers(0, 10, 67)
+        extreme = rng.normal(size=(9, 4)).astype(dtype)
+        extreme[0] = [1e4, -1e4, 0.0, 1e4]
+        extreme[1] = [-1e4, -1e4, -1e4, -1e4]
+        extreme[2, 3] = -1e4
+        extreme[3, 1] = 1e4
+        yield extreme, np.array([1, 0, 3, 2, 0, 1, 2, 3, 0])
+
+
+LOGIT_CASES = list(_logit_cases())
+
+
+class TestLossKernels:
+    @pytest.mark.parametrize("case", range(len(LOGIT_CASES)))
+    def test_training_kernel_matches_frozen_reference(self, case):
+        logits, labels = LOGIT_CASES[case]
+        loss, dlogits = L.softmax_cross_entropy(logits, labels)
+        ref_loss, ref_dlogits = _softmax_cross_entropy_reference(logits, labels)
+        assert loss.hex() == ref_loss.hex()
+        assert dlogits.dtype == ref_dlogits.dtype == logits.dtype
+        assert dlogits.tobytes() == ref_dlogits.tobytes()
+
+    @pytest.mark.parametrize("case", range(len(LOGIT_CASES)))
+    def test_loss_only_kernel_is_the_training_loss(self, case):
+        logits, labels = LOGIT_CASES[case]
+        assert L.cross_entropy_loss(logits, labels).hex() == L.softmax_cross_entropy(logits, labels)[0].hex()
+
+
+class TestEvalChunks:
+    """Chunk sizes come from the model's widest per-sample array."""
+
+    # widest per-sample array in elements: mlp2's hidden layer; lenet-micro's
+    # im2col patch matrices (1*3*3 x 28*28 and 4*3*3 x 14*14)
+    WIDEST = {"mlp2": 16, "lenet-micro": 7056}
+
+    @pytest.fixture
+    def chunk_sizes(self, monkeypatch):
+        """The row count of every chunk evaluate runs through the model."""
+        sizes = []
+
+        def spy(graph, params, x, *args):
+            sizes.append(len(x))
+            return forward(graph, params, x, *args)
+
+        monkeypatch.setattr(trainer, "forward", spy)
+        return sizes
+
+    def test_derived_rows_pinned(self):
+        rows = {name: trainer.eval_chunk_rows(build_model(name), 4) for name in MODEL_BUILDERS}
+        # resnet-micro's 225 KB per sample leaves 9 rows in the budget: below the floor
+        assert rows == {"mlp2": 32768, "lenet-micro": 74, "resnet-micro": 512}
+        assert trainer.eval_chunk_rows(lenet_micro(), 8) == 512
+
+    @pytest.mark.parametrize("name", ["mlp2", "lenet-micro"])
+    def test_loss_invariant_to_chunk_size(self, name, monkeypatch, chunk_sizes):
+        g = build_model(name)
+        rng = np.random.default_rng(5)
+        n = 600
+        x = rng.normal(size=(n,) + g.input_shape).astype(np.float32)
+        y = rng.integers(0, g.shapes[g.sink][0], size=n)
+        data = Dataset(x, y, "test", int(g.shapes[g.sink][0]))
+        params = init_params(g, 3)
+        loss, acc = evaluate(g, params, data)
+        assert chunk_sizes[0] == min(trainer.eval_chunk_rows(g, 4), n) and sum(chunk_sizes) == n
+        for rows in (64, 512, n):
+            monkeypatch.setattr(trainer, "EVAL_CHUNK_BYTES", rows * self.WIDEST[name] * 4)
+            chunk_sizes.clear()
+            other_loss, other_acc = evaluate(g, params, data)
+            assert chunk_sizes[0] == rows and sum(chunk_sizes) == n
+            assert other_loss == pytest.approx(loss, rel=1e-12, abs=0)
+            assert other_acc == acc
+
+    def test_batch_norm_fallback_keeps_512_row_chunks(self, monkeypatch, chunk_sizes):
+        g = resnet_micro()
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(600,) + g.input_shape).astype(np.float32)
+        y = rng.integers(0, 10, size=600)
+        monkeypatch.setattr(trainer, "EVAL_CHUNK_BYTES", 1 << 40)  # the budget plays no part
+        loss, acc = evaluate(g, init_params(g, 0), Dataset(x, y, "test", 10))
+        assert chunk_sizes == [512, 88]
+        # frozen value of the batch-statistics fallback over 512-row chunks
+        assert loss.hex() == "0x1.32849d440c148p+1"
+        assert acc == 52 / 600
 
 
 class TestConvNetTraining:
