@@ -357,12 +357,6 @@ def llpf_m2m(
     endpoints must already be low-loss modes whose correctable layers sit on
     nearby spheres.
     """
-    subset = fixed_subset(train_data, settings.eval_subset)
-    return _m2m(start, dest, plan, trainer, train_data, test_data, graph, settings, subset)
-
-
-def _m2m(start, dest, plan, trainer, train_data, test_data, graph, settings, subset) -> PathRecord:
-    """:func:`llpf_m2m` with its acceptance subset already built."""
     start.require_compatible(dest)
     plan.validate_against(graph)
     rng = np.random.default_rng(settings.seed)
@@ -389,6 +383,7 @@ def _m2m(start, dest, plan, trainer, train_data, test_data, graph, settings, sub
         acceptance = plan.phases[0].stop.loss_threshold
     if acceptance <= 0:
         log.warning("no positive mode-acceptance threshold; skipping the check")
+    subset = fixed_subset(train_data, settings.eval_subset)
     start_loss = _accept_mode(graph, start, subset, acceptance, "start")
     _accept_mode(graph, dest, subset, acceptance, "dest")
 
@@ -437,16 +432,6 @@ def llpf_m2o(
     correctable layer's variance is within a factor of the given targets
     (used by the cross-sphere connection).
     """
-    subset = fixed_subset(train_data, settings.eval_subset)
-    return _m2o(
-        start, cfg, trainer, train_data, test_data, graph, settings, subset, destination, var_stop
-    )
-
-
-def _m2o(
-    start, cfg, trainer, train_data, test_data, graph, settings, subset, destination, var_stop
-) -> PathRecord:
-    """:func:`llpf_m2o` with its acceptance subset already built."""
     rng = np.random.default_rng(settings.seed)
     trainer = _path_trainer(trainer)
 
@@ -466,7 +451,9 @@ def _m2o(
     acceptance = settings.mode_acceptance_loss
     if acceptance is None:
         acceptance = cfg.stop.loss_threshold
-    start_loss = _accept_mode(graph, start, subset, acceptance, "start")
+    start_loss = _accept_mode(
+        graph, start, fixed_subset(train_data, settings.eval_subset), acceptance, "start"
+    )
 
     if destination is None:
         dest = start.with_slices({n: np.zeros(start.info(n).length) for n in active})
@@ -554,22 +541,30 @@ def connect_cross_variance(
         raise PrerequisiteError("destination on larger sphere; swap endpoints")
 
     projection = _correct(start, correctable, dest_targets)
-    subset = fixed_subset(train_data, settings.eval_subset)
 
-    stage1 = _m2o(
-        start, cfg.m2o, trainer, train_data, test_data, graph,
+    stage1 = llpf_m2o(
+        start,
+        cfg.m2o,
+        trainer,
+        train_data,
+        test_data,
         settings=replace(settings, endpoint_ids=(settings.endpoint_ids[0], "sphere-projection")),
-        subset=subset,
+        graph=graph,
         destination=projection,
         var_stop=(dest_targets, cfg.sphere_match_rtol),
     )
     hand_off = stage1.points[-1]
     assert hand_off.params is not None
 
-    stage2 = _m2m(
-        hand_off.params, dest, cfg.m2m_plan, trainer, train_data, test_data, graph,
+    stage2 = llpf_m2m(
+        hand_off.params,
+        dest,
+        cfg.m2m_plan,
+        trainer,
+        train_data,
+        test_data,
         settings=replace(settings, endpoint_ids=("stage-1-endpoint", settings.endpoint_ids[1])),
-        subset=subset,
+        graph=graph,
     )
 
     # stage 1 is the single phase 0, so stage 2's phases follow from 1

@@ -7,9 +7,9 @@ Evaluation runs the dataset through the model in chunks sized from the
 model: as many rows as keep the widest array one sample makes in a forward
 (a node output or a conv's im2col patch matrix) within ``EVAL_CHUNK_BYTES``.
 Larger chunks allocate fresh multi-MB buffers that page-fault on every
-forward.  Two cases keep 512-row chunks: a model too wide for 64 rows in the
-budget, and the batch-statistics fallback of a batch-norm model evaluated
-without a ``NormState``, whose loss depends on the chunk.
+forward.  The batch-statistics fallback of a batch-norm model evaluated
+without a ``NormState`` keeps 512-row chunks, because its loss depends on the
+chunk.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ from .graph import ModelGraph
 # sweep of chunk sizes, each in a fresh process (2-vCPU VM, one BLAS thread),
 # lenet-micro ran fastest at 64-120 rows (widest array 1.8-3.4 MB) and
 # page-faulted on every forward from 128 rows up; mlp2 kept getting faster up
-# to one chunk for a 2048-row set.
+# to one chunk for a 2048-row set; resnet-micro with fitted buffers ran
+# fastest at 9-16 rows and 1.8x slower at 512.
 EVAL_CHUNK_BYTES = 2 << 20
-# A budget that fits fewer rows than MIN_EVAL_CHUNK_ROWS, and the batch-norm
-# fallback, evaluate in chunks of FALLBACK_EVAL_CHUNK_ROWS.
-MIN_EVAL_CHUNK_ROWS = 64
+# Rows per chunk of the batch-norm batch-statistics fallback.
 FALLBACK_EVAL_CHUNK_ROWS = 512
 
 
@@ -231,16 +230,14 @@ def eval_chunk_rows(graph: ModelGraph, itemsize: int) -> int:
     """Rows per evaluation chunk for a forward whose arrays hold
     ``itemsize``-byte elements: as many as keep the widest per-sample array
     (a node output, or a conv's im2col patch matrix) within
-    ``EVAL_CHUNK_BYTES``, or ``FALLBACK_EVAL_CHUNK_ROWS`` when that is fewer
-    than ``MIN_EVAL_CHUNK_ROWS``."""
+    ``EVAL_CHUNK_BYTES``, and at least one."""
     widest = 0
     for node in graph.plan:
         out = graph.shapes[node.name]
         widest = max(widest, math.prod(out))
         if node.kind == "conv2d":
             widest = max(widest, node.in_shape[0] * node.kernel**2 * out[1] * out[2])
-    rows = EVAL_CHUNK_BYTES // (widest * itemsize)
-    return rows if rows >= MIN_EVAL_CHUNK_ROWS else FALLBACK_EVAL_CHUNK_ROWS
+    return max(1, EVAL_CHUNK_BYTES // (widest * itemsize))
 
 
 def evaluate(
@@ -252,11 +249,11 @@ def evaluate(
     """Full-dataset mean loss and top-1 accuracy in eval mode.
 
     The data runs in chunks of :func:`eval_chunk_rows` rows: as many as keep
-    the widest array of a forward within ``EVAL_CHUNK_BYTES``, or 512 for a
-    model too wide for 64 rows in that budget.  The chunk size changes the
-    loss only in the last bits of its float64 sum.  Models with batch_norm
-    need fitted buffers; without any, the batch statistics of 512-row chunks
-    are used as a fallback, and the loss depends on that chunk size.
+    the widest array of a forward within ``EVAL_CHUNK_BYTES``.  The chunk
+    size changes the loss only in the last bits of its float64 sum.  Models
+    with batch_norm need fitted buffers; without any, the batch statistics
+    of 512-row chunks are used as a fallback, and the loss depends on that
+    chunk size.
     """
     if len(data) == 0:
         raise ValueError("empty dataset")

@@ -26,7 +26,6 @@ from llpf.nn_engine import (
     ModelGraph,
     StopRule,
     TrainerConfig,
-    fixed_subset,
     init_params,
     lenet_micro,
     mlp2,
@@ -352,28 +351,6 @@ class TestCrossVariance:
         assert boundary.params is not None
         iters = [p.iteration for p in record.points]
         assert iters == sorted(iters) and len(set(iters)) == len(iters)
-
-
-    def test_acceptance_subset_built_once_per_call(self, blobs, quick_mode, monkeypatch):
-        train, _ = blobs
-        g, mode = quick_mode
-        built = []
-
-        def counting(data, size, *args):
-            built.append(size)
-            return fixed_subset(data, size, *args)
-
-        monkeypatch.setattr(llpf_core, "fixed_subset", counting)
-        stop = StopRule(0.0, 1, 1)
-        cfg = CrossVarianceConfig(
-            m2o=M2OConfig(iterations=1, step=StepParams(step_a=1e-3), stop=stop, eta_base=1e-3),
-            m2m_plan=single_phase_plan(g, 1, StepParams(step_f=1e-3), stop),
-        )
-        connect_cross_variance(
-            mode, mode, cfg, TrainerConfig(lr=1e-6), train, None,
-            settings=SearchSettings(eval_subset=300, mode_acceptance_loss=0.5), graph=g,
-        )
-        assert built == [300]
 
 
 class TestCrossVarianceEarlyStop:

@@ -618,11 +618,14 @@ class TestEvalChunks:
         monkeypatch.setattr(trainer, "forward", spy)
         return sizes
 
-    def test_derived_rows_pinned(self):
+    def test_derived_rows_pinned(self, monkeypatch):
         rows = {name: trainer.eval_chunk_rows(build_model(name), 4) for name in MODEL_BUILDERS}
-        # resnet-micro's 225 KB per sample leaves 9 rows in the budget: below the floor
-        assert rows == {"mlp2": 32768, "lenet-micro": 74, "resnet-micro": 512}
-        assert trainer.eval_chunk_rows(lenet_micro(), 8) == 512
+        # resnet-micro's widest array is 225 KB per sample
+        assert rows == {"mlp2": 32768, "lenet-micro": 74, "resnet-micro": 9}
+        assert trainer.eval_chunk_rows(lenet_micro(), 8) == 37
+        # an array wider than the whole budget still gets one row per chunk
+        monkeypatch.setattr(trainer, "EVAL_CHUNK_BYTES", 1)
+        assert trainer.eval_chunk_rows(mlp2(), 4) == 1
 
     @pytest.mark.parametrize("name", ["mlp2", "lenet-micro"])
     def test_loss_invariant_to_chunk_size(self, name, monkeypatch, chunk_sizes):
