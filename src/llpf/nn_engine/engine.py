@@ -6,6 +6,12 @@ reshaped to their resolved shapes, and its gradients are written back
 through one loop over the same slices.  Kernels are looked up in
 :mod:`.layers` at call time.
 
+Image activations run batch-last, (C, H, W, N); the (N, C, H, W) input batch
+is transposed once on entry.  Dense layers and their activations stay
+batch-first, (N, F): ``flatten``, and a dense node reading an image, switch
+layouts through one ``reshape(-1, N).T`` view, which keeps the features in
+C, H, W order, so parameters, checkpoints and logits are layout-free.
+
 Normalization running statistics are buffers, not trainable parameters; they
 live in a :class:`NormState` owned by the caller and never appear in the
 ``ParamVector`` layout.
@@ -96,6 +102,8 @@ def _execute(graph, params, x, mode, norm_state, want_caches):
         if mode == "eval":
             raise ValueError("eval mode needs a NormState with fitted buffers")
         norm_state = NormState(graph, dtype=x.dtype)
+    if x.ndim == 4:
+        x = x.transpose(1, 2, 3, 0)
     data = params.data
     values: dict[str, np.ndarray] = {}
     caches: dict[str, object] = {}
@@ -106,7 +114,7 @@ def _execute(graph, params, x, mode, norm_state, want_caches):
         p = [data[o : o + n].reshape(shape) for o, n, shape in node.slices]
         if node.kind == "dense":
             if a.ndim > 2:
-                a = a.reshape(a.shape[0], -1)
+                a = _batch_first(a)
             values[name] = L.dense_forward(a, p[0], p[1])
             caches[name] = a
         elif node.kind == "conv2d":
@@ -134,7 +142,7 @@ def _execute(graph, params, x, mode, norm_state, want_caches):
             values[name] = L.avgpool_forward(a, node.kernel)
             caches[name] = a.shape
         elif node.kind == "flatten":
-            values[name] = a.reshape(a.shape[0], -1)
+            values[name] = _batch_first(a)
             caches[name] = a.shape
         elif node.kind == "residual_add":
             values[name] = ins[0] + ins[1]
@@ -142,6 +150,11 @@ def _execute(graph, params, x, mode, norm_state, want_caches):
     if want_caches:
         return out, (values, caches)
     return out, None
+
+
+def _batch_first(a):
+    """(C, H, W, N) -> (N, C*H*W) view."""
+    return a.reshape(-1, a.shape[-1]).T
 
 
 def loss_and_grad(
@@ -173,7 +186,7 @@ def loss_and_grad(
         if node.kind == "dense":
             dx, dw, db = L.dense_backward(g, caches[name], w)
             if len(node.in_shape) > 1:
-                dx = dx.reshape((g.shape[0],) + node.in_shape)
+                dx = dx.T.reshape(node.in_shape + (g.shape[0],))
             pgrads = (dw, db)
         elif node.kind == "conv2d":
             x_shape, cols = caches[name]
@@ -195,7 +208,7 @@ def loss_and_grad(
         elif node.kind == "avg_pool":
             dx = L.avgpool_backward(g, caches[name], node.kernel)
         elif node.kind == "flatten":
-            dx = g.reshape(caches[name])
+            dx = g.T.reshape(caches[name])
         elif node.kind == "residual_add":
             dx = g  # both inputs receive the same gradient
 

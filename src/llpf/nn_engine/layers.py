@@ -1,11 +1,16 @@
 """Array kernels for each layer kind: forward passes and their exact gradients.
 
-Everything is plain numpy on NCHW tensors.  A convolution is an im2col
-patch buffer, which the backward pass reuses, times the weight matrix as one
-batched matmul.  Max-pooling forward is an elementwise max over the k*k
-strided window views; backward gives each output's gradient to the first
-input in row-major window order that equals the max, so ties (ReLU zeros)
-never double-count gradient and eval forwards never pay for picking winners.
+Everything is plain numpy.  Image activations are batch-last, (C, H, W, N):
+the batch is the innermost, contiguous axis, so every strided window copy
+below moves whole runs of N (or OW*N) floats instead of single image rows.
+Dense layers and their 2-D activations stay batch-first, (N, F).
+
+A convolution is an im2col patch matrix of shape (C*k*k, OH*OW*N), which the
+backward pass reuses, times the weight matrix as one GEMM.  Max-pooling
+forward is an elementwise max over the k*k strided window views; backward
+gives each output's gradient to the first input in row-major window order
+that equals the max, so ties (ReLU zeros) never double-count gradient and
+eval forwards never pay for picking winners.
 """
 
 from __future__ import annotations
@@ -32,58 +37,74 @@ def dense_backward(g, x, w):
 def _pad_input(x, pad):
     if pad == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    c, h, w, n = x.shape
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
+    xp[:, pad : pad + h, pad : pad + w] = x
+    return xp
+
+
+def _tap(stride, oh, ow, i, j):
+    """Index of the (i, j) tap's strided view over a (C, H, W, N) input."""
+    return (slice(None), slice(i, i + stride * oh, stride), slice(j, j + stride * ow, stride))
 
 
 def im2col(x, kernel, stride, pad):
-    """(N,C,H,W) -> (N, C*k*k, OH*OW) patch matrix."""
-    n, c, h, w = x.shape
+    """(C,H,W,N) -> (C*k*k, OH*OW*N) patch matrix, one copy per kernel tap."""
+    c, h, w, n = x.shape
     oh = (h + 2 * pad - kernel) // stride + 1
     ow = (w + 2 * pad - kernel) // stride + 1
     xp = _pad_input(x, pad)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]  # (N, C, OH, OW, k, k)
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kernel * kernel, oh * ow)
-    return np.ascontiguousarray(cols), (oh, ow)
+    cols = np.empty((c, kernel, kernel, oh, ow, n), dtype=x.dtype)
+    for i in range(kernel):
+        for j in range(kernel):
+            cols[:, i, j] = xp[_tap(stride, oh, ow, i, j)]
+    return cols.reshape(c * kernel * kernel, oh * ow * n), (oh, ow)
 
 
 def col2im(cols, x_shape, kernel, stride, pad, out_hw):
     """Scatter-add the inverse of :func:`im2col`."""
-    n, c, h, w = x_shape
+    c, h, w, n = x_shape
     oh, ow = out_hw
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    cols6 = cols.reshape(n, c, kernel, kernel, oh, ow)
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=cols.dtype)
+    cols6 = cols.reshape(c, kernel, kernel, oh, ow, n)
     for i in range(kernel):
         for j in range(kernel):
-            xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols6[:, :, i, j]
+            xp[_tap(stride, oh, ow, i, j)] += cols6[:, i, j]
     if pad == 0:
         return xp
-    return xp[:, :, pad : pad + h, pad : pad + w]
+    return xp[:, pad : pad + h, pad : pad + w]
 
 
 def conv2d_forward(x, w, b, stride, pad):
     """Returns (y, cols); ``b=None`` is a bias-less convolution."""
-    n = x.shape[0]
-    out_c, in_c, k, _ = w.shape
-    cols, (oh, ow) = im2col(x, k, stride, pad)
-    y = w.reshape(out_c, in_c * k * k) @ cols
+    n = x.shape[-1]
+    out_c = w.shape[0]
+    cols, (oh, ow) = im2col(x, w.shape[2], stride, pad)
+    y = w.reshape(out_c, -1) @ cols
     if b is not None:
         y += b[:, None]
-    return y.reshape(n, out_c, oh, ow), cols
+    return y.reshape(out_c, oh, ow, n), cols
 
 
 def conv2d_backward(g, x_shape, w, cols, stride, pad, need_dx=True):
     """Returns (dx, dw, db); ``need_dx=False`` skips the input gradient and
-    returns ``dx=None`` (for a convolution that reads the model input)."""
-    n, out_c, oh, ow = g.shape
-    _, in_c, k, _ = w.shape
-    gm = g.reshape(n, out_c, oh * ow)
-    dw = (gm @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-    db = gm.sum(axis=(0, 2))
+    returns ``dx=None`` (for a convolution that reads the model input).
+
+    The weight gradient sums one (C*k*k, OW*N) x (OW*N, out) product per
+    output row: one product over all OH*OW*N columns measured up to 4x
+    slower when C*k*k and the output channels are few.
+    """
+    out_c, oh, ow, n = g.shape
+    ckk = cols.shape[0]
+    gm = g.reshape(out_c, -1)
+    cols_rows = cols.reshape(ckk, oh, ow * n).transpose(1, 0, 2)
+    g_rows = gm.reshape(out_c, oh, ow * n).transpose(1, 2, 0)
+    dw = (cols_rows @ g_rows).sum(axis=0).T.reshape(w.shape)
+    db = gm.sum(axis=1)
     if not need_dx:
         return None, dw, db
-    dcols = w.reshape(out_c, in_c * k * k).T @ gm
-    dx = col2im(dcols, x_shape, k, stride, pad, (oh, ow))
+    dcols = w.reshape(out_c, ckk).T @ gm
+    dx = col2im(dcols, x_shape, w.shape[2], stride, pad, (oh, ow))
     return dx, dw, db
 
 
@@ -91,12 +112,12 @@ def conv2d_backward(g, x_shape, w, cols, stride, pad, need_dx=True):
 
 
 def _bn_axes(x):
-    # channel axis is 1 for images, 1 for (N, C) features
-    return (0,) if x.ndim == 2 else (0, 2, 3)
+    # the channel axis is 0 for (C, H, W, N) images, 1 for (N, C) features
+    return (0,) if x.ndim == 2 else (1, 2, 3)
 
 
 def _bn_shape(x):
-    return (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
+    return (1, -1) if x.ndim == 2 else (-1, 1, 1, 1)
 
 
 def batchnorm_forward(x, scale, shift, mode, running_mean, running_var, momentum=0.1):
@@ -152,9 +173,9 @@ def _pool_windows(kernel):
 
 def maxpool_forward(x, kernel):
     """Returns (y, cache); the cache is (x, y), from which backward picks winners."""
-    y = x[:, :, ::kernel, ::kernel].copy()
+    y = x[:, ::kernel, ::kernel].copy()
     for i, j in _pool_windows(kernel)[1:]:
-        np.maximum(y, x[:, :, i::kernel, j::kernel], out=y)
+        np.maximum(y, x[:, i::kernel, j::kernel], out=y)
     return y, (x, y)
 
 
@@ -171,27 +192,26 @@ def maxpool_backward(g, x_shape, kernel, cache):
     g_bits, dx_bits = g.view(bits), dx.view(bits)
     free = np.ones(y.shape, dtype=bool)  # outputs whose winner is not yet found
     for i, j in _pool_windows(kernel):
-        hit = x[:, :, i::kernel, j::kernel] == y
+        hit = x[:, i::kernel, j::kernel] == y
         hit &= free
-        np.multiply(g_bits, hit, out=dx_bits[:, :, i::kernel, j::kernel])
+        np.multiply(g_bits, hit, out=dx_bits[:, i::kernel, j::kernel])
         free ^= hit
     return dx
 
 
 def avgpool_forward(x, kernel=None):
-    n, c, h, w = x.shape
+    c, h, w, n = x.shape
     if kernel is None:  # global
-        return x.mean(axis=(2, 3), keepdims=True)
-    oh, ow = h // kernel, w // kernel
-    xr = x.reshape(n, c, oh, kernel, ow, kernel)
-    return xr.mean(axis=(3, 5))
+        return x.mean(axis=(1, 2), keepdims=True)
+    xr = x.reshape(c, h // kernel, kernel, w // kernel, kernel, n)
+    return xr.mean(axis=(2, 4))
 
 
 def avgpool_backward(g, x_shape, kernel=None):
-    n, c, h, w = x_shape
+    c, h, w, n = x_shape
     if kernel is None:
         return np.broadcast_to(g / (h * w), x_shape).astype(g.dtype)
-    dx = np.repeat(np.repeat(g, kernel, axis=2), kernel, axis=3)
+    dx = np.repeat(np.repeat(g, kernel, axis=1), kernel, axis=2)
     return dx / (kernel * kernel)
 
 

@@ -27,11 +27,12 @@ from .layers import cross_entropy_loss
 from .graph import ModelGraph
 
 # Byte budget for the widest per-sample array of one evaluation chunk.  In a
-# sweep of chunk sizes, each in a fresh process (2-vCPU VM, one BLAS thread),
-# lenet-micro ran fastest at 64-120 rows (widest array 1.8-3.4 MB) and
-# page-faulted on every forward from 128 rows up; mlp2 kept getting faster up
-# to one chunk for a 2048-row set; resnet-micro with fitted buffers ran
-# fastest at 9-16 rows and 1.8x slower at 512.
+# sweep of chunk sizes on 640 images, each size in a fresh process that first
+# ran one 64-row training round (2-vCPU VM, one BLAS thread, batch-last
+# engine), lenet-micro took 17-18 ms at 37-74 rows (widest array 1-2 MiB) and
+# 50-69 ms from 100 rows up, where every forward page-faults; resnet-micro
+# with fitted buffers ran fastest at 9 rows and 2.2-2.8x slower from 32 rows
+# up; mlp2 kept getting faster up to one chunk for a 2048-row set.
 EVAL_CHUNK_BYTES = 2 << 20
 # Rows per chunk of the batch-norm batch-statistics fallback.
 FALLBACK_EVAL_CHUNK_ROWS = 512

@@ -340,6 +340,15 @@ def maxpool_reference(x, g, kernel):
     return y, dx
 
 
+def to_batch_last(a):
+    """(N, C, H, W), the layout of the references above -> the kernels' (C, H, W, N)."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0))
+
+
+def to_batch_first(a):
+    return a.transpose(3, 0, 1, 2)
+
+
 class TestKernelReference:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("pad", [0, 1])
@@ -350,14 +359,17 @@ class TestKernelReference:
         x = rng.normal(size=(2, 3, 7, 7)).astype(np.float32)
         w = rng.normal(size=(4, 3, kernel, kernel)).astype(np.float32)
         b = rng.normal(size=4).astype(np.float32) if bias else None
-        y, cols = L.conv2d_forward(x, w, b, stride, pad)
+        y, cols = L.conv2d_forward(to_batch_last(x), w, b, stride, pad)
+        y = to_batch_first(y)
         ref = conv2d_reference(x.astype(np.float64), w.astype(np.float64),
                                None if b is None else b.astype(np.float64), stride, pad)
         assert y.dtype == np.float32 and y.shape == ref.shape
         np.testing.assert_allclose(y, ref, rtol=1e-5, atol=1e-5)
 
         g = rng.normal(size=y.shape).astype(np.float32)
-        dx, dw, db = L.conv2d_backward(g, x.shape, w, cols, stride, pad)
+        x_shape, g_last = to_batch_last(x).shape, to_batch_last(g)
+        dx, dw, db = L.conv2d_backward(g_last, x_shape, w, cols, stride, pad)
+        dx = to_batch_first(dx)
         rdx, rdw, rdb = conv2d_backward_reference(
             g.astype(np.float64), x.astype(np.float64), w.astype(np.float64), stride, pad
         )
@@ -365,7 +377,7 @@ class TestKernelReference:
             assert got.dtype == np.float32 and got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
-        no_dx, dw2, db2 = L.conv2d_backward(g, x.shape, w, cols, stride, pad, need_dx=False)
+        no_dx, dw2, db2 = L.conv2d_backward(g_last, x_shape, w, cols, stride, pad, need_dx=False)
         assert no_dx is None
         assert np.array_equal(dw2, dw) and np.array_equal(db2, db)
 
@@ -385,16 +397,17 @@ class TestKernelReference:
 
         monkeypatch.setattr(L, "conv2d_backward", always_dx)
         _, grads_full = loss_and_grad(g, params, x, y)
-        assert asked[x.shape] is False and list(asked.values()).count(False) == 1
+        assert asked[g.input_shape + (4,)] is False and list(asked.values()).count(False) == 1
         assert np.array_equal(grads.data, grads_full.data)
 
     @pytest.mark.parametrize("kernel", [2, 3])
     def test_maxpool_matches_window_argmax(self, kernel):
         rng = np.random.default_rng(kernel)
         x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
-        y, cache = L.maxpool_forward(x, kernel)
+        y, cache = L.maxpool_forward(to_batch_last(x), kernel)
+        y = to_batch_first(y)
         g = rng.normal(size=y.shape).astype(np.float32)
-        dx = L.maxpool_backward(g, x.shape, kernel, cache)
+        dx = to_batch_first(L.maxpool_backward(to_batch_last(g), to_batch_last(x).shape, kernel, cache))
         ref_y, ref_dx = maxpool_reference(x, g, kernel)
         assert np.array_equal(y, ref_y)
         assert np.array_equal(dx, ref_dx)
@@ -404,16 +417,18 @@ class TestKernelReference:
         # ReLU output: most windows hold several zeros and nothing larger
         rng = np.random.default_rng(10 + kernel)
         x = np.maximum(rng.normal(size=(3, 2, 12, 12)) - 1.5, 0).astype(np.float32)
-        y, cache = L.maxpool_forward(x, kernel)
+        y, cache = L.maxpool_forward(to_batch_last(x), kernel)
+        y = to_batch_first(y)
         assert (y == 0).mean() > 0.3
         g = rng.choice([-1.5, -0.0, 0.25, 2.0], size=y.shape).astype(np.float32)
-        dx = L.maxpool_backward(g, x.shape, kernel, cache)
+        x_shape = to_batch_last(x).shape
+        dx = to_batch_first(L.maxpool_backward(to_batch_last(g), x_shape, kernel, cache))
         _, ref_dx = maxpool_reference(x, g, kernel)
         assert np.array_equal(dx.view(np.uint32), ref_dx.view(np.uint32))
         # exactly one input of each window receives its output's gradient
         n, c, h, w = x.shape
         ones = np.ones_like(g)
-        routed = L.maxpool_backward(ones, x.shape, kernel, cache)
+        routed = to_batch_first(L.maxpool_backward(to_batch_last(ones), x_shape, kernel, cache))
         per_window = routed.reshape(n, c, h // kernel, kernel, w // kernel, kernel).sum(axis=(3, 5))
         assert np.array_equal(per_window, ones)
 
@@ -654,12 +669,74 @@ class TestEvalChunks:
         monkeypatch.setattr(trainer, "EVAL_CHUNK_BYTES", 1 << 40)  # the budget plays no part
         loss, acc = evaluate(g, init_params(g, 0), Dataset(x, y, "test", 10))
         assert chunk_sizes == [512, 88]
-        # frozen value of the batch-statistics fallback over 512-row chunks
-        assert loss.hex() == "0x1.32849d440c148p+1"
+        # frozen value of the batch-statistics fallback over 512-row chunks;
+        # batch-last activations reduce the float32 statistics in a new
+        # order, so it sits 1e-8 relative from the NCHW engine's value
+        assert loss.hex() == "0x1.32849d24c41e0p+1"
+        assert loss == pytest.approx(float.fromhex("0x1.32849d440c148p+1"), rel=1e-6, abs=0)
         assert acc == 52 / 600
 
 
+class TestNchwPins:
+    """One seeded float64 training step, pinned to the loss and per-slice
+    gradient L2 norms that the NCHW engine computed for it: the batch-last
+    layout may move them by float64 rounding only."""
+
+    PINS = {
+        "lenet-micro": (3.337099466464146, {
+            "conv1.weight": 2.11648669557131, "conv1.bias": 0.4189854486422144,
+            "conv2.weight": 5.84385416705933, "conv2.bias": 0.6331436209744381,
+            "fc1.weight": 19.10052219570454, "fc1.bias": 0.6234798953792761,
+            "fc2.weight": 5.782966389342358, "fc2.bias": 0.6083173305069031,
+        }),
+        "resnet-micro": (2.5288137108998563, {
+            "stem.conv.weight": 0.14597996074687727,
+            "stem.bn.scale": 0.01640258559272391, "stem.bn.shift": 0.04336134690953833,
+            "block1.conv_a.weight": 0.32459138176491625,
+            "block1.bn_a.scale": 0.034843650030056364, "block1.bn_a.shift": 0.037506266825723604,
+            "block1.conv_b.weight": 0.2357674267395573,
+            "block1.bn_b.scale": 0.03751907322831305, "block1.bn_b.shift": 0.023105662336445666,
+            "block2.conv_a.weight": 0.21346328682618881,
+            "block2.bn_a.scale": 0.0345042663216045, "block2.bn_a.shift": 0.024751263255787415,
+            "block2.conv_b.weight": 0.2410743950631367,
+            "block2.bn_b.scale": 0.15575700084580882, "block2.bn_b.shift": 0.2665789667984099,
+            "block2.skip_conv.weight": 0.06404422202790397,
+            "block2.skip_bn.scale": 0.14595946592772294, "block2.skip_bn.shift": 0.2665789667984099,
+            "head.fc.weight": 0.8896223694588355, "head.fc.bias": 0.3956308848338543,
+        }),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_float64_step_matches_nchw_engine(self, name):
+        g = build_model(name)
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(6,) + g.input_shape)
+        y = rng.integers(0, 10, size=6)
+        params = init_params(g, 1, np.float64)
+        loss, grads = loss_and_grad(g, params, x, y, "train", NormState(g, np.float64))
+        want_loss, want_norms = self.PINS[name]
+        assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
+        norms = {s: float(np.linalg.norm(grads.get(s))) for s in grads.names()}
+        assert norms == pytest.approx(want_norms, rel=1e-12, abs=0)
+
+
 class TestConvNetTraining:
+    def test_lenet_micro_training_repeats_byte_for_byte(self):
+        rng = np.random.default_rng(4)
+        data = Dataset(
+            rng.normal(size=(200, 1, 28, 28)).astype(np.float32),
+            rng.integers(0, 10, size=200), "train", 10,
+        )
+        g = lenet_micro()
+        cfg = TrainerConfig(lr=0.05, momentum=0.9, weight_decay=1e-4, batch_size=16)
+        runs = [
+            train_until(g, init_params(g, 6), data, cfg, StopRule(0.0, 12, 4),
+                        np.random.default_rng(6))
+            for _ in range(2)
+        ]
+        assert runs[0].params.data.tobytes() == runs[1].params.data.tobytes()
+        assert [v.hex() for v in runs[0].losses] == [v.hex() for v in runs[1].losses]
+
     def test_small_convnet_learns_synthetic_images(self):
         # class = which quadrant holds the bright blob
         rng = np.random.default_rng(0)
