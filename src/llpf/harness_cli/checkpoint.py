@@ -17,7 +17,6 @@ parameters are cast on save.
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
 from pathlib import Path
 
@@ -25,6 +24,7 @@ import numpy as np
 
 from ..nn_engine.graph import ModelGraph
 from ..param_space import ParamVector
+from .reports import write_atomic
 
 MAGIC = b"LLPF"
 VERSION = 1
@@ -39,7 +39,6 @@ class CheckpointError(ValueError):
 
 def save_checkpoint(params: ParamVector, graph: ModelGraph, path: str | Path) -> None:
     """Write atomically (temp file + rename)."""
-    path = Path(path)
     payload = params.data.astype("<f4").tobytes()
     parts = [MAGIC, struct.pack("<I", VERSION), graph.digest()]
     parts.append(struct.pack("<I", len(params.layout)))
@@ -51,9 +50,7 @@ def save_checkpoint(params: ParamVector, graph: ModelGraph, path: str | Path) ->
         parts.append(struct.pack("<Q", info.length))
     parts.append(payload)
     parts.append(hashlib.blake2b(payload, digest_size=8).digest())
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(b"".join(parts))
-    os.replace(tmp, path)
+    write_atomic(path, b"".join(parts))
 
 
 class _Reader:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -14,7 +13,7 @@ from ..analysis import path_metrics
 from ..llpf_core import PathPoint, PathRecord
 from ..nn_engine.graph import ModelGraph
 from .checkpoint import load_checkpoint, save_checkpoint
-from .reports import emit_csv, metric_fieldnames, read_csv
+from .reports import emit_csv, metric_fieldnames, read_csv, write_atomic
 
 POINTS_DIR = "points"
 
@@ -38,7 +37,8 @@ def write_path_record(out_dir: str | Path, record: PathRecord, graph: ModelGraph
         "stage_boundary": record.stage_boundary,
         "stored_iterations": stored,
     }
-    _write_atomic(out_dir / "record.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
+    write_atomic(out_dir / "record.json", text.encode("utf-8"))
 
 
 def read_path_record(record_dir: str | Path, graph: ModelGraph, dtype=np.float32) -> PathRecord:
@@ -103,10 +103,4 @@ def write_manifest(
     ]
     for key, value in (extra or {}).items():
         lines.append(f"{key} = {value}")
-    _write_atomic(out_dir / "manifest.txt", "\n".join(lines) + "\n")
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    write_atomic(out_dir / "manifest.txt", ("\n".join(lines) + "\n").encode("utf-8"))

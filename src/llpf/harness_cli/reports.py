@@ -7,6 +7,7 @@ byte-identical.  Charts are deterministic text; no plotting backend.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 import os
@@ -41,18 +42,25 @@ def parse_cell(text: str):
         return text
 
 
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``<name>.tmp`` and rename it over ``path``, so a
+    reader never sees a partial file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
 def emit_csv(fieldnames: Sequence[str], rows: Sequence[Mapping], path: str | Path) -> None:
     """Header plus one RFC-4180 line per row, written atomically."""
     if not rows:
         raise ValueError("no rows to write")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([format_cell(row[name]) for name in fieldnames])
-    os.replace(tmp, path)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(fieldnames)
+    for row in rows:
+        writer.writerow([format_cell(row[name]) for name in fieldnames])
+    write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def read_csv(path: str | Path) -> tuple[list[str], list[dict]]:
@@ -187,7 +195,4 @@ def emit_svg(
             f' font-family="sans-serif">{x_label}</text>'
         )
     parts.append("</svg>")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(parts) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    write_atomic(path, ("\n".join(parts) + "\n").encode("utf-8"))

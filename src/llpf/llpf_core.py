@@ -1,16 +1,22 @@
 """Low-loss path search between trained modes.
 
-Every search is one walk loop: move the active layers a bounded step toward
-a destination, repair the moved point, record it.  Two repair policies plug
-into that loop.  The model-to-model search (``llpf_m2m``) walks one mode
-toward another along their shared per-layer variance spheres: it projects
-the moved point back onto the start mode's spheres, retrains briefly, and
-projects again.  The model-to-origin search (``llpf_m2o``) walks a mode
-inward across shrinking spheres: it never corrects variance and never
-touches normalization parameters, and instead rescales each layer's learning
-rate so update angles stay comparable as the radius drops.  The cross-sphere
-connection (``connect_cross_variance``) chains the two to join modes that
-sit on different spheres.
+Every search is one walk loop (``_walk``): move the active layers a bounded
+step toward a destination, repair the moved point, record it.  The walk owns
+what every search shares: the seeded generator its repair rounds draw
+batches from, the arc anchors captured at each phase start, and the returned
+:class:`PathRecord`.  The drivers share one mode-acceptance rule
+(``_accept_modes``) and differ only in their prerequisite checks and in the
+repair policy they hand the walk.
+
+The model-to-model search (``llpf_m2m``) walks one mode toward another along
+their shared per-layer variance spheres: it projects the moved point back
+onto the start mode's spheres, retrains briefly, and projects again.  The
+model-to-origin search (``llpf_m2o``) walks a mode inward across shrinking
+spheres: it never corrects variance and never touches normalization
+parameters, and instead rescales each layer's learning rate so update angles
+stay comparable as the radius drops.  The cross-sphere connection
+(``connect_cross_variance``) chains the two to join modes that sit on
+different spheres.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from .nn_engine.trainer import (
 from .param_space import (
     EPS_VAR,
     ParamVector,
-    VarianceTarget,
     arc_length,
     l2_distance,
     layer_stats,
@@ -166,9 +171,10 @@ def move_toward(
     active_layers: Iterable[str],
 ) -> ParamVector:
     """Move each active layer a bounded distance straight toward the
-    destination; the step never overshoots, and inactive layers are copied
-    unchanged.  ``arc0`` supplies the per-layer arc anchor captured at phase
-    start (required only when ``step_c`` is nonzero)."""
+    destination; the step never overshoots, and inactive layers keep their
+    values.  When no layer moves, ``current`` itself is returned.  ``arc0``
+    supplies the per-layer arc anchor captured at phase start (required only
+    when ``step_c`` is nonzero)."""
     current.require_compatible(dest)
     if step.step_c > 0 and arc0 is None:
         raise ValueError("step_c > 0 requires per-layer arc anchors")
@@ -186,7 +192,7 @@ def move_toward(
         moved = a + (min(s, dist) / dist) * gap
         updates[name] = moved.astype(current.dtype)
     if not updates:
-        return ParamVector(current.copy_data(), current.layout)
+        return current
     return current.with_slices(updates)
 
 
@@ -220,7 +226,7 @@ def _variances(params: ParamVector, names: Iterable[str]) -> dict[str, float]:
     return {name: layer_stats(params.get(name)).variance for name in names}
 
 
-def correctable_layers(params: ParamVector, targets: VarianceTarget) -> tuple[str, ...]:
+def correctable_layers(params: ParamVector, targets: Mapping[str, float]) -> tuple[str, ...]:
     """Weight slices whose captured target variance is meaningfully positive.
     Bias and normalization slices move but are never variance-corrected."""
     return tuple(
@@ -230,7 +236,9 @@ def correctable_layers(params: ParamVector, targets: VarianceTarget) -> tuple[st
     )
 
 
-def _correct(params: ParamVector, names: Iterable[str], targets: VarianceTarget) -> ParamVector:
+def _correct(
+    params: ParamVector, names: Iterable[str], targets: Mapping[str, float]
+) -> ParamVector:
     updates = {
         name: variance_correction(params.get(name), targets[name]) for name in names
     }
@@ -239,15 +247,27 @@ def _correct(params: ParamVector, names: Iterable[str], targets: VarianceTarget)
     return params.with_slices(updates)
 
 
-def _accept_mode(graph, params, subset, threshold, label) -> float:
-    """Loss of a mode on the fixed training subset; a positive ``threshold``
-    it does not beat raises :class:`PrerequisiteError`."""
-    loss, _ = evaluate(graph, params, subset)
-    if threshold is not None and threshold > 0 and loss >= threshold:
-        raise PrerequisiteError(
-            f"{label} mode fails low-loss acceptance: loss {loss:.4g} >= {threshold:.4g}"
-        )
-    return loss
+def _accept_modes(graph, settings, phases, train_data, *modes) -> float:
+    """Score the endpoint modes (start, then dest) on the fixed training
+    subset and return the start's loss.  The threshold is
+    ``settings.mode_acceptance_loss``, by default the first phase's loss
+    threshold; a mode that does not beat it raises
+    :class:`PrerequisiteError`, and a threshold <= 0 skips the check."""
+    threshold = settings.mode_acceptance_loss
+    if threshold is None:
+        threshold = phases[0].stop.loss_threshold
+    if threshold <= 0:
+        log.warning("no positive mode-acceptance threshold; skipping the check")
+    subset = fixed_subset(train_data, settings.eval_subset)
+    losses = []
+    for label, params in zip(("start", "dest"), modes):
+        loss, _ = evaluate(graph, params, subset)
+        if threshold > 0 and loss >= threshold:
+            raise PrerequisiteError(
+                f"{label} mode fails low-loss acceptance: loss {loss:.4g} >= {threshold:.4g}"
+            )
+        losses.append(loss)
+    return losses[0]
 
 
 def _path_trainer(trainer: TrainerConfig) -> TrainerConfig:
@@ -257,14 +277,17 @@ def _path_trainer(trainer: TrainerConfig) -> TrainerConfig:
 
 def _phase_arcs(current, dest, phase):
     """Arc anchors toward ``dest`` for the phase's active layers, or None when
-    its step has no arc term."""
+    its step has no arc term.  Toward an all-zero slice the anchor is the
+    slice's current (float64) radius; from an all-zero slice it is 0."""
     if phase.step.step_c == 0:
         return None
     arcs = {}
     for name in phase.active_layers:
-        a = current.get(name)
+        a = current.get(name).astype(np.float64)
         b = dest.get(name)
-        if np.linalg.norm(a) == 0 or np.linalg.norm(b) == 0:
+        if np.linalg.norm(b) == 0:
+            arcs[name] = float(np.linalg.norm(a))
+        elif np.linalg.norm(a) == 0:
             arcs[name] = 0.0  # arc undefined at the center; contributes nothing
         else:
             arcs[name] = arc_length(a, b)
@@ -281,23 +304,25 @@ def _walk(
     phases: Sequence[Phase],
     layers: Sequence[str],
     start_loss: float,
-    repair: Callable[[ParamVector, Phase], tuple[ParamVector, TrainResult]],
-    arcs: Callable[[ParamVector, Phase], Mapping[str, float] | None],
+    repair: Callable[[ParamVector, Phase, np.random.Generator], tuple[ParamVector, TrainResult]],
     *,
     test_data: Dataset | None,
     settings: SearchSettings,
     stop_when: Callable[[ParamVector], bool] | None = None,
-) -> list[PathPoint]:
+) -> PathRecord:
     """Walk from ``start`` toward ``dest`` through the phase schedule.
 
     Each iteration moves the phase's active layers, hands the moved point to
-    ``repair`` and records the repaired point: its repair loss, its
+    ``repair`` together with the walk's one generator (seeded from
+    ``settings.seed``), and records the repaired point: its repair loss, its
     per-layer distance to ``dest`` over ``layers``, and its test metrics.
-    ``arcs`` supplies the arc anchors at each phase start.  The walk ends
-    early, before moving, once ``stop_when`` holds for the current point.
-    Params are kept for the start, every ``checkpoint_stride``-th iteration,
-    the scheduled last iteration, and the point the walk ends on.
+    Arc anchors toward ``dest`` are captured at each phase start.  The walk
+    ends early, before moving, once ``stop_when`` holds for the current
+    point.  Params are kept for the start, every ``checkpoint_stride``-th
+    iteration, the scheduled last iteration, and the point the walk ends on.
+    The record is labelled with ``settings.endpoint_ids``.
     """
+    rng = np.random.default_rng(settings.seed)
     total = sum(p.iterations for p in phases)
     points: list[PathPoint] = []
 
@@ -326,13 +351,15 @@ def _walk(
         if stop_when is not None and stop_when(current):
             break
         if k != arc_phase:
-            arc_phase, arc0 = k, arcs(current, phase)
+            arc_phase, arc0 = k, _phase_arcs(current, dest, phase)
         moved = move_toward(current, dest, arc0, phase.step, phase.active_layers)
-        current, result = repair(moved, phase)
+        current, result = repair(moved, phase, rng)
         exhausted = phase.stop.loss_threshold > 0 and not result.hit_threshold
         record(iteration, k, current, result.rolling_loss, exhausted)
     points[-1].params = current
-    return points
+    return PathRecord(
+        points=points, config_hash=settings.config_hash, endpoints=settings.endpoint_ids
+    )
 
 
 # -- model-to-model search ------------------------------------------------------
@@ -359,10 +386,9 @@ def llpf_m2m(
     """
     start.require_compatible(dest)
     plan.validate_against(graph)
-    rng = np.random.default_rng(settings.seed)
     trainer = _path_trainer(trainer)
 
-    targets = VarianceTarget(_variances(start, start.names()), settings.endpoint_ids[0])
+    targets = _variances(start, start.names())
     correctable = correctable_layers(start, targets)
 
     bound = settings.variance_ratio_bound
@@ -378,16 +404,9 @@ def llpf_m2m(
                 " use connect_cross_variance"
             )
 
-    acceptance = settings.mode_acceptance_loss
-    if acceptance is None:
-        acceptance = plan.phases[0].stop.loss_threshold
-    if acceptance <= 0:
-        log.warning("no positive mode-acceptance threshold; skipping the check")
-    subset = fixed_subset(train_data, settings.eval_subset)
-    start_loss = _accept_mode(graph, start, subset, acceptance, "start")
-    _accept_mode(graph, dest, subset, acceptance, "dest")
+    start_loss = _accept_modes(graph, settings, plan.phases, train_data, start, dest)
 
-    def repair(moved, phase):
+    def repair(moved, phase, rng):
         names = [n for n in phase.active_layers if n in correctable]
         result = train_until(
             graph, _correct(moved, names, targets), train_data, trainer, phase.stop, rng,
@@ -395,15 +414,9 @@ def llpf_m2m(
         )
         return _correct(result.params, names, targets), result
 
-    points = _walk(
+    return _walk(
         graph, start, dest, plan.phases, graph.slice_names(), start_loss, repair,
-        lambda current, phase: _phase_arcs(current, dest, phase),
         test_data=test_data, settings=settings,
-    )
-    return PathRecord(
-        points=points,
-        config_hash=settings.config_hash,
-        endpoints=settings.endpoint_ids,
     )
 
 
@@ -420,19 +433,19 @@ def llpf_m2o(
     graph: ModelGraph,
     settings: SearchSettings = SearchSettings(),
     destination: ParamVector | None = None,
-    var_stop: tuple[VarianceTarget, float] | None = None,
+    var_stop: tuple[Mapping[str, float], float] | None = None,
 ) -> PathRecord:
     """Walk a mode inward across shrinking variance spheres.
 
     The destination defaults to the origin restricted to the non-excluded
-    layers.  There is no variance correction; instead each layer's learning
-    rate is rescaled by its current-to-start variance ratio, so excluded
-    layers (``cfg.excluded_layers`` and every normalization parameter) stay
+    layers, and the record then names it ``"origin"``.  There is no variance
+    correction; instead each layer's learning rate is rescaled by its
+    current-to-start variance ratio, so excluded layers
+    (``cfg.excluded_layers`` and every normalization parameter) stay
     bit-identical.  ``var_stop`` optionally ends the walk once every
     correctable layer's variance is within a factor of the given targets
     (used by the cross-sphere connection).
     """
-    rng = np.random.default_rng(settings.seed)
     trainer = _path_trainer(trainer)
 
     excluded = set(cfg.excluded_layers)
@@ -448,28 +461,19 @@ def llpf_m2o(
         if v <= 0:
             raise ValueError(f"base variance must be positive for layer {name!r}")
 
-    acceptance = settings.mode_acceptance_loss
-    if acceptance is None:
-        acceptance = cfg.stop.loss_threshold
-    start_loss = _accept_mode(
-        graph, start, fixed_subset(train_data, settings.eval_subset), acceptance, "start"
-    )
+    phases = [Phase(active, cfg.iterations, cfg.step, cfg.stop)]
+    start_loss = _accept_modes(graph, settings, phases, train_data, start)
 
     if destination is None:
         dest = start.with_slices({n: np.zeros(start.info(n).length) for n in active})
-
-        def arcs(current, phase):  # the walk's single phase starts at the start radii
-            return {n: float(np.linalg.norm(current.get(n).astype(np.float64))) for n in active}
+        settings = replace(settings, endpoint_ids=(settings.endpoint_ids[0], "origin"))
     else:
         start.require_compatible(destination)
         dest = destination
 
-        def arcs(current, phase):
-            return _phase_arcs(current, dest, phase)
-
     step_trainer = replace(trainer, lr=cfg.eta_base)
 
-    def repair(moved, phase):
+    def repair(moved, phase, rng):
         rates = angle_conformal(moved, v_base, cfg.eta_base, excluded)
         result = train_until(
             graph, moved, train_data, step_trainer, phase.stop, rng,
@@ -488,15 +492,9 @@ def llpf_m2o(
                 for name, v in _variances(current, stop_layers).items()
             )
 
-    points = _walk(
-        graph, start, dest, [Phase(active, cfg.iterations, cfg.step, cfg.stop)], active,
-        start_loss, repair, arcs,
+    return _walk(
+        graph, start, dest, phases, active, start_loss, repair,
         test_data=test_data, settings=settings, stop_when=stop_when,
-    )
-    return PathRecord(
-        points=points,
-        config_hash=settings.config_hash,
-        endpoints=(settings.endpoint_ids[0], "origin" if destination is None else settings.endpoint_ids[1]),
     )
 
 
@@ -532,7 +530,7 @@ def connect_cross_variance(
     """
     start.require_compatible(dest)
 
-    dest_targets = VarianceTarget(_variances(dest, dest.names()), settings.endpoint_ids[1])
+    dest_targets = _variances(dest, dest.names())
     correctable = correctable_layers(dest, dest_targets)
     if not correctable:
         raise ValueError("no correctable layers to project")
@@ -578,7 +576,6 @@ def connect_cross_variance(
         endpoints=settings.endpoint_ids,
         stage_boundary=len(stage1.points) - 1,
     )
-
 
 
 # -- data-flow phase ordering ------------------------------------------------------

@@ -48,11 +48,6 @@ class NormState:
     def put(self, name: str, mean: np.ndarray, var: np.ndarray) -> None:
         self.buffers[name] = (mean, var)
 
-    def copy(self) -> "NormState":
-        out = object.__new__(NormState)
-        out.buffers = {k: (m.copy(), v.copy()) for k, (m, v) in self.buffers.items()}
-        return out
-
 
 def init_params(graph: ModelGraph, seed: int, dtype=np.float32) -> ParamVector:
     """Seeded initialization: Kaiming-uniform weights scaled by fan-in,

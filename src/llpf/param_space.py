@@ -48,20 +48,6 @@ class LayerStats:
     n: int
 
 
-@dataclass(frozen=True)
-class VarianceTarget:
-    """Per-layer target variances captured from a reference mode."""
-
-    targets: Mapping[str, float]
-    captured_from: str = ""
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.targets
-
-    def __getitem__(self, name: str) -> float:
-        return self.targets[name]
-
-
 class Layout(tuple):
     """A validated tuple of :class:`SliceInfo`: contiguous from offset 0,
     unique names, known kinds.  It also carries ``index`` (slice name ->
@@ -167,14 +153,6 @@ class ParamVector:
 
     def astype(self, dtype) -> "ParamVector":
         return ParamVector(self.data.astype(dtype), self.layout)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ParamVector):
-            return NotImplemented
-        return self.layout_compatible(other) and np.array_equal(self.data, other.data)
-
-    def __repr__(self) -> str:
-        return f"ParamVector(D={self.size}, slices={len(self.layout)})"
 
 
 def layer_stats(values: np.ndarray) -> LayerStats:

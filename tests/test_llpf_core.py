@@ -1,3 +1,5 @@
+import hashlib
+import logging
 from dataclasses import fields, replace
 
 import numpy as np
@@ -257,6 +259,19 @@ class TestM2O:
         assert len(record.points) == 1
         assert record.points[0].params is mode
         assert record.endpoints[1] == "origin"
+
+    def test_nonpositive_acceptance_threshold_warns(self, blobs, quick_mode, caplog):
+        train, _ = blobs
+        g, mode = quick_mode
+        cfg = M2OConfig(
+            iterations=0, step=StepParams(step_a=1e-3), stop=StopRule(0.0, 1, 1), eta_base=1e-3,
+        )
+        with caplog.at_level(logging.WARNING, logger="llpf.llpf_core"):
+            llpf_m2o(
+                mode, cfg, TrainerConfig(lr=1e-3), train, None,
+                settings=SearchSettings(mode_acceptance_loss=0.0), graph=g,
+            )
+        assert "no positive mode-acceptance threshold" in caplog.text
 
     def test_excluded_layers_bit_identical(self, blobs):
         rng = np.random.default_rng(0)
@@ -544,6 +559,160 @@ class TestMultiPhase:
         assert anchored[1][0] is record.points[3].params  # the last point of phase 1
 
 
+class TestPhaseArcs:
+    CURRENT = {"w": [3.0, 4.0], "v": [0.0, 0.0]}
+
+    @pytest.mark.parametrize(
+        "dest, expected",
+        [
+            # toward an all-zero slice: the current radius, also 0 from the center
+            ({"w": [0.0, 0.0], "v": [0.0, 0.0]}, {"w": 5.0, "v": 0.0}),
+            # toward a nonzero slice: arc_length, and 0 from the center
+            ({"w": [-4.0, 3.0], "v": [1.0, 0.0]}, {"w": 2.5 * np.pi, "v": 0.0}),
+        ],
+    )
+    def test_anchors(self, dest, expected):
+        phase = Phase(("w", "v"), 1, StepParams(step_c=1.0), StopRule(0.0, 1, 1))
+        arcs = llpf_core._phase_arcs(vector(self.CURRENT), vector(dest), phase)
+        assert arcs == pytest.approx(expected)
+
+    def test_radius_toward_origin_is_float64(self):
+        values = np.random.default_rng(0).normal(size=101).astype(np.float32)
+        layout = (SliceInfo("w", 0, 101, "weight"),)
+        current = ParamVector(values, layout)
+        origin = ParamVector(np.zeros(101, dtype=np.float32), layout)
+        phase = Phase(("w",), 1, StepParams(step_c=1.0), StopRule(0.0, 1, 1))
+        arcs = llpf_core._phase_arcs(current, origin, phase)
+        assert arcs["w"] == float(np.linalg.norm(values.astype(np.float64)))
+
+    def test_no_arc_term_gives_none(self):
+        phase = Phase(("w", "v"), 1, StepParams(step_a=1.0), StopRule(0.0, 1, 1))
+        current = vector(self.CURRENT)
+        assert llpf_core._phase_arcs(current, current, phase) is None
+
+
+def spy_generators(monkeypatch):
+    """Record each repair round's generator and its state at the call."""
+    seen = []
+    real = llpf_core.train_until
+
+    def spy(graph, params, data, trainer, stop, rng, **kw):
+        seen.append((rng, rng.bit_generator.state))
+        return real(graph, params, data, trainer, stop, rng, **kw)
+
+    monkeypatch.setattr(llpf_core, "train_until", spy)
+    return seen
+
+
+def assert_one_fresh_generator_each(walks, seed):
+    fresh = np.random.default_rng(seed).bit_generator.state
+    for walk in walks:
+        assert all(rng is walk[0][0] for rng, _ in walk)
+        assert walk[0][1] == fresh
+    assert walks[0][0][0] is not walks[1][0][0]
+
+
+class TestWalkGenerator:
+    SEED = 11
+
+    def test_one_generator_per_walk(self, blobs, quick_mode, monkeypatch):
+        train, _ = blobs
+        g, mode = quick_mode
+        partner = mode.with_slices({"fc1.weight": mode.get("fc1.weight")[::-1]})
+        step, stop = StepParams(step_f=1e-3), StopRule(0.0, 1, 10)
+        plan = PhasePlan(
+            (
+                Phase(("fc1.weight", "fc1.bias"), 3, step, stop),
+                Phase(tuple(g.slice_names()), 3, step, stop),
+            )
+        )
+        settings = SearchSettings(seed=self.SEED, mode_acceptance_loss=0.0)
+        trainer = TrainerConfig(lr=1e-5, batch_size=32)
+        seen = spy_generators(monkeypatch)
+        llpf_m2m(mode, partner, plan, trainer, train, None, settings=settings, graph=g)
+        cfg = M2OConfig(iterations=3, step=StepParams(step_a=1e-3), stop=stop, eta_base=1e-3)
+        llpf_m2o(mode, cfg, trainer, train, None, settings=settings, graph=g)
+        assert len(seen) == 9
+        assert_one_fresh_generator_each([seen[:6], seen[6:]], self.SEED)
+
+    def test_cross_variance_stages_get_fresh_generators(self, blobs, quick_mode, monkeypatch):
+        train, _ = blobs
+        g, mode = quick_mode
+        bigger = mode.with_slices({n: mode.get(n) * 1.1 for n in ("fc1.weight", "fc2.weight")})
+        stop = StopRule(0.0, 1, 1)
+        cfg = CrossVarianceConfig(
+            m2o=M2OConfig(iterations=5000, step=StepParams(step_a=5e-3), stop=stop, eta_base=1e-3),
+            m2m_plan=single_phase_plan(g, 3, StepParams(step_f=1e-3), stop),
+        )
+        seen = spy_generators(monkeypatch)
+        record = connect_cross_variance(
+            bigger, mode, cfg, TrainerConfig(lr=1e-3, batch_size=32), train, None,
+            settings=SearchSettings(seed=self.SEED, mode_acceptance_loss=0.5), graph=g,
+        )
+        split = record.stage_boundary
+        assert split > 0 and len(seen) == len(record.points) - 1
+        assert_one_fresh_generator_each([seen[:split], seen[split:]], self.SEED)
+
+
+def record_digest(records) -> str:
+    """sha256 over every point's fields and every kept param, in order."""
+    h = hashlib.sha256()
+    for record in records:
+        h.update(repr((record.endpoints, record.stage_boundary)).encode())
+        for p in record.points:
+            h.update(repr((
+                p.iteration, p.phase, p.rolling_train_loss, sorted(p.per_layer_dist.items()),
+                p.test_loss, p.test_acc, p.train_exhausted,
+            )).encode())
+            if p.params is not None:
+                h.update(p.params.data.tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedWalks:
+    """Byte-level pins for the walks the benchmark never runs: an arc-anchored
+    origin walk, a two-phase arc-anchored m2m and a cross-sphere chain."""
+
+    DIGEST = "4610b9b6fa6b945d29fdf8625a48cc2ce970c48a2f8eef44230865c4efc4e886"
+
+    def test_digest(self):
+        train, test = gen_blobs(3, 20, 600, seed=7)
+        g = mlp2(20, 16, 3)
+        cfg = TrainerConfig(lr=0.1, momentum=0.9, weight_decay=1e-3, batch_size=32)
+        a, b = (
+            train_until(g, init_params(g, s), train, cfg, StopRule(0.0, 600, 10),
+                        np.random.default_rng(s)).params
+            for s in (1, 2)
+        )
+        trainer = TrainerConfig(lr=1e-3, batch_size=32)
+        settings = SearchSettings(seed=5, checkpoint_stride=3, mode_acceptance_loss=0.5)
+        stop = StopRule(0.0, 2, 10)
+        m2o = llpf_m2o(
+            a, M2OConfig(iterations=8, step=StepParams(step_a=1e-2, step_c=2e-2), stop=stop,
+                         eta_base=1e-3),
+            trainer, train, test, settings=settings, graph=g,
+        )
+        arc_step = StepParams(step_a=1e-2, step_c=1e-2, step_f=1e-3)
+        plan = PhasePlan((
+            Phase(("fc1.weight", "fc1.bias"), 4, arc_step, stop),
+            Phase(tuple(g.slice_names()), 4, arc_step, stop),
+        ))
+        partner = a.with_slices({"fc1.weight": a.get("fc1.weight")[::-1]})
+        m2m = llpf_m2m(a, partner, plan, trainer, train, test, graph=g,
+                       settings=replace(settings, mode_acceptance_loss=0.0))
+        avs = connect_cross_variance(
+            b, a,
+            CrossVarianceConfig(
+                m2o=M2OConfig(iterations=2000, step=StepParams(step_a=2e-2, step_c=1e-2),
+                              stop=stop, eta_base=1e-3),
+                m2m_plan=plan,
+            ),
+            trainer, train, test, settings=settings, graph=g,
+        )
+        assert avs.stage_boundary > 0
+        assert record_digest([m2o, m2m, avs]) == self.DIGEST
+
+
 class TestBatchNormPath:
     def test_m2m_over_fdf_phases_with_norm_layers(self):
         from llpf.nn_engine import Dataset
@@ -635,4 +804,4 @@ class TestPathStepAugmentation:
                 assert p.rolling_train_loss == q.rolling_train_loss
                 assert p.params.data.tobytes() == q.params.data.tobytes()
             # the repair rounds did train: the walk left the start mode
-            assert a.points[-1].params != mode
+            assert a.points[-1].params.data.tobytes() != mode.data.tobytes()

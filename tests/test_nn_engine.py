@@ -219,15 +219,19 @@ class TestForward:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(8, 1, 8, 8)).astype(np.float32)
         state = NormState(g, np.float32)
-        before = {k: (m.copy(), v.copy()) for k, (m, v) in state.buffers.items()}
+
+        def snapshot():
+            return {k: (m.copy(), v.copy()) for k, (m, v) in state.buffers.items()}
+
+        before = snapshot()
         forward(g, params, x, "train", state)
         assert any(
             not np.array_equal(state.buffers[k][0], before[k][0]) for k in before
         )
-        frozen = state.copy()
+        frozen = snapshot()
         forward(g, params, x, "eval", state)
-        for k in frozen.buffers:
-            assert np.array_equal(state.buffers[k][0], frozen.buffers[k][0])
+        for k in frozen:
+            assert np.array_equal(state.buffers[k][0], frozen[k][0])
 
 
 class TestLossAndGrad:
