@@ -18,6 +18,7 @@ from .nn_engine.trainer import (
     TrainerConfig,
     evaluate,
     fixed_subset,
+    norm_rows,
     train_until,
 )
 from .param_space import ParamVector, l2_distance, layer_stats, radial_norm_sq
@@ -66,7 +67,9 @@ def interpolation_continuity(
 
     Every alpha is evaluated on one fixed, seeded subset of the training set
     so segment curves are comparable and the check is deterministic; an
-    ``eval_size`` at least the size of the set evaluates all of it.
+    ``eval_size`` at least the size of the set evaluates all of it.  A
+    batch-norm model fits its statistics at every blend from the same
+    :func:`norm_rows` of the set.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -74,6 +77,7 @@ def interpolation_continuity(
     if len(stored) < 2:
         raise ValueError("need at least two stored full-parameter points")
     subset = fixed_subset(data, eval_size)
+    norm_x = norm_rows(data)
     alphas = np.linspace(0.0, 1.0, samples)
     seg_losses = []
     bounds = []
@@ -84,7 +88,7 @@ def interpolation_continuity(
         for alpha in alphas:
             blend = ((1.0 - alpha) * pa + alpha * pb).astype(a.params.dtype)
             params = ParamVector(blend, a.params.layout)
-            loss, _ = evaluate(graph, params, subset)
+            loss, _ = evaluate(graph, params, subset, norm_x)
             losses.append(loss)
         seg_losses.append(losses)
         bounds.append((a.iteration, b.iteration))
@@ -97,6 +101,7 @@ def path_metrics(
     graph: ModelGraph | None = None,
     test_data: Dataset | None = None,
     recompute: bool = False,
+    norm_x: np.ndarray | None = None,
 ) -> list[dict[str, float]]:
     """One row per path point: iteration, phase, rolling train loss, per-layer
     distance to the destination (per-layer norm when it is the origin), test
@@ -106,6 +111,8 @@ def path_metrics(
     Rows come from the recorded point metrics; with ``recompute=True`` the
     distance and test columns are recomputed from stored checkpoints instead,
     which is the cross-check oracle (points without checkpoints are skipped).
+    A batch-norm model's test metrics need ``norm_x``, the training rows its
+    statistics are fitted on (:func:`norm_rows` of the training set).
     """
     rows = []
     for p in path.points:
@@ -120,7 +127,7 @@ def path_metrics(
             else:
                 dists = l2_distance(p.params, destination, list(p.per_layer_dist))
             if test_data is not None and graph is not None:
-                t_loss, t_acc = evaluate(graph, p.params, test_data)
+                t_loss, t_acc = evaluate(graph, p.params, test_data, norm_x)
             else:
                 t_loss, t_acc = p.test_loss, p.test_acc
         else:
@@ -179,12 +186,13 @@ def seed_variance_study(
         name: [] for name in graph.slice_names()
     }
     subset = fixed_subset(data, eval_size)
+    norm_x = norm_rows(data)
     failed = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         params = train_until(graph, init_params(graph, seed), data, trainer, rule, rng).params
         if acceptance_loss is not None:
-            loss, _ = evaluate(graph, params, subset)
+            loss, _ = evaluate(graph, params, subset, norm_x)
             if loss >= acceptance_loss:
                 log.warning("seed %d failed mode acceptance (loss %.4g)", seed, loss)
                 failed.append(seed)

@@ -19,7 +19,7 @@ import numpy as np
 from ..analysis import interpolation_continuity, path_metrics, seed_variance_study
 from ..llpf_core import connect_cross_variance, llpf_m2m, llpf_m2o
 from ..nn_engine.engine import init_params
-from ..nn_engine.trainer import evaluate, fixed_subset, train_until
+from ..nn_engine.trainer import evaluate, fixed_subset, norm_rows, train_until
 from ..param_space import LayoutMismatch
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, parse_config
@@ -116,12 +116,13 @@ def cmd_train_modes(args) -> int:
     started = datetime.now(timezone.utc)
 
     subset = fixed_subset(train_data, out.eval_subset)
+    norm_x = norm_rows(train_data)
     for seed in seeds:
         result = train_until(
             graph, init_params(graph, seed), train_data, modes.trainer,
             modes.rule, np.random.default_rng(seed),
         )
-        loss, acc = evaluate(graph, result.params, subset)
+        loss, acc = evaluate(graph, result.params, subset, norm_x)
         ckpt = out.out_dir / f"mode_{seed}.ckpt"
         save_checkpoint(result.params, graph, ckpt)
         rows = [

@@ -36,6 +36,7 @@ from .nn_engine.trainer import (
     TrainResult,
     evaluate,
     fixed_subset,
+    norm_rows,
     train_until,
 )
 from .param_space import (
@@ -259,9 +260,10 @@ def _accept_modes(graph, settings, phases, train_data, *modes) -> float:
     if threshold <= 0:
         log.warning("no positive mode-acceptance threshold; skipping the check")
     subset = fixed_subset(train_data, settings.eval_subset)
+    norm_x = norm_rows(train_data)
     losses = []
     for label, params in zip(("start", "dest"), modes):
-        loss, _ = evaluate(graph, params, subset)
+        loss, _ = evaluate(graph, params, subset, norm_x)
         if threshold > 0 and loss >= threshold:
             raise PrerequisiteError(
                 f"{label} mode fails low-loss acceptance: loss {loss:.4g} >= {threshold:.4g}"
@@ -306,6 +308,7 @@ def _walk(
     start_loss: float,
     repair: Callable[[ParamVector, Phase, np.random.Generator], tuple[ParamVector, TrainResult]],
     *,
+    train_data: Dataset,
     test_data: Dataset | None,
     settings: SearchSettings,
     stop_when: Callable[[ParamVector], bool] | None = None,
@@ -315,7 +318,8 @@ def _walk(
     Each iteration moves the phase's active layers, hands the moved point to
     ``repair`` together with the walk's one generator (seeded from
     ``settings.seed``), and records the repaired point: its repair loss, its
-    per-layer distance to ``dest`` over ``layers``, and its test metrics.
+    per-layer distance to ``dest`` over ``layers``, and its test metrics
+    (batch-norm statistics fitted on :func:`norm_rows` of ``train_data``).
     Arc anchors toward ``dest`` are captured at each phase start.  The walk
     ends early, before moving, once ``stop_when`` holds for the current
     point.  Params are kept for the start, every ``checkpoint_stride``-th
@@ -323,13 +327,14 @@ def _walk(
     The record is labelled with ``settings.endpoint_ids``.
     """
     rng = np.random.default_rng(settings.seed)
+    norm_x = norm_rows(train_data)
     total = sum(p.iterations for p in phases)
     points: list[PathPoint] = []
 
     def record(iteration, phase_idx, params, loss, exhausted):
         t_loss, t_acc = float("nan"), float("nan")
         if test_data is not None:
-            t_loss, t_acc = evaluate(graph, params, test_data)
+            t_loss, t_acc = evaluate(graph, params, test_data, norm_x)
         keep = iteration % settings.checkpoint_stride == 0 or iteration == total
         points.append(
             PathPoint(
@@ -405,18 +410,18 @@ def llpf_m2m(
             )
 
     start_loss = _accept_modes(graph, settings, plan.phases, train_data, start, dest)
+    repair_data = replace(train_data, augment=None)
 
     def repair(moved, phase, rng):
         names = [n for n in phase.active_layers if n in correctable]
         result = train_until(
-            graph, _correct(moved, names, targets), train_data, trainer, phase.stop, rng,
-            augment=False,
+            graph, _correct(moved, names, targets), repair_data, trainer, phase.stop, rng
         )
         return _correct(result.params, names, targets), result
 
     return _walk(
         graph, start, dest, plan.phases, graph.slice_names(), start_loss, repair,
-        test_data=test_data, settings=settings,
+        train_data=train_data, test_data=test_data, settings=settings,
     )
 
 
@@ -472,12 +477,12 @@ def llpf_m2o(
         dest = destination
 
     step_trainer = replace(trainer, lr=cfg.eta_base)
+    repair_data = replace(train_data, augment=None)
 
     def repair(moved, phase, rng):
         rates = angle_conformal(moved, v_base, cfg.eta_base, excluded)
         result = train_until(
-            graph, moved, train_data, step_trainer, phase.stop, rng,
-            lr_map=rates, augment=False,
+            graph, moved, repair_data, step_trainer, phase.stop, rng, lr_map=rates
         )
         return result.params, result
 
@@ -494,7 +499,7 @@ def llpf_m2o(
 
     return _walk(
         graph, start, dest, phases, active, start_loss, repair,
-        test_data=test_data, settings=settings, stop_when=stop_when,
+        train_data=train_data, test_data=test_data, settings=settings, stop_when=stop_when,
     )
 
 

@@ -1,6 +1,6 @@
 """Minimal numpy training engine: graphs, init, autodiff, SGD, datasets."""
 
-from .engine import NormState, forward, init_params, loss_and_grad
+from .engine import forward, init_params, loss_and_grad, norm_stats
 from .graph import GraphError, GraphNode, ModelGraph, build_model, lenet_micro, mlp2, resnet_micro
 from .trainer import (
     AugmentSpec,
@@ -9,8 +9,8 @@ from .trainer import (
     TrainerConfig,
     TrainResult,
     evaluate,
-    fit_norm_buffers,
     fixed_subset,
+    norm_rows,
     sample_batch,
     sgd_step,
     train_until,
@@ -22,19 +22,19 @@ __all__ = [
     "GraphError",
     "GraphNode",
     "ModelGraph",
-    "NormState",
     "StopRule",
     "TrainerConfig",
     "TrainResult",
     "build_model",
     "evaluate",
-    "fit_norm_buffers",
     "fixed_subset",
     "forward",
     "init_params",
     "lenet_micro",
     "loss_and_grad",
     "mlp2",
+    "norm_rows",
+    "norm_stats",
     "resnet_micro",
     "sample_batch",
     "sgd_step",

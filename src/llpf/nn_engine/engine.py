@@ -12,9 +12,11 @@ batch-first, (N, F): ``flatten``, and a dense node reading an image, switch
 layouts through one ``reshape(-1, N).T`` view, which keeps the features in
 C, H, W order, so parameters, checkpoints and logits are layout-free.
 
-Normalization running statistics are buffers, not trainable parameters; they
-live in a :class:`NormState` owned by the caller and never appear in the
-``ParamVector`` layout.
+A batch_norm node normalizes with the (mean, population variance) its caller
+fixes, and otherwise with its own batch's.  Training always uses the batch's.
+Evaluation fixes the statistics that :func:`norm_stats` fits at the evaluated
+parameters, so a loss does not depend on how the data is chunked.  The
+statistics are never parameters: they are not in the ``ParamVector`` layout.
 """
 
 from __future__ import annotations
@@ -26,27 +28,6 @@ import numpy as np
 from ..param_space import ParamVector
 from . import layers as L
 from .graph import ModelGraph
-
-
-class NormState:
-    """Running mean/variance buffers for every batch_norm node."""
-
-    def __init__(self, graph: ModelGraph, dtype=np.float32):
-        self.buffers: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for node in graph.plan:
-            if node.kind != "batch_norm":
-                continue
-            c = node.in_shape[0]
-            self.buffers[node.name] = (
-                np.zeros(c, dtype=dtype),
-                np.ones(c, dtype=dtype),
-            )
-
-    def get(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        return self.buffers[name]
-
-    def put(self, name: str, mean: np.ndarray, var: np.ndarray) -> None:
-        self.buffers[name] = (mean, var)
 
 
 def init_params(graph: ModelGraph, seed: int, dtype=np.float32) -> ParamVector:
@@ -73,30 +54,36 @@ def forward(
     graph: ModelGraph,
     params: ParamVector,
     x: np.ndarray,
-    mode: str = "train",
-    norm_state: NormState | None = None,
+    stats: dict[str, tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> np.ndarray:
     """Run the graph on a batch and return logits.
 
-    In train mode batch_norm uses batch statistics and updates ``norm_state``
-    in place; eval mode reads the running buffers and requires them.
+    ``stats`` maps batch_norm node names to the (mean, var) each normalizes
+    with; by default every batch_norm uses the batch's own statistics.
     """
-    logits, _ = _execute(graph, params, x, mode, norm_state, want_caches=False)
+    logits, _ = _execute(graph, params, x, stats, want_caches=False)
     return logits
 
 
-def _execute(graph, params, x, mode, norm_state, want_caches):
-    if mode not in ("train", "eval"):
-        raise ValueError(f"unknown mode {mode!r}")
+def norm_stats(
+    graph: ModelGraph, params: ParamVector, x: np.ndarray
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each batch_norm node's batch (mean, population var) over ``x``, from
+    one forward pass at ``params``."""
+    stats: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    _execute(graph, params, x, stats, want_caches=False)
+    return stats
+
+
+def _execute(graph, params, x, stats, want_caches):
+    """Forward pass.  A batch_norm node named in ``stats`` normalizes with
+    those statistics; one missing from a ``stats`` dict uses its batch's and
+    records them there."""
     x = np.asarray(x)
     if x.shape[1:] != graph.input_shape:
         raise ValueError(
             f"batch shape {x.shape[1:]} does not match model input {graph.input_shape}"
         )
-    if graph.has_norm_layers() and norm_state is None:
-        if mode == "eval":
-            raise ValueError("eval mode needs a NormState with fitted buffers")
-        norm_state = NormState(graph, dtype=x.dtype)
     if x.ndim == 4:
         x = x.transpose(1, 2, 3, 0)
     data = params.data
@@ -118,12 +105,10 @@ def _execute(graph, params, x, mode, norm_state, want_caches):
             values[name] = y
             caches[name] = (a.shape, cols)
         elif node.kind == "batch_norm":
-            r_mean, r_var = norm_state.get(name)
-            y, cache, new_mean, new_var = L.batchnorm_forward(
-                a, p[0], p[1], mode, r_mean, r_var
-            )
-            if mode == "train":
-                norm_state.put(name, new_mean, new_var)
+            fixed = None if stats is None else stats.get(name)
+            y, cache = L.batchnorm_forward(a, p[0], p[1], fixed)
+            if stats is not None:
+                stats[name] = cache[2]
             values[name] = y
             caches[name] = (a, cache)
         elif node.kind == "relu":
@@ -158,12 +143,15 @@ def loss_and_grad(
     batch_x: np.ndarray,
     batch_y: np.ndarray,
     mode: str = "train",
-    norm_state: NormState | None = None,
 ) -> tuple[float, ParamVector]:
-    """Mean cross-entropy over the batch and its gradient as a ParamVector."""
-    logits, (values, caches) = _execute(
-        graph, params, batch_x, mode, norm_state, want_caches=True
-    )
+    """Mean cross-entropy over the batch and its gradient as a ParamVector.
+
+    Every batch_norm normalizes with the batch's statistics; ``mode`` names
+    that and accepts nothing but ``"train"``.
+    """
+    if mode != "train":
+        raise ValueError(f"loss_and_grad runs in train mode only, not {mode!r}")
+    logits, (values, caches) = _execute(graph, params, batch_x, None, want_caches=True)
     loss, dlogits = L.softmax_cross_entropy(logits, np.asarray(batch_y))
 
     grads: dict[str, np.ndarray] = {graph.sink: dlogits}

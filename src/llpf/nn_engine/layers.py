@@ -11,6 +11,10 @@ forward is an elementwise max over the k*k strided window views; backward
 gives each output's gradient to the first input in row-major window order
 that equals the max, so ties (ReLU zeros) never double-count gradient and
 eval forwards never pay for picking winners.
+
+Batch norm normalizes with the statistics its caller fixes, or else with the
+batch's own; its backward is the batch-statistics gradient, the only one that
+training takes.
 """
 
 from __future__ import annotations
@@ -120,42 +124,30 @@ def _bn_shape(x):
     return (1, -1) if x.ndim == 2 else (-1, 1, 1, 1)
 
 
-def batchnorm_forward(x, scale, shift, mode, running_mean, running_var, momentum=0.1):
-    """Returns (y, cache, new_running_mean, new_running_var).
-
-    Train mode normalizes with batch statistics (population variance) and
-    blends them into the running buffers; eval mode uses the buffers as-is.
-    """
+def batchnorm_forward(x, scale, shift, stats=None):
+    """Returns (y, cache).  Normalizes with ``stats`` = (mean, var) when the
+    caller fixes them, otherwise with the batch's own mean and population
+    variance; the cache ends with the (mean, var) pair that was used."""
     axes = _bn_axes(x)
     shape = _bn_shape(x)
-    if mode == "train":
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
-        new_mean = (1 - momentum) * running_mean + momentum * mean.astype(running_mean.dtype)
-        new_var = (1 - momentum) * running_var + momentum * var.astype(running_var.dtype)
-    else:
-        mean = running_mean.astype(x.dtype)
-        var = running_var.astype(x.dtype)
-        new_mean, new_var = running_mean, running_var
+    if stats is None:
+        stats = x.mean(axis=axes), x.var(axis=axes)
+    mean, var = stats
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
     y = scale.reshape(shape) * xhat + shift.reshape(shape)
-    cache = (xhat, inv_std, mean, mode)
-    return y, cache, new_mean, new_var
+    return y, (xhat, inv_std, stats)
 
 
 def batchnorm_backward(g, x, scale, cache):
-    xhat, inv_std, mean, mode = cache
+    """Gradient of a batch-statistics forward: the statistics depend on x."""
+    xhat, inv_std, _ = cache
     axes = _bn_axes(x)
     shape = _bn_shape(x)
     m = float(np.prod([x.shape[a] for a in axes]))
     dscale = (g * xhat).sum(axis=axes)
     dshift = g.sum(axis=axes)
     dxhat = g * scale.reshape(shape)
-    if mode == "eval":
-        dx = dxhat * inv_std.reshape(shape)
-        return dx, dscale, dshift
-    # train mode: the batch statistics depend on x
     inv = inv_std.reshape(shape)
     sum_dxhat = dxhat.sum(axis=axes).reshape(shape)
     sum_dxhat_xhat = (dxhat * xhat).sum(axis=axes).reshape(shape)

@@ -7,9 +7,10 @@ Evaluation runs the dataset through the model in chunks sized from the
 model: as many rows as keep the widest array one sample makes in a forward
 (a node output or a conv's im2col patch matrix) within ``EVAL_CHUNK_BYTES``.
 Larger chunks allocate fresh multi-MB buffers that page-fault on every
-forward.  The batch-statistics fallback of a batch-norm model evaluated
-without a ``NormState`` keeps 512-row chunks, because its loss depends on the
-chunk.
+forward.  A batch-norm model is evaluated with statistics fitted at the
+evaluated parameters from fixed training rows (:func:`norm_rows`), the policy
+of Garipov et al. 2018 and of SWA's ``bn_update``, so its loss does not depend
+on the chunk size either.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from ..param_space import ParamVector
-from .engine import NormState, forward, loss_and_grad
+from .engine import forward, loss_and_grad, norm_stats
 from .layers import cross_entropy_loss
 from .graph import ModelGraph
 
@@ -31,11 +32,12 @@ from .graph import ModelGraph
 # ran one 64-row training round (2-vCPU VM, one BLAS thread, batch-last
 # engine), lenet-micro took 17-18 ms at 37-74 rows (widest array 1-2 MiB) and
 # 50-69 ms from 100 rows up, where every forward page-faults; resnet-micro
-# with fitted buffers ran fastest at 9 rows and 2.2-2.8x slower from 32 rows
-# up; mlp2 kept getting faster up to one chunk for a 2048-row set.
+# with fixed batch-norm statistics ran fastest at 9 rows and 2.2-2.8x slower
+# from 32 rows up; mlp2 kept getting faster up to one chunk for a 2048-row set.
 EVAL_CHUNK_BYTES = 2 << 20
-# Rows per chunk of the batch-norm batch-statistics fallback.
-FALLBACK_EVAL_CHUNK_ROWS = 512
+# Training rows a batch-norm model's evaluation statistics are fitted on: the
+# default repair batch size.
+NORM_STAT_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -143,12 +145,19 @@ def _augment_batch(x: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) -
     return out
 
 
+def norm_rows(train: Dataset) -> np.ndarray:
+    """The fixed training inputs batch-norm statistics are fitted on."""
+    return fixed_subset(train, NORM_STAT_ROWS).inputs
+
+
 def sample_batch(
-    data: Dataset, batch_size: int, rng: np.random.Generator, augment: bool = True
+    data: Dataset, batch_size: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
+    """A uniform batch drawn with replacement, augmented when the dataset
+    has an augmentation spec."""
     idx = rng.integers(0, len(data), size=batch_size)
     x = data.inputs[idx]
-    if augment and data.augment is not None:
+    if data.augment is not None:
         x = _augment_batch(x, data.augment, rng)
     return x, data.labels[idx]
 
@@ -198,9 +207,7 @@ def train_until(
     cfg: TrainerConfig,
     rule: StopRule,
     rng: np.random.Generator,
-    norm_state: NormState | None = None,
     lr_map: Mapping[str, float] | None = None,
-    augment: bool = True,
 ) -> TrainResult:
     """SGD on random batches until the rolling loss beats the threshold or the
     round cap is reached (the latter is a normal outcome, not an error)."""
@@ -211,8 +218,8 @@ def train_until(
     rounds = 0
     hit = False
     for rounds in range(1, rule.max_rounds + 1):
-        x, y = sample_batch(data, cfg.batch_size, rng, augment=augment)
-        loss, grad = loss_and_grad(graph, params, x, y, "train", norm_state)
+        x, y = sample_batch(data, cfg.batch_size, rng)
+        loss, grad = loss_and_grad(graph, params, x, y)
         params, velocity = sgd_step(params, grad, cfg, velocity, lr)
         recent.append(loss)
         losses.append(loss)
@@ -245,48 +252,31 @@ def evaluate(
     graph: ModelGraph,
     params: ParamVector,
     data: Dataset,
-    norm_state: NormState | None = None,
+    norm_x: np.ndarray | None = None,
 ) -> tuple[float, float]:
-    """Full-dataset mean loss and top-1 accuracy in eval mode.
+    """Full-dataset mean loss and top-1 accuracy.
 
-    The data runs in chunks of :func:`eval_chunk_rows` rows: as many as keep
-    the widest array of a forward within ``EVAL_CHUNK_BYTES``.  The chunk
-    size changes the loss only in the last bits of its float64 sum.  Models
-    with batch_norm need fitted buffers; without any, the batch statistics
-    of 512-row chunks are used as a fallback, and the loss depends on that
-    chunk size.
+    A model with batch_norm normalizes with the statistics :func:`norm_stats`
+    fits at ``params`` from ``norm_x`` (the training rows of
+    :func:`norm_rows`), which it then needs.  The data runs in chunks of
+    :func:`eval_chunk_rows` rows: as many as keep the widest array of a
+    forward within ``EVAL_CHUNK_BYTES``.  The chunk size changes the loss
+    only in the last bits of its float64 sum.
     """
     if len(data) == 0:
         raise ValueError("empty dataset")
-    mode = "eval"
-    if graph.has_norm_layers() and norm_state is None:
-        mode = "train"  # batch-statistics fallback; see fit_norm_buffers
-        norm_state = NormState(graph, dtype=params.dtype)
-        rows = FALLBACK_EVAL_CHUNK_ROWS
-    else:
-        rows = eval_chunk_rows(graph, np.result_type(data.inputs, params.data).itemsize)
+    stats = None
+    if graph.has_norm_layers():
+        if norm_x is None:
+            raise ValueError("a batch-norm model needs norm_x rows to fit its statistics")
+        stats = norm_stats(graph, params, norm_x)
+    rows = eval_chunk_rows(graph, np.result_type(data.inputs, params.data).itemsize)
     total_loss = 0.0
     correct = 0
     for start in range(0, len(data), rows):
         x = data.inputs[start : start + rows]
         y = data.labels[start : start + rows]
-        logits = forward(graph, params, x, mode, norm_state)
+        logits = forward(graph, params, x, stats)
         total_loss += cross_entropy_loss(logits, y) * len(y)
         correct += int((logits.argmax(axis=1) == y).sum())
     return total_loss / len(data), correct / len(data)
-
-
-def fit_norm_buffers(
-    graph: ModelGraph,
-    params: ParamVector,
-    data: Dataset,
-    rng: np.random.Generator,
-    batches: int = 10,
-    batch_size: int = 256,
-) -> NormState:
-    """Recalibrate batch_norm running statistics from training batches."""
-    state = NormState(graph, dtype=params.dtype)
-    for _ in range(batches):
-        x, _ = sample_batch(data, batch_size, rng, augment=False)
-        forward(graph, params, x, "train", state)
-    return state

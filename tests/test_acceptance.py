@@ -34,7 +34,6 @@ from llpf.llpf_core import (
 from llpf.nn_engine import (
     GraphNode,
     ModelGraph,
-    NormState,
     StopRule,
     TrainerConfig,
     evaluate,
@@ -154,15 +153,15 @@ def test_gradient_correctness():
         params = graph.wrap(data)
         x = rng.normal(size=(batch,) + graph.input_shape)
         y = rng.integers(0, graph.shapes[graph.sink][0], size=batch)
-        _, grad = loss_and_grad(graph, params, x, y, "train", NormState(graph, np.float64))
+        _, grad = loss_and_grad(graph, params, x, y)
         base = params.copy_data()
         worst = 0.0
         for i in range(len(base)):
             plus, minus = base.copy(), base.copy()
             plus[i] += h
             minus[i] -= h
-            lp, _ = loss_and_grad(graph, graph.wrap(plus), x, y, "train", NormState(graph, np.float64))
-            lm, _ = loss_and_grad(graph, graph.wrap(minus), x, y, "train", NormState(graph, np.float64))
+            lp, _ = loss_and_grad(graph, graph.wrap(plus), x, y)
+            lm, _ = loss_and_grad(graph, graph.wrap(minus), x, y)
             fd = (lp - lm) / (2 * h)
             worst = max(worst, abs(grad.data[i] - fd) / (abs(grad.data[i]) + 1e-8))
         return worst

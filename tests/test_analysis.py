@@ -19,7 +19,17 @@ from llpf.llpf_core import (
     StepParams,
     llpf_m2m,
 )
-from llpf.nn_engine import StopRule, TrainerConfig, evaluate, init_params, mlp2, train_until
+from llpf.nn_engine import (
+    Dataset,
+    StopRule,
+    TrainerConfig,
+    evaluate,
+    init_params,
+    mlp2,
+    norm_rows,
+    resnet_micro,
+    train_until,
+)
 from llpf.harness_cli.datasets import gen_blobs
 from llpf.param_space import l2_distance, radial_norm_sq
 
@@ -84,6 +94,33 @@ def short_path(blobs):
         settings=settings_, graph=g,
     )
     return g, record, a, b
+
+
+@pytest.fixture(scope="module")
+def bn_path():
+    """A short resnet-micro search from two inits with test metrics at every
+    point, and its training set."""
+    rng = np.random.default_rng(3)
+    train, test = (
+        Dataset(
+            rng.normal(size=(n, 1, 8, 8)).astype(np.float32),
+            rng.integers(0, 3, size=n), split, 3,
+        )
+        for split, n in (("train", 96), ("test", 40))
+    )
+    g = resnet_micro(1, 8, 3, width=2)
+    a, b = init_params(g, 1), init_params(g, 2)
+    plan = PhasePlan(
+        (Phase(tuple(g.slice_names()), 4, StepParams(step_a=0.2), StopRule(0.0, 2, 10)),)
+    )
+    settings_ = SearchSettings(
+        seed=0, checkpoint_stride=1, mode_acceptance_loss=0.0, variance_ratio_bound=10.0
+    )
+    record = llpf_m2m(
+        a, b, plan, TrainerConfig(lr=1e-2, batch_size=16), train, test,
+        settings=settings_, graph=g,
+    )
+    return g, record, b, train, test
 
 
 class TestInterpolationContinuity:
@@ -151,19 +188,30 @@ class TestPathMetrics:
         for name, value in norms.items():
             assert rows[0][f"dist:{name}"] == pytest.approx(value, rel=1e-6)
 
-    def test_recompute_matches_recorded(self, short_path, blobs):
+    def test_recompute_matches_recorded(self, short_path, blobs, bn_path):
         train, test = blobs
         g, record, a, b = short_path
-        recorded = path_metrics(record, b)
-        recomputed = path_metrics(record, b, graph=g, test_data=test, recompute=True)
-        by_iter = {row["iteration"]: row for row in recomputed}
-        for row in recorded:
-            other = by_iter[row["iteration"]]
-            for key, value in row.items():
-                if key.startswith("dist:"):
-                    assert value == pytest.approx(other[key], rel=1e-5, abs=1e-7)
-            assert row["test_loss"] == pytest.approx(other["test_loss"], rel=1e-6)
-            assert row["test_acc"] == other["test_acc"]
+        bn_graph, bn_record, bn_dest, bn_train, bn_test = bn_path
+        # the same params (and, with batch norm, the same training rows) give
+        # the recorded test metrics exactly
+        for graph, rec, dest, test_data, norm_x in (
+            (g, record, b, test, None),
+            (bn_graph, bn_record, bn_dest, bn_test, norm_rows(bn_train)),
+        ):
+            recorded = path_metrics(rec, dest)
+            recomputed = path_metrics(
+                rec, dest, graph=graph, test_data=test_data, recompute=True, norm_x=norm_x
+            )
+            by_iter = {row["iteration"]: row for row in recomputed}
+            assert len(by_iter) == len(recorded)
+            for row in recorded:
+                other = by_iter[row["iteration"]]
+                for key, value in row.items():
+                    if key.startswith("dist:"):
+                        assert value == pytest.approx(other[key], rel=1e-5, abs=1e-7)
+                assert np.isfinite(row["test_loss"])
+                assert row["test_loss"] == other["test_loss"]
+                assert row["test_acc"] == other["test_acc"]
 
     def test_row_order_and_columns(self, short_path, blobs):
         g, record, _, b = short_path

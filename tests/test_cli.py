@@ -1,6 +1,7 @@
 """End-to-end command tests on a tiny blobs experiment."""
 
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -756,3 +757,96 @@ class TestRecordRoundTrip:
         legacy = [name for name in header if name != "train_exhausted"]
         emit_csv(legacy, rows, out / "metrics.csv")
         assert [p.train_exhausted for p in read_path_record(out, g).points] == [False] * 4
+
+
+class TestResnetMicroEndToEnd:
+    """A batch-norm model through train-modes, connect-m2m on the data-flow
+    plan, and continuity, on tiny MNIST files."""
+
+    MODEL = """
+[model]
+name = resnet-micro
+width = 2
+
+[dataset]
+name = mnist
+dir = mnist
+"""
+
+    def test_commands_run_and_repeat(self, tmp_path):
+        import math
+        import time
+
+        from llpf.nn_engine import resnet_micro
+        from test_datasets import write_tiny_mnist
+
+        started = time.monotonic()
+        (tmp_path / "mnist").mkdir()
+        write_tiny_mnist(tmp_path / "mnist")
+        modes_cfg = write_cfg(
+            tmp_path,
+            self.MODEL
+            + """
+[modes]
+seeds = 1, 2
+lr = 0.05
+momentum = 0.9
+batch_size = 8
+max_rounds = 20
+
+[output]
+dir = modes
+""",
+            "modes.cfg",
+        )
+        assert main(["train-modes", "--config", str(modes_cfg)]) == 0
+
+        def connect(out_name):
+            cfg = write_cfg(
+                tmp_path,
+                self.MODEL
+                + f"""
+[m2m]
+start = modes/mode_1.ckpt
+dest = modes/mode_2.ckpt
+phases = fdf
+iterations = 2
+step_a = 0.2
+lr = 1e-2
+batch_size = 8
+train_rounds = 1
+mode_acceptance_loss = 10
+variance_ratio_bound = 100
+
+[output]
+dir = {out_name}
+seed = 3
+checkpoint_stride = 4
+""",
+                f"{out_name}.cfg",
+            )
+            assert main(["connect-m2m", "--config", str(cfg)]) == 0
+            return tmp_path / out_name
+
+        first = connect("path_a")
+        g = resnet_micro(width=2)
+        record = read_path_record(first, g)
+        assert len(record.points) == 13  # six fdf phases of two iterations, plus the start
+        assert all(math.isfinite(p.test_loss) for p in record.points)
+
+        cont_cfg = write_cfg(
+            tmp_path,
+            self.MODEL + "\n[continuity]\nrecord_dir = path_a\nsamples = 3\n\n[output]\ndir = cont\n",
+            "cont.cfg",
+        )
+        assert main(["continuity", "--config", str(cont_cfg)]) == 0
+        manifest = (tmp_path / "cont" / "manifest.txt").read_text().splitlines()
+        max_line = next(line for line in manifest if line.startswith("global_max_loss = "))
+        assert math.isfinite(float(max_line.split(" = ", 1)[1]))
+
+        second = connect("path_b")
+        files = sorted(p.relative_to(first) for p in (first / "points").iterdir())
+        assert len(files) == 4  # iterations 0, 4, 8 and 12
+        for name in [Path("metrics.csv")] + files:
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        assert time.monotonic() - started < 10.0

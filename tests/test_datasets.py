@@ -85,7 +85,7 @@ class TestLoadMnist:
         train, test = load_mnist(tmp_path, augment=True)
         assert train.augment is not None and test.augment is None
         rng = np.random.default_rng(0)
-        x, y = sample_batch(train, 8, rng, augment=True)
+        x, y = sample_batch(train, 8, rng)
         assert x.shape == (8, 1, 28, 28)
 
     def test_count_mismatch(self, tmp_path):
