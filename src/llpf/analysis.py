@@ -105,8 +105,9 @@ def path_metrics(
 ) -> list[dict[str, float]]:
     """One row per path point: iteration, phase, rolling train loss, per-layer
     distance to the destination (per-layer norm when it is the origin), test
-    loss and accuracy, and ``train_exhausted`` (1 when repair training ran
-    out of rounds before reaching its loss threshold, else 0).
+    loss and accuracy (recorded at stored points only, NaN elsewhere), and
+    ``train_exhausted`` (1 when repair training ran out of rounds before
+    reaching its loss threshold, else 0).
 
     Rows come from the recorded point metrics; with ``recompute=True`` the
     distance and test columns are recomputed from stored checkpoints instead,

@@ -135,8 +135,10 @@ class SearchSettings:
     subset the endpoint modes are scored on; ``variance_ratio_bound`` is the
     per-layer sphere-match prerequisite of the model-to-model search; and
     ``mode_acceptance_loss`` is the endpoint low-loss gate (unset means the
-    first phase's loss threshold).  Repair rounds never augment, and test
-    metrics are recorded whenever test data is given.
+    first phase's loss threshold).  Repair rounds never augment.  Given
+    test data, test metrics are recorded at exactly the points that keep
+    their params, so ``checkpoint_stride`` is also the test-metric cadence;
+    every other point records NaN.
     """
 
     seed: int = 0
@@ -317,13 +319,15 @@ def _walk(
 
     Each iteration moves the phase's active layers, hands the moved point to
     ``repair`` together with the walk's one generator (seeded from
-    ``settings.seed``), and records the repaired point: its repair loss, its
-    per-layer distance to ``dest`` over ``layers``, and its test metrics
-    (batch-norm statistics fitted on :func:`norm_rows` of ``train_data``).
-    Arc anchors toward ``dest`` are captured at each phase start.  The walk
-    ends early, before moving, once ``stop_when`` holds for the current
-    point.  Params are kept for the start, every ``checkpoint_stride``-th
-    iteration, the scheduled last iteration, and the point the walk ends on.
+    ``settings.seed``), and records the repaired point: its repair loss and
+    its per-layer distance to ``dest`` over ``layers``.  Arc anchors toward
+    ``dest`` are captured at each phase start.  The walk ends early, before
+    moving, once ``stop_when`` holds for the current point.
+
+    Params are kept for the start, every ``checkpoint_stride``-th iteration,
+    the scheduled last iteration, and the point the walk ends on.  Exactly
+    those points get test metrics (batch-norm statistics fitted on
+    :func:`norm_rows` of ``train_data``); every other point records NaN.
     The record is labelled with ``settings.endpoint_ids``.
     """
     rng = np.random.default_rng(settings.seed)
@@ -331,23 +335,22 @@ def _walk(
     total = sum(p.iterations for p in phases)
     points: list[PathPoint] = []
 
-    def record(iteration, phase_idx, params, loss, exhausted):
-        t_loss, t_acc = float("nan"), float("nan")
+    def keep(point, params):
+        point.params = params
         if test_data is not None:
-            t_loss, t_acc = evaluate(graph, params, test_data, norm_x)
-        keep = iteration % settings.checkpoint_stride == 0 or iteration == total
-        points.append(
-            PathPoint(
-                iteration=iteration,
-                phase=phase_idx,
-                rolling_train_loss=loss,
-                per_layer_dist=l2_distance(params, dest, layers),
-                test_loss=t_loss,
-                test_acc=t_acc,
-                params=params if keep else None,
-                train_exhausted=exhausted,
-            )
+            point.test_loss, point.test_acc = evaluate(graph, params, test_data, norm_x)
+
+    def record(iteration, phase_idx, params, loss, exhausted):
+        point = PathPoint(
+            iteration=iteration,
+            phase=phase_idx,
+            rolling_train_loss=loss,
+            per_layer_dist=l2_distance(params, dest, layers),
+            train_exhausted=exhausted,
         )
+        if iteration % settings.checkpoint_stride == 0 or iteration == total:
+            keep(point, params)
+        points.append(point)
 
     record(0, 0, start, start_loss, False)
     schedule = [(k, phase) for k, phase in enumerate(phases) for _ in range(phase.iterations)]
@@ -361,7 +364,8 @@ def _walk(
         current, result = repair(moved, phase, rng)
         exhausted = phase.stop.loss_threshold > 0 and not result.hit_threshold
         record(iteration, k, current, result.rolling_loss, exhausted)
-    points[-1].params = current
+    if points[-1].params is None:
+        keep(points[-1], current)
     return PathRecord(
         points=points, config_hash=settings.config_hash, endpoints=settings.endpoint_ids
     )

@@ -78,7 +78,9 @@ def norm_stats(
 def _execute(graph, params, x, stats, want_caches):
     """Forward pass.  A batch_norm node named in ``stats`` normalizes with
     those statistics; one missing from a ``stats`` dict uses its batch's and
-    records them there."""
+    records them there.  Backward caches are kept only when ``want_caches``,
+    so an evaluation pass frees each node's im2col matrix and batch-norm
+    cache as soon as the node has run."""
     x = np.asarray(x)
     if x.shape[1:] != graph.input_shape:
         raise ValueError(
@@ -94,38 +96,35 @@ def _execute(graph, params, x, stats, want_caches):
         ins = [values[s] for s in node.inputs] if node.inputs else [x]
         a = ins[0]
         p = [data[o : o + n].reshape(shape) for o, n, shape in node.slices]
+        cache = None  # frees the previous node's cache before this node runs
         if node.kind == "dense":
             if a.ndim > 2:
                 a = _batch_first(a)
-            values[name] = L.dense_forward(a, p[0], p[1])
-            caches[name] = a
+            y, cache = L.dense_forward(a, p[0], p[1]), a
         elif node.kind == "conv2d":
             b = p[1] if len(p) > 1 else None
-            y, cols = L.conv2d_forward(a, p[0], b, node.stride, node.pad)
-            values[name] = y
-            caches[name] = (a.shape, cols)
+            y, cache = L.conv2d_forward(a, p[0], b, node.stride, node.pad)
+            cache = (a.shape, cache)  # the im2col matrix
         elif node.kind == "batch_norm":
             fixed = None if stats is None else stats.get(name)
             y, cache = L.batchnorm_forward(a, p[0], p[1], fixed)
             if stats is not None:
                 stats[name] = cache[2]
-            values[name] = y
-            caches[name] = (a, cache)
+            cache = (a, cache)
         elif node.kind == "relu":
-            values[name] = np.maximum(a, 0)
-            caches[name] = a
+            y, cache = np.maximum(a, 0), a
         elif node.kind == "max_pool":
             y, cache = L.maxpool_forward(a, node.kernel)
-            values[name] = y
-            caches[name] = (a.shape, cache)
+            cache = (a.shape, cache)
         elif node.kind == "avg_pool":
-            values[name] = L.avgpool_forward(a, node.kernel)
-            caches[name] = a.shape
+            y, cache = L.avgpool_forward(a, node.kernel), a.shape
         elif node.kind == "flatten":
-            values[name] = _batch_first(a)
-            caches[name] = a.shape
+            y, cache = _batch_first(a), a.shape
         elif node.kind == "residual_add":
-            values[name] = ins[0] + ins[1]
+            y = ins[0] + ins[1]
+        values[name] = y
+        if want_caches:
+            caches[name] = cache
     out = values[graph.sink]
     if want_caches:
         return out, (values, caches)

@@ -97,6 +97,24 @@ def short_path(blobs):
 
 
 @pytest.fixture(scope="module")
+def strided_path(blobs, short_path):
+    """The short search again, keeping params (and test metrics) every 4th
+    point."""
+    train, test = blobs
+    g, _, a, b = short_path
+    plan = PhasePlan(
+        (Phase(tuple(g.slice_names()), 30, StepParams(step_f=1e-3), StopRule(0.0, 2, 10)),)
+    )
+    settings_ = SearchSettings(
+        seed=0, checkpoint_stride=4, mode_acceptance_loss=0.5, variance_ratio_bound=4.0
+    )
+    return llpf_m2m(
+        a, b, plan, TrainerConfig(lr=1e-3, batch_size=32), train, test,
+        settings=settings_, graph=g,
+    )
+
+
+@pytest.fixture(scope="module")
 def bn_path():
     """A short resnet-micro search from two inits with test metrics at every
     point, and its training set."""
@@ -188,14 +206,16 @@ class TestPathMetrics:
         for name, value in norms.items():
             assert rows[0][f"dist:{name}"] == pytest.approx(value, rel=1e-6)
 
-    def test_recompute_matches_recorded(self, short_path, blobs, bn_path):
+    def test_recompute_matches_recorded(self, short_path, strided_path, blobs, bn_path):
         train, test = blobs
         g, record, a, b = short_path
         bn_graph, bn_record, bn_dest, bn_train, bn_test = bn_path
+        assert len(strided_path.stored_points()) == 9  # 0, 4, ..., 28 and 30
         # the same params (and, with batch norm, the same training rows) give
-        # the recorded test metrics exactly
+        # the recorded test metrics exactly; points without params record NaN
         for graph, rec, dest, test_data, norm_x in (
             (g, record, b, test, None),
+            (g, strided_path, b, test, None),
             (bn_graph, bn_record, bn_dest, bn_test, norm_rows(bn_train)),
         ):
             recorded = path_metrics(rec, dest)
@@ -203,9 +223,12 @@ class TestPathMetrics:
                 rec, dest, graph=graph, test_data=test_data, recompute=True, norm_x=norm_x
             )
             by_iter = {row["iteration"]: row for row in recomputed}
-            assert len(by_iter) == len(recorded)
+            assert list(by_iter) == [p.iteration for p in rec.stored_points()]
             for row in recorded:
-                other = by_iter[row["iteration"]]
+                other = by_iter.get(row["iteration"])
+                if other is None:
+                    assert np.isnan([row["test_loss"], row["test_acc"]]).all()
+                    continue
                 for key, value in row.items():
                     if key.startswith("dist:"):
                         assert value == pytest.approx(other[key], rel=1e-5, abs=1e-7)

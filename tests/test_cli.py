@@ -229,14 +229,13 @@ seed = 5
                    for n in first.per_layer_dist)
 
 
-class TestContinuityCommand:
-    @staticmethod
-    def run(modes_dir, tmp_path):
-        """A four-iteration path record, then continuity over it."""
-        run_cfg = write_cfg(
-            tmp_path,
-            BASE
-            + f"""
+def write_strided_path(modes_dir, tmp_path):
+    """A four-iteration path record in ``path_out`` that stores iterations 0,
+    2 and 4."""
+    run_cfg = write_cfg(
+        tmp_path,
+        BASE
+        + f"""
 [m2m]
 start = {modes_dir}/out/mode_1.ckpt
 dest = {modes_dir}/out/mode_1.ckpt
@@ -250,9 +249,17 @@ mode_acceptance_loss = 0.2
 dir = path_out
 checkpoint_stride = 2
 """,
-            "path.cfg",
-        )
-        assert main(["connect-m2m", "--config", str(run_cfg)]) == 0
+        "path.cfg",
+    )
+    assert main(["connect-m2m", "--config", str(run_cfg)]) == 0
+    return tmp_path / "path_out"
+
+
+class TestContinuityCommand:
+    @staticmethod
+    def run(modes_dir, tmp_path):
+        """A four-iteration path record, then continuity over it."""
+        write_strided_path(modes_dir, tmp_path)
         cont_cfg = write_cfg(
             tmp_path,
             BASE
@@ -332,6 +339,21 @@ class TestPlot:
         csv_path = modes_dir / "out" / "mode_1_train.csv"
         assert main(["plot", str(csv_path), "--out", str(out_svg), "--log-y"]) == 0
         assert out_svg.read_text().startswith("<svg")
+
+    def test_test_metrics_drawn_from_stored_points(self, modes_dir, tmp_path):
+        import re
+
+        csv_path = write_strided_path(modes_dir, tmp_path) / "metrics.csv"
+        _, rows = read_csv(csv_path)
+        assert [np.isnan(row["test_loss"]) for row in rows] == [False, True, False, True, False]
+        out_svg = tmp_path / "chart.svg"
+        assert main(["plot", str(csv_path), "--out", str(out_svg)]) == 0
+        svg = out_svg.read_text()
+        labels = re.findall(r'width="12" height="12" fill="[^"]+"/>\n<text [^>]*>([^<]+)</text>', svg)
+        lines = re.findall(r'<polyline points="([^"]*)"', svg)
+        drawn = {label: len(pts.split()) for label, pts in zip(labels, lines)}
+        assert drawn["rolling_train_loss"] == 5
+        assert drawn["test_loss"] == drawn["test_acc"] == 3
 
     def test_bad_column_is_validation_error(self, modes_dir, tmp_path):
         csv_path = modes_dir / "out" / "mode_1_train.csv"
@@ -832,7 +854,8 @@ checkpoint_stride = 4
         g = resnet_micro(width=2)
         record = read_path_record(first, g)
         assert len(record.points) == 13  # six fdf phases of two iterations, plus the start
-        assert all(math.isfinite(p.test_loss) for p in record.points)
+        for p in record.points:  # test metrics exactly where params are kept
+            assert math.isfinite(p.test_loss) if p.params is not None else math.isnan(p.test_loss)
 
         cont_cfg = write_cfg(
             tmp_path,

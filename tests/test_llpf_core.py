@@ -51,6 +51,16 @@ def vector(mapping, kinds=None):
     return ParamVector(np.concatenate(chunks), tuple(layout))
 
 
+def assert_test_metrics_where_params(record):
+    """Finite test metrics on exactly the points that keep params, NaN elsewhere."""
+    for p in record.points:
+        metrics = np.array([p.test_loss, p.test_acc])
+        if p.params is None:
+            assert np.isnan(metrics).all(), p.iteration
+        else:
+            assert np.isfinite(metrics).all(), p.iteration
+
+
 @pytest.fixture(scope="module")
 def blobs():
     return gen_blobs(3, 20, 1500, seed=9)
@@ -324,6 +334,45 @@ class TestM2O:
             assert all(r <= cfg.eta_base * (1 + 1e-9) for r in rates.values())
 
 
+class TestTestMetricCadence:
+    def test_m2m_evaluates_only_kept_points(self, blobs, quick_mode):
+        train, test = blobs
+        g, mode = quick_mode
+        partner = mode.with_slices({"fc1.weight": mode.get("fc1.weight")[::-1]})
+        step, stop = StepParams(step_f=1e-3), StopRule(0.0, 2, 10)
+        plan = PhasePlan(
+            (
+                Phase(("fc1.weight", "fc1.bias"), 4, step, stop),
+                Phase(tuple(g.slice_names()), 3, step, stop),
+            )
+        )
+        record = llpf_m2m(
+            mode, partner, plan, TrainerConfig(lr=1e-3, batch_size=32), train, test,
+            settings=SearchSettings(seed=1, checkpoint_stride=3, mode_acceptance_loss=0.0),
+            graph=g,
+        )
+        assert [p.iteration for p in record.stored_points()] == [0, 3, 6, 7]
+        assert_test_metrics_where_params(record)
+
+    def test_m2o_stopped_off_stride_keeps_and_evaluates_its_end(self, blobs, quick_mode):
+        train, test = blobs
+        g, mode = quick_mode
+        bigger = mode.with_slices({n: mode.get(n) * 1.1 for n in ("fc1.weight", "fc2.weight")})
+        targets = {n: layer_stats(mode.get(n)).variance for n in mode.names()}
+        cfg = M2OConfig(iterations=500, step=StepParams(step_a=5e-3),
+                        stop=StopRule(0.0, 2, 1), eta_base=1e-3)
+        stride = 4
+        record = llpf_m2o(
+            bigger, cfg, TrainerConfig(lr=1e-3, batch_size=32), train, test,
+            settings=SearchSettings(seed=3, checkpoint_stride=stride, mode_acceptance_loss=0.5),
+            graph=g, var_stop=(targets, 1.05),
+        )
+        end = record.points[-1]
+        assert end.iteration < cfg.iterations and end.iteration % stride != 0
+        assert end.params is not None and np.isfinite([end.test_loss, end.test_acc]).all()
+        assert_test_metrics_where_params(record)
+
+
 class TestCrossVariance:
     def test_direction_constraint(self, blobs, quick_mode):
         train, _ = blobs
@@ -417,6 +466,10 @@ class TestCrossVarianceEarlyStop:
                      / layer_stats(mode.get(name)).variance)
             assert 1 / self.RTOL <= ratio <= self.RTOL
 
+    def test_test_metrics_where_params_across_the_boundary(self, chain):
+        _, _, record, _ = chain
+        assert_test_metrics_where_params(record)
+
     def test_merged_stage_two_equals_standalone(self, chain):
         _, _, record, standalone = chain
         hand_off = record.points[record.stage_boundary]
@@ -434,7 +487,7 @@ class TestCrossVarianceEarlyStop:
                     assert (a is None) == (b is None)
                     assert a is None or np.array_equal(a.data, b.data)
                 else:
-                    assert a == b, f.name
+                    assert a == b or (a != a and b != b), f.name  # NaN test metrics match
 
 
 class TestFdfPhasePlan:
@@ -673,7 +726,7 @@ class TestPinnedWalks:
     """Byte-level pins for the walks the benchmark never runs: an arc-anchored
     origin walk, a two-phase arc-anchored m2m and a cross-sphere chain."""
 
-    DIGEST = "4610b9b6fa6b945d29fdf8625a48cc2ce970c48a2f8eef44230865c4efc4e886"
+    DIGEST = "526fea7191cdaf479deda98a4a3b742a314f42dec92f28990c36a0ebba549dd0"
 
     def test_digest(self):
         train, test = gen_blobs(3, 20, 600, seed=7)
