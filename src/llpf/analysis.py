@@ -69,7 +69,10 @@ def interpolation_continuity(
     so segment curves are comparable and the check is deterministic; an
     ``eval_size`` at least the size of the set evaluates all of it.  A
     batch-norm model fits its statistics at every blend from the same
-    :func:`norm_rows` of the set.
+    :func:`norm_rows` of the set.  The alpha=0 and alpha=1 blends are the
+    stored points themselves, so each stored point is evaluated once and its
+    loss ends both segments it bounds: ``len(stored) + (samples - 2) *
+    segments`` evaluations in all.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -78,18 +81,22 @@ def interpolation_continuity(
         raise ValueError("need at least two stored full-parameter points")
     subset = fixed_subset(data, eval_size)
     norm_x = norm_rows(data)
-    alphas = np.linspace(0.0, 1.0, samples)
+
+    def loss_at(params):
+        return evaluate(graph, params, subset, norm_x)[0]
+
+    inner = np.linspace(0.0, 1.0, samples)[1:-1]
+    end_losses = [loss_at(p.params) for p in stored]
     seg_losses = []
     bounds = []
-    for a, b in zip(stored, stored[1:]):
+    for k, (a, b) in enumerate(zip(stored, stored[1:])):
         pa = a.params.data.astype(np.float64)
         pb = b.params.data.astype(np.float64)
-        losses = []
-        for alpha in alphas:
+        losses = [end_losses[k]]
+        for alpha in inner:
             blend = ((1.0 - alpha) * pa + alpha * pb).astype(a.params.dtype)
-            params = ParamVector(blend, a.params.layout)
-            loss, _ = evaluate(graph, params, subset, norm_x)
-            losses.append(loss)
+            losses.append(loss_at(ParamVector(blend, a.params.layout)))
+        losses.append(end_losses[k + 1])
         seg_losses.append(losses)
         bounds.append((a.iteration, b.iteration))
     return ContinuityReport(seg_losses, bounds, samples)

@@ -13,7 +13,7 @@ from ..analysis import path_metrics
 from ..llpf_core import PathPoint, PathRecord
 from ..nn_engine.graph import ModelGraph
 from .checkpoint import load_checkpoint, save_checkpoint
-from .reports import emit_csv, metric_fieldnames, read_csv, write_atomic
+from .reports import csv_lines, emit_csv, metric_fieldnames, write_atomic
 
 POINTS_DIR = "points"
 
@@ -44,34 +44,33 @@ def write_path_record(out_dir: str | Path, record: PathRecord, graph: ModelGraph
 def read_path_record(record_dir: str | Path, graph: ModelGraph, dtype=np.float32) -> PathRecord:
     record_dir = Path(record_dir)
     meta = json.loads((record_dir / "record.json").read_text())
-    _, rows = read_csv(record_dir / "metrics.csv")
     stored = set(meta["stored_iterations"])
     points = []
-    for row in rows:
-        iteration = int(row["iteration"])
-        params = None
-        if iteration in stored:
-            params = load_checkpoint(
-                graph, record_dir / POINTS_DIR / f"point_{iteration:08d}.ckpt", dtype
+    with csv_lines(record_dir / "metrics.csv") as (header, lines):
+        col = {name: i for i, name in enumerate(header)}
+        dist_cols = [(name[len("dist:") :], i) for name, i in col.items() if name.startswith("dist:")]
+        # records written before the column existed read as not exhausted
+        exhausted_col = col.get("train_exhausted")
+        for line in lines:
+            iteration = int(line[col["iteration"]])
+            params = None
+            if iteration in stored:
+                params = load_checkpoint(
+                    graph, record_dir / POINTS_DIR / f"point_{iteration:08d}.ckpt", dtype
+                )
+            points.append(
+                PathPoint(
+                    iteration=iteration,
+                    phase=int(line[col["phase"]]),
+                    rolling_train_loss=float(line[col["rolling_train_loss"]]),
+                    per_layer_dist={name: float(line[i]) for name, i in dist_cols},
+                    test_loss=float(line[col["test_loss"]]),
+                    test_acc=float(line[col["test_acc"]]),
+                    params=params,
+                    # an int first: bool("0") is True
+                    train_exhausted=exhausted_col is not None and bool(int(line[exhausted_col])),
+                )
             )
-        dists = {
-            name[len("dist:") :]: float(value)
-            for name, value in row.items()
-            if name.startswith("dist:")
-        }
-        points.append(
-            PathPoint(
-                iteration=iteration,
-                phase=int(row["phase"]),
-                rolling_train_loss=float(row["rolling_train_loss"]),
-                per_layer_dist=dists,
-                test_loss=float(row["test_loss"]),
-                test_acc=float(row["test_acc"]),
-                params=params,
-                # records written before the column existed read as False
-                train_exhausted=bool(row.get("train_exhausted", 0)),
-            )
-        )
     return PathRecord(
         points=points,
         config_hash=meta["config_hash"],

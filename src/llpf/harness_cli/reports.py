@@ -11,8 +11,9 @@ import io
 import logging
 import math
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -63,18 +64,23 @@ def emit_csv(fieldnames: Sequence[str], rows: Sequence[Mapping], path: str | Pat
     write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
-def read_csv(path: str | Path) -> tuple[list[str], list[dict]]:
+@contextmanager
+def csv_lines(path: str | Path) -> Iterator[tuple[list[str], Iterator[list[str]]]]:
+    """The header and an iterator over the rows as unparsed cell text, read
+    as they are consumed."""
     with open(path, "r", newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty CSV") from None
-        rows = [
-            {name: parse_cell(cell) for name, cell in zip(header, line)}
-            for line in reader
-        ]
-    return header, rows
+        yield header, reader
+
+
+def read_csv(path: str | Path) -> tuple[list[str], list[dict]]:
+    """Header and one dict per row, each cell an int, a float or text."""
+    with csv_lines(path) as (header, lines):
+        return header, [{name: parse_cell(cell) for name, cell in zip(header, line)} for line in lines]
 
 
 def metric_fieldnames(rows: Sequence[Mapping]) -> list[str]:

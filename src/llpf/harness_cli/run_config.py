@@ -104,7 +104,8 @@ def build_modes(cfg: ConfigFile) -> ModesBlock:
         weight_decay=sec.get_float("weight_decay", 0.0),
         batch_size=sec.positive_int("batch_size", 32),
     )
-    rule = StopRule(
+    rule = _checked_rule(
+        sec,
         loss_threshold=sec.get_float("loss_threshold", 0.0),
         max_rounds=sec.positive_int("max_rounds", 1000),
         window=sec.positive_int("window", 10),
@@ -142,8 +143,16 @@ def _step_params(sec: Section, defaults: StepParams | None = None) -> StepParams
     return StepParams(step_a=step_a, step_c=step_c, step_f=step_f)
 
 
+def _checked_rule(sec: Section, **fields) -> StopRule:
+    try:
+        return StopRule(**fields)
+    except ValueError as exc:
+        raise sec.cfg.error(sec.line, f"[{sec.name}] {exc}") from None
+
+
 def _stop_rule(sec: Section, defaults: StopRule | None = None) -> StopRule:
-    return StopRule(
+    return _checked_rule(
+        sec,
         loss_threshold=sec.get_float(
             "loss_threshold", defaults.loss_threshold if defaults else 0.0
         ),

@@ -301,6 +301,17 @@ def _phase_arcs(current, dest, phase):
 # -- the walk loop -----------------------------------------------------------------
 
 
+def _test_metrics(graph, points, test_data, train_data) -> None:
+    """Fill in test loss and accuracy at every point that keeps its params,
+    batch-norm statistics fitted on :func:`norm_rows` of ``train_data``."""
+    if test_data is None:
+        return
+    norm_x = norm_rows(train_data)
+    for p in points:
+        if p.params is not None:
+            p.test_loss, p.test_acc = evaluate(graph, p.params, test_data, norm_x)
+
+
 def _walk(
     graph: ModelGraph,
     start: ParamVector,
@@ -331,14 +342,8 @@ def _walk(
     The record is labelled with ``settings.endpoint_ids``.
     """
     rng = np.random.default_rng(settings.seed)
-    norm_x = norm_rows(train_data)
     total = sum(p.iterations for p in phases)
     points: list[PathPoint] = []
-
-    def keep(point, params):
-        point.params = params
-        if test_data is not None:
-            point.test_loss, point.test_acc = evaluate(graph, params, test_data, norm_x)
 
     def record(iteration, phase_idx, params, loss, exhausted):
         point = PathPoint(
@@ -349,7 +354,7 @@ def _walk(
             train_exhausted=exhausted,
         )
         if iteration % settings.checkpoint_stride == 0 or iteration == total:
-            keep(point, params)
+            point.params = params
         points.append(point)
 
     record(0, 0, start, start_loss, False)
@@ -365,7 +370,8 @@ def _walk(
         exhausted = phase.stop.loss_threshold > 0 and not result.hit_threshold
         record(iteration, k, current, result.rolling_loss, exhausted)
     if points[-1].params is None:
-        keep(points[-1], current)
+        points[-1].params = current
+    _test_metrics(graph, points, test_data, train_data)
     return PathRecord(
         points=points, config_hash=settings.config_hash, endpoints=settings.endpoint_ids
     )
@@ -535,7 +541,8 @@ def connect_cross_variance(
     start must sit on the larger spheres on average).  Stage two runs the
     same-sphere search from that intermediate point to ``dest``.  The
     returned record is the concatenation, with the hand-off point recorded
-    once at ``stage_boundary``.
+    once at ``stage_boundary``.  Test metrics are filled in on the merged
+    record, once per point that keeps its params.
     """
     start.require_compatible(dest)
 
@@ -554,7 +561,6 @@ def connect_cross_variance(
         cfg.m2o,
         trainer,
         train_data,
-        test_data,
         settings=replace(settings, endpoint_ids=(settings.endpoint_ids[0], "sphere-projection")),
         graph=graph,
         destination=projection,
@@ -569,7 +575,6 @@ def connect_cross_variance(
         cfg.m2m_plan,
         trainer,
         train_data,
-        test_data,
         settings=replace(settings, endpoint_ids=("stage-1-endpoint", settings.endpoint_ids[1])),
         graph=graph,
     )
@@ -579,6 +584,7 @@ def connect_cross_variance(
         replace(p, iteration=p.iteration + hand_off.iteration, phase=p.phase + 1)
         for p in stage2.points[1:]
     ]
+    _test_metrics(graph, merged, test_data, train_data)
     return PathRecord(
         points=merged,
         config_hash=settings.config_hash,

@@ -90,7 +90,9 @@ class TrainerConfig:
 class StopRule:
     """Stop when the rolling-average loss drops below the threshold or the
     round cap is hit.  A threshold <= 0 disables the early stop, so training
-    runs exactly ``max_rounds`` rounds."""
+    runs exactly ``max_rounds`` rounds.  A positive threshold needs a
+    ``window`` of at most ``max_rounds``: a wider rolling average is never
+    full, so the early stop could never fire."""
 
     loss_threshold: float
     max_rounds: int
@@ -101,6 +103,11 @@ class StopRule:
             raise ValueError("window must be >= 1")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
+        if self.loss_threshold > 0 and self.window > self.max_rounds:
+            raise ValueError(
+                f"a {self.window}-round window never fills within {self.max_rounds} rounds,"
+                " so the loss threshold could never stop training early"
+            )
 
 
 @dataclass

@@ -410,7 +410,7 @@ def test_data_flow_plan():
     started = time.monotonic()
     g = resnet_micro(1, 8, 3, width=2)
     step = StepParams(step_a=1e-3)
-    stop = StopRule(loss_threshold=0.05, max_rounds=5, window=10)
+    stop = StopRule(loss_threshold=0.05, max_rounds=5, window=5)
     plan = fdf_phase_plan(g, 100, step, stop)
     again = fdf_phase_plan(g, 100, step, stop)
     assert plan == again

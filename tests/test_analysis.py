@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from llpf import analysis
 from llpf.analysis import (
     interpolation_continuity,
     path_metrics,
@@ -24,6 +25,7 @@ from llpf.nn_engine import (
     StopRule,
     TrainerConfig,
     evaluate,
+    fixed_subset,
     init_params,
     mlp2,
     norm_rows,
@@ -31,7 +33,7 @@ from llpf.nn_engine import (
     train_until,
 )
 from llpf.harness_cli.datasets import gen_blobs
-from llpf.param_space import l2_distance, radial_norm_sq
+from llpf.param_space import ParamVector, l2_distance, radial_norm_sq
 
 
 class TestRollingAverage:
@@ -141,7 +143,66 @@ def bn_path():
     return g, record, b, train, test
 
 
+def _naive_continuity(path, samples, graph, data, eval_size=2048):
+    """Every blend evaluated, the segment ends included: the oracle the
+    one-evaluation-per-stored-point check must match bit for bit."""
+    subset = fixed_subset(data, eval_size)
+    norm_x = norm_rows(data)
+    stored = path.stored_points()
+    out = []
+    for a, b in zip(stored, stored[1:]):
+        pa = a.params.data.astype(np.float64)
+        pb = b.params.data.astype(np.float64)
+        losses = []
+        for alpha in np.linspace(0.0, 1.0, samples):
+            blend = ((1.0 - alpha) * pa + alpha * pb).astype(a.params.dtype)
+            losses.append(evaluate(graph, ParamVector(blend, a.params.layout), subset, norm_x)[0])
+        out.append(losses)
+    return out
+
+
 class TestInterpolationContinuity:
+    @pytest.fixture
+    def eval_calls(self, monkeypatch):
+        calls = []
+
+        def spy(graph, params, data, norm_x=None):
+            calls.append(params)
+            return evaluate(graph, params, data, norm_x)
+
+        monkeypatch.setattr(analysis, "evaluate", spy)
+        return calls
+
+    @pytest.mark.parametrize("samples", [2, 3, 5])
+    def test_each_stored_point_evaluated_once(
+        self, short_path, strided_path, blobs, eval_calls, samples
+    ):
+        train, _ = blobs
+        g = short_path[0]
+        for record in (short_path[1], strided_path):
+            eval_calls.clear()
+            report = interpolation_continuity(record, samples, g, train, eval_size=256)
+            stored = record.stored_points()
+            segments = len(stored) - 1
+            assert len(report.segment_losses) == segments
+            assert len(eval_calls) == len(stored) + (samples - 2) * segments
+            if samples == 2:
+                # only the stored points themselves, each once, in order
+                assert [c.data.tobytes() for c in eval_calls] == [
+                    p.params.data.tobytes() for p in stored
+                ]
+
+    @pytest.mark.parametrize("samples", [2, 4])
+    def test_losses_equal_every_blend_evaluated(self, short_path, strided_path, blobs, samples):
+        train, _ = blobs
+        g = short_path[0]
+        for record in (short_path[1], strided_path):
+            report = interpolation_continuity(record, samples, g, train, eval_size=256)
+            naive = _naive_continuity(record, samples, g, train, eval_size=256)
+            assert [[v.hex() for v in seg] for seg in report.segment_losses] == [
+                [v.hex() for v in seg] for seg in naive
+            ]
+
     def test_identical_endpoints_flat_segment(self, blobs):
         train, _ = blobs
         g = mlp2(20, 8, 3)

@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "workload, trace",
-    [("m2m_lenet", "0"), ("m2m_mlp2", "0"), ("m2m_lenet", "1")],
+    [("m2m_lenet", "0"), ("m2m_mlp2", "0"), ("avs_mlp2", "0"), ("m2m_lenet", "1")],
 )
 def test_smoke_run_exits_cleanly_and_is_correct(workload, trace):
     proc = subprocess.run(

@@ -1,5 +1,6 @@
 """End-to-end command tests on a tiny blobs experiment."""
 
+import re
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -544,6 +545,41 @@ dir = out
         assert set(phase.active_layers) == set(g.slice_names())
         assert block.trainer.lr == 1e-3 and block.trainer.batch_size == 64
         assert block.trainer.momentum == 0.0 and block.trainer.weight_decay == 0.0
+
+    @pytest.mark.parametrize(
+        "section, body",
+        [
+            ("m2m", "[m2m]\nstep_f = 1e-3\nloss_threshold = 0.05\ntrain_rounds = 5\n"),
+            ("m2m.phase.1", "[m2m]\nstep_f = 1e-3\nloss_threshold = 0.05\ntrain_rounds = 10\n"
+                            "[m2m.phase.1]\nlayers = all\ntrain_rounds = 4\nwindow = 6\n"),
+            ("avs.m2o", "[avs]\n[avs.m2o]\nstep_a = 1e-3\nloss_threshold = 0.05\n"
+                        "train_rounds = 3\nwindow = 5\n[avs.m2m]\n"),
+            ("modes", "[modes]\nseeds = 1\nlr = 0.1\nloss_threshold = 0.1\nmax_rounds = 9\n"),
+        ],
+        ids=["m2m", "m2m.phase.1", "avs.m2o", "modes"],
+    )
+    def test_stop_rule_that_cannot_stop_early_rejected(self, tmp_path, section, body):
+        """A positive loss threshold with a rolling window wider than the
+        round cap can never fire; the error names the section."""
+        from llpf.harness_cli import run_config as rc
+        from llpf.harness_cli.checkpoint import save_checkpoint
+        from llpf.harness_cli.config import ConfigError, parse_config
+        from llpf.nn_engine import init_params
+
+        g = mlp2(4, 4, 2)
+        for name in ("a.ckpt", "b.ckpt"):
+            save_checkpoint(init_params(g, 0), g, tmp_path / name)
+        top = section.split(".")[0]
+        if top in ("m2m", "avs"):
+            body = body.replace(f"[{top}]\n", f"[{top}]\nstart = a.ckpt\ndest = b.ckpt\n", 1)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("[model]\nname = mlp2\nin_dim = 4\nhidden = 4\nclasses = 2\n" + body)
+        cfg = parse_config(cfg_path)
+        build = {"m2m": lambda: rc.build_m2m(cfg, g), "avs": lambda: rc.build_avs(cfg, g),
+                 "modes": lambda: rc.build_modes(cfg)}[top]
+        message = rf"\[{re.escape(section)}\] a \d+-round window never fills"
+        with pytest.raises(ConfigError, match=message):
+            build()
 
     def test_fdf_and_explicit_phase_sections(self, tmp_path):
         from llpf.harness_cli import run_config as rc

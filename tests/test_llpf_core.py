@@ -28,6 +28,7 @@ from llpf.nn_engine import (
     ModelGraph,
     StopRule,
     TrainerConfig,
+    evaluate,
     init_params,
     lenet_micro,
     mlp2,
@@ -415,6 +416,39 @@ class TestCrossVariance:
         assert boundary.params is not None
         iters = [p.iteration for p in record.points]
         assert iters == sorted(iters) and len(set(iters)) == len(iters)
+
+
+class TestCrossVarianceTestMetrics:
+    def test_each_stored_point_evaluated_once(self, blobs, quick_mode, monkeypatch):
+        train, test = blobs
+        g, mode = quick_mode
+        calls = []
+
+        def spy(graph, params, data, norm_x=None):
+            if data is test:
+                calls.append(params.data.tobytes())
+            return evaluate(graph, params, data, norm_x)
+
+        monkeypatch.setattr(llpf_core, "evaluate", spy)
+        bigger = mode.with_slices({n: mode.get(n) * 1.1 for n in ("fc1.weight", "fc2.weight")})
+        cfg = CrossVarianceConfig(
+            m2o=M2OConfig(iterations=5000, step=StepParams(step_a=5e-3),
+                          stop=StopRule(0.0, 2, 1), eta_base=1e-3),
+            m2m_plan=single_phase_plan(g, 8, StepParams(step_f=2e-3), StopRule(0.0, 2, 1)),
+        )
+        record = connect_cross_variance(
+            bigger, mode, cfg, TrainerConfig(lr=1e-3, batch_size=32), train, test,
+            settings=SearchSettings(seed=3, checkpoint_stride=4, mode_acceptance_loss=0.5),
+            graph=g,
+        )
+        # stage 1 stores 0, 4, ..., 280 and hands off at 280; stage 2 adds
+        # 284 and 288.  The hand-off is evaluated once, not again as stage
+        # 2's start.
+        assert record.points[record.stage_boundary].iteration == 280
+        stored = record.stored_points()
+        assert len(stored) == 73
+        assert calls == [p.params.data.tobytes() for p in stored]
+        assert_test_metrics_where_params(record)
 
 
 class TestCrossVarianceEarlyStop:

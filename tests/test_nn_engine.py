@@ -512,6 +512,12 @@ class TestSgdStep:
             TrainerConfig(lr=0.1, momentum=1.0)
         with pytest.raises(ValueError):
             StopRule(loss_threshold=0.1, max_rounds=0)
+        # a rolling window wider than the round cap never fills, so a
+        # positive threshold could never stop training early
+        with pytest.raises(ValueError, match="never fills"):
+            StopRule(loss_threshold=0.1, max_rounds=5, window=6)
+        StopRule(loss_threshold=0.1, max_rounds=5, window=5)
+        StopRule(loss_threshold=0.0, max_rounds=5, window=6)
 
 
 @pytest.fixture(scope="module")
@@ -622,6 +628,12 @@ def _logit_cases():
         extreme[2, 3] = -1e4
         extreme[3, 1] = 1e4
         yield extreme, np.array([1, 0, 3, 2, 0, 1, 2, 3, 0])
+    # each side of the class sum's 8-value block order, and the continuity
+    # check's 2048-row, 3-class evaluation
+    rng = np.random.default_rng(12)
+    for dtype in (np.float32, np.float64):
+        for n, classes in ((33, 2), (33, 3), (33, 8), (33, 16), (33, 17), (2048, 3)):
+            yield rng.normal(0, 4, size=(n, classes)).astype(dtype), rng.integers(0, classes, n)
 
 
 LOGIT_CASES = list(_logit_cases())
@@ -635,12 +647,22 @@ class TestLossKernels:
         ref_loss, ref_dlogits = _softmax_cross_entropy_reference(logits, labels)
         assert loss.hex() == ref_loss.hex()
         assert dlogits.dtype == ref_dlogits.dtype == logits.dtype
+        # tobytes() reads C order whatever the layout, and dense_backward's
+        # GEMMs round differently on an F-ordered gradient
+        assert dlogits.flags.c_contiguous
         assert dlogits.tobytes() == ref_dlogits.tobytes()
 
     @pytest.mark.parametrize("case", range(len(LOGIT_CASES)))
     def test_loss_only_kernel_is_the_training_loss(self, case):
         logits, labels = LOGIT_CASES[case]
         assert L.cross_entropy_loss(logits, labels).hex() == L.softmax_cross_entropy(logits, labels)[0].hex()
+
+    @pytest.mark.parametrize("classes", [1, 2, 3, 7, 8, 9, 10, 16, 17, 33, 128, 129, 300])
+    def test_class_sum_is_numpys_row_sum(self, classes):
+        # the class-major kernels rely on numpy's summation order for one
+        # row; a numpy release that changes it fails here first
+        x = np.random.default_rng(classes).normal(0, 10, size=(50, classes))
+        assert L.class_sum(np.ascontiguousarray(x.T)).tobytes() == x.sum(axis=1).tobytes()
 
 
 class TestEvalChunks:
