@@ -104,8 +104,9 @@ def build_modes(cfg: ConfigFile) -> ModesBlock:
         weight_decay=sec.get_float("weight_decay", 0.0),
         batch_size=sec.positive_int("batch_size", 32),
     )
-    rule = _checked_rule(
+    rule = _checked(
         sec,
+        StopRule,
         loss_threshold=sec.get_float("loss_threshold", 0.0),
         max_rounds=sec.positive_int("max_rounds", 1000),
         window=sec.positive_int("window", 10),
@@ -140,19 +141,22 @@ def _step_params(sec: Section, defaults: StepParams | None = None) -> StepParams
     step_a = sec.get_float("step_a", defaults.step_a if defaults else 0.0)
     step_c = sec.get_float("step_c", defaults.step_c if defaults else 0.0)
     step_f = sec.get_float("step_f", defaults.step_f if defaults else 0.0)
-    return StepParams(step_a=step_a, step_c=step_c, step_f=step_f)
+    return _checked(sec, StepParams, step_a=step_a, step_c=step_c, step_f=step_f)
 
 
-def _checked_rule(sec: Section, **fields) -> StopRule:
+def _checked(sec: Section, make, **fields):
+    """``make(**fields)``, with its ValueError reported as a ConfigError at
+    the section's line."""
     try:
-        return StopRule(**fields)
+        return make(**fields)
     except ValueError as exc:
         raise sec.cfg.error(sec.line, f"[{sec.name}] {exc}") from None
 
 
 def _stop_rule(sec: Section, defaults: StopRule | None = None) -> StopRule:
-    return _checked_rule(
+    return _checked(
         sec,
+        StopRule,
         loss_threshold=sec.get_float(
             "loss_threshold", defaults.loss_threshold if defaults else 0.0
         ),

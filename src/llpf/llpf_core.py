@@ -41,6 +41,7 @@ from .nn_engine.trainer import (
 )
 from .param_space import (
     EPS_VAR,
+    Layout,
     ParamVector,
     arc_length,
     l2_distance,
@@ -167,23 +168,41 @@ class M2OConfig:
 
 
 def move_toward(
-    current: ParamVector,
+    current: ParamVector | np.ndarray,
     dest: ParamVector,
     arc0: Mapping[str, float] | None,
     step: StepParams,
     active_layers: Iterable[str],
-) -> ParamVector:
+) -> ParamVector | None:
     """Move each active layer a bounded distance straight toward the
     destination; the step never overshoots, and inactive layers keep their
-    values.  When no layer moves, ``current`` itself is returned.  ``arc0``
-    supplies the per-layer arc anchor captured at phase start (required only
-    when ``step_c`` is nonzero)."""
-    current.require_compatible(dest)
+    values.  ``arc0`` supplies the per-layer arc anchor captured at phase
+    start (required only when ``step_c`` is nonzero).
+
+    Given a writable flat array laid out like ``dest`` (a walk's working
+    point, checked by the walk), the array is moved in place and None is
+    returned.  Given a ParamVector, a moved copy is returned, or ``current``
+    itself when no layer moves.
+    """
     if step.step_c > 0 and arc0 is None:
         raise ValueError("step_c > 0 requires per-layer arc anchors")
-    updates = {}
+    if isinstance(current, ParamVector):
+        current.require_compatible(dest)
+        data = current.copy_data()
+        if not _move_in_place(data, dest, arc0, step, active_layers):
+            return current
+        return ParamVector(data, current.layout)
+    _move_in_place(current, dest, arc0, step, active_layers)
+    return None
+
+
+def _move_in_place(current, dest, arc0, step, active_layers) -> bool:
+    """The arithmetic of :func:`move_toward` on a flat array; whether any
+    layer moved."""
+    spans = dest.layout.spans
+    moved = False
     for name in active_layers:
-        a = current.get(name).astype(np.float64)
+        a = current[spans[name]].astype(np.float64)
         b = dest.get(name).astype(np.float64)
         gap = b - a
         dist = float(np.linalg.norm(gap))
@@ -192,11 +211,9 @@ def move_toward(
         s = step.step_a * dist + step.step_f
         if step.step_c > 0:
             s += step.step_c * arc0.get(name, 0.0)
-        moved = a + (min(s, dist) / dist) * gap
-        updates[name] = moved.astype(current.dtype)
-    if not updates:
-        return current
-    return current.with_slices(updates)
+        current[spans[name]] = a + (min(s, dist) / dist) * gap  # casts to the array's dtype
+        moved = True
+    return moved
 
 
 def angle_conformal(
@@ -225,8 +242,8 @@ def angle_conformal(
     return rates
 
 
-def _variances(params: ParamVector, names: Iterable[str]) -> dict[str, float]:
-    return {name: layer_stats(params.get(name)).variance for name in names}
+def _variances(data: np.ndarray, layout: Layout, names: Iterable[str]) -> dict[str, float]:
+    return {name: layer_stats(data[layout.spans[name]]).variance for name in names}
 
 
 def correctable_layers(params: ParamVector, targets: Mapping[str, float]) -> tuple[str, ...]:
@@ -240,14 +257,12 @@ def correctable_layers(params: ParamVector, targets: Mapping[str, float]) -> tup
 
 
 def _correct(
-    params: ParamVector, names: Iterable[str], targets: Mapping[str, float]
-) -> ParamVector:
-    updates = {
-        name: variance_correction(params.get(name), targets[name]) for name in names
-    }
-    if not updates:
-        return params
-    return params.with_slices(updates)
+    data: np.ndarray, layout: Layout, names: Iterable[str], targets: Mapping[str, float]
+) -> None:
+    """Variance-correct the named slices of the flat array ``data`` in place."""
+    for name in names:
+        view = data[layout.spans[name]]
+        view[...] = variance_correction(view, targets[name])
 
 
 def _accept_modes(graph, settings, phases, train_data, *modes) -> float:
@@ -280,14 +295,15 @@ def _path_trainer(trainer: TrainerConfig) -> TrainerConfig:
 
 
 def _phase_arcs(current, dest, phase):
-    """Arc anchors toward ``dest`` for the phase's active layers, or None when
-    its step has no arc term.  Toward an all-zero slice the anchor is the
-    slice's current (float64) radius; from an all-zero slice it is 0."""
+    """Arc anchors from the flat array ``current`` toward ``dest`` for the
+    phase's active layers, or None when its step has no arc term.  Toward an
+    all-zero slice the anchor is the slice's current (float64) radius; from
+    an all-zero slice it is 0."""
     if phase.step.step_c == 0:
         return None
     arcs = {}
     for name in phase.active_layers:
-        a = current.get(name).astype(np.float64)
+        a = current[dest.layout.spans[name]].astype(np.float64)
         b = dest.get(name)
         if np.linalg.norm(b) == 0:
             arcs[name] = float(np.linalg.norm(a))
@@ -319,58 +335,66 @@ def _walk(
     phases: Sequence[Phase],
     layers: Sequence[str],
     start_loss: float,
-    repair: Callable[[ParamVector, Phase, np.random.Generator], tuple[ParamVector, TrainResult]],
+    repair: Callable[[np.ndarray, Phase, np.random.Generator], TrainResult],
     *,
     train_data: Dataset,
     test_data: Dataset | None,
     settings: SearchSettings,
-    stop_when: Callable[[ParamVector], bool] | None = None,
+    stop_when: Callable[[np.ndarray], bool] | None = None,
 ) -> PathRecord:
     """Walk from ``start`` toward ``dest`` through the phase schedule.
 
-    Each iteration moves the phase's active layers, hands the moved point to
-    ``repair`` together with the walk's one generator (seeded from
-    ``settings.seed``), and records the repaired point: its repair loss and
+    The walk holds its current point in one private, writable flat array,
+    laid out like ``start`` and checked against ``dest`` once, here.  Each
+    iteration moves the phase's active layers of that array in place, hands
+    it to ``repair`` together with the walk's one generator (seeded from
+    ``settings.seed``), which repairs it in place and returns its
+    :class:`TrainResult`, and records the repaired point: its repair loss and
     its per-layer distance to ``dest`` over ``layers``.  Arc anchors toward
     ``dest`` are captured at each phase start.  The walk ends early, before
-    moving, once ``stop_when`` holds for the current point.
+    moving, once ``stop_when`` holds for the current array.
 
-    Params are kept for the start, every ``checkpoint_stride``-th iteration,
-    the scheduled last iteration, and the point the walk ends on.  Exactly
-    those points get test metrics (batch-norm statistics fitted on
-    :func:`norm_rows` of ``train_data``); every other point records NaN.
-    The record is labelled with ``settings.endpoint_ids``.
+    Params are kept for the start (``start`` itself), and as ParamVector
+    copies for every ``checkpoint_stride``-th iteration, the scheduled last
+    iteration, and the point the walk ends on.  Exactly those points get
+    test metrics (batch-norm statistics fitted on :func:`norm_rows` of
+    ``train_data``); every other point records NaN.  The record is labelled
+    with ``settings.endpoint_ids``.
     """
+    start.require_compatible(dest)
     rng = np.random.default_rng(settings.seed)
     total = sum(p.iterations for p in phases)
     points: list[PathPoint] = []
+    current = start.copy_data()
 
-    def record(iteration, phase_idx, params, loss, exhausted):
+    def record(iteration, phase_idx, loss, exhausted):
         point = PathPoint(
             iteration=iteration,
             phase=phase_idx,
             rolling_train_loss=loss,
-            per_layer_dist=l2_distance(params, dest, layers),
+            per_layer_dist=l2_distance(current, dest, layers),
             train_exhausted=exhausted,
         )
-        if iteration % settings.checkpoint_stride == 0 or iteration == total:
-            point.params = params
+        if iteration == 0:
+            point.params = start  # immutable already
+        elif iteration % settings.checkpoint_stride == 0 or iteration == total:
+            point.params = ParamVector(current.copy(), start.layout)
         points.append(point)
 
-    record(0, 0, start, start_loss, False)
+    record(0, 0, start_loss, False)
     schedule = [(k, phase) for k, phase in enumerate(phases) for _ in range(phase.iterations)]
-    current, arc_phase, arc0 = start, None, None
+    arc_phase, arc0 = None, None
     for iteration, (k, phase) in enumerate(schedule, 1):
         if stop_when is not None and stop_when(current):
             break
         if k != arc_phase:
             arc_phase, arc0 = k, _phase_arcs(current, dest, phase)
-        moved = move_toward(current, dest, arc0, phase.step, phase.active_layers)
-        current, result = repair(moved, phase, rng)
+        move_toward(current, dest, arc0, phase.step, phase.active_layers)
+        result = repair(current, phase, rng)
         exhausted = phase.stop.loss_threshold > 0 and not result.hit_threshold
-        record(iteration, k, current, result.rolling_loss, exhausted)
+        record(iteration, k, result.rolling_loss, exhausted)
     if points[-1].params is None:
-        points[-1].params = current
+        points[-1].params = ParamVector(current.copy(), start.layout)
     _test_metrics(graph, points, test_data, train_data)
     return PathRecord(
         points=points, config_hash=settings.config_hash, endpoints=settings.endpoint_ids
@@ -403,13 +427,13 @@ def llpf_m2m(
     plan.validate_against(graph)
     trainer = _path_trainer(trainer)
 
-    targets = _variances(start, start.names())
+    targets = _variances(start.data, start.layout, start.names())
     correctable = correctable_layers(start, targets)
 
     bound = settings.variance_ratio_bound
     if bound <= 1:
         raise ValueError("variance_ratio_bound must exceed 1")
-    for name, v_dest in _variances(dest, correctable).items():
+    for name, v_dest in _variances(dest.data, dest.layout, correctable).items():
         if v_dest <= EPS_VAR:
             continue
         ratio = targets[name] / v_dest
@@ -421,13 +445,16 @@ def llpf_m2m(
 
     start_loss = _accept_modes(graph, settings, plan.phases, train_data, start, dest)
     repair_data = replace(train_data, augment=None)
+    layout = start.layout
 
-    def repair(moved, phase, rng):
+    def repair(current, phase, rng):
         names = [n for n in phase.active_layers if n in correctable]
-        result = train_until(
-            graph, _correct(moved, names, targets), repair_data, trainer, phase.stop, rng
-        )
-        return _correct(result.params, names, targets), result
+        _correct(current, layout, names, targets)
+        moved = ParamVector(current.copy(), layout)
+        result = train_until(graph, moved, repair_data, trainer, phase.stop, rng)
+        current[...] = result.params.data
+        _correct(current, layout, names, targets)
+        return result
 
     return _walk(
         graph, start, dest, plan.phases, graph.slice_names(), start_loss, repair,
@@ -471,7 +498,7 @@ def llpf_m2o(
     if not active:
         raise ValueError("every layer is excluded; nothing to move")
 
-    v_base = _variances(start, active)
+    v_base = _variances(start.data, start.layout, active)
     for name, v in v_base.items():
         if v <= 0:
             raise ValueError(f"base variance must be positive for layer {name!r}")
@@ -488,13 +515,16 @@ def llpf_m2o(
 
     step_trainer = replace(trainer, lr=cfg.eta_base)
     repair_data = replace(train_data, augment=None)
+    layout = start.layout
 
-    def repair(moved, phase, rng):
+    def repair(current, phase, rng):
+        moved = ParamVector(current.copy(), layout)
         rates = angle_conformal(moved, v_base, cfg.eta_base, excluded)
         result = train_until(
             graph, moved, repair_data, step_trainer, phase.stop, rng, lr_map=rates
         )
-        return result.params, result
+        current[...] = result.params.data
+        return result
 
     stop_when = None
     if var_stop is not None:
@@ -504,7 +534,7 @@ def llpf_m2o(
         def stop_when(current):
             return all(
                 1.0 / rtol <= v / stop_targets[name] <= rtol
-                for name, v in _variances(current, stop_layers).items()
+                for name, v in _variances(current, layout, stop_layers).items()
             )
 
     return _walk(
@@ -546,15 +576,17 @@ def connect_cross_variance(
     """
     start.require_compatible(dest)
 
-    dest_targets = _variances(dest, dest.names())
+    dest_targets = _variances(dest.data, dest.layout, dest.names())
     correctable = correctable_layers(dest, dest_targets)
     if not correctable:
         raise ValueError("no correctable layers to project")
-    v_start = _variances(start, correctable)
+    v_start = _variances(start.data, start.layout, correctable)
     if float(np.mean([v_start[name] / dest_targets[name] for name in correctable])) < 1.0:
         raise PrerequisiteError("destination on larger sphere; swap endpoints")
 
-    projection = _correct(start, correctable, dest_targets)
+    projection = start.copy_data()
+    _correct(projection, start.layout, correctable, dest_targets)
+    projection = ParamVector(projection, start.layout)
 
     stage1 = llpf_m2o(
         start,

@@ -61,7 +61,7 @@ def forward(
     ``stats`` maps batch_norm node names to the (mean, var) each normalizes
     with; by default every batch_norm uses the batch's own statistics.
     """
-    logits, _ = _execute(graph, params, x, stats, want_caches=False)
+    logits, _ = _execute(graph, params.data, x, stats, want_caches=False)
     return logits
 
 
@@ -71,16 +71,16 @@ def norm_stats(
     """Each batch_norm node's batch (mean, population var) over ``x``, from
     one forward pass at ``params``."""
     stats: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    _execute(graph, params, x, stats, want_caches=False)
+    _execute(graph, params.data, x, stats, want_caches=False)
     return stats
 
 
-def _execute(graph, params, x, stats, want_caches):
-    """Forward pass.  A batch_norm node named in ``stats`` normalizes with
-    those statistics; one missing from a ``stats`` dict uses its batch's and
-    records them there.  Backward caches are kept only when ``want_caches``,
-    so an evaluation pass frees each node's im2col matrix and batch-norm
-    cache as soon as the node has run."""
+def _execute(graph, data, x, stats, want_caches):
+    """Forward pass at the flat parameter array ``data``.  A batch_norm node
+    named in ``stats`` normalizes with those statistics; one missing from a
+    ``stats`` dict uses its batch's and records them there.  Backward caches
+    are kept only when ``want_caches``, so an evaluation pass frees each
+    node's im2col matrix and batch-norm cache as soon as the node has run."""
     x = np.asarray(x)
     if x.shape[1:] != graph.input_shape:
         raise ValueError(
@@ -88,7 +88,6 @@ def _execute(graph, params, x, stats, want_caches):
         )
     if x.ndim == 4:
         x = x.transpose(1, 2, 3, 0)
-    data = params.data
     values: dict[str, np.ndarray] = {}
     caches: dict[str, object] = {}
     for node in graph.plan:
@@ -138,24 +137,35 @@ def _batch_first(a):
 
 def loss_and_grad(
     graph: ModelGraph,
-    params: ParamVector,
+    params: ParamVector | np.ndarray,
     batch_x: np.ndarray,
     batch_y: np.ndarray,
     mode: str = "train",
-) -> tuple[float, ParamVector]:
-    """Mean cross-entropy over the batch and its gradient as a ParamVector.
+    out: np.ndarray | None = None,
+) -> tuple[float, ParamVector | np.ndarray]:
+    """Mean cross-entropy over the batch and its gradient.
 
-    Every batch_norm normalizes with the batch's statistics; ``mode`` names
-    that and accepts nothing but ``"train"``.
+    ``params`` is a ParamVector, or a flat array in the graph's layout that
+    its caller has already checked (a trainer's working buffer).  Given
+    ``out``, a flat buffer the caller owns, the gradient is written there and
+    ``out`` is returned; the buffer is zeroed first, so a slice that gets no
+    gradient reads 0.  Without it the gradient comes back as a new
+    ParamVector in the dtype of ``params``.  Every batch_norm normalizes with
+    the batch's statistics; ``mode`` names that and accepts nothing but
+    ``"train"``.
     """
     if mode != "train":
         raise ValueError(f"loss_and_grad runs in train mode only, not {mode!r}")
-    logits, (values, caches) = _execute(graph, params, batch_x, None, want_caches=True)
+    data = params.data if isinstance(params, ParamVector) else params
+    if out is None:
+        gdata = np.zeros(graph.num_params, dtype=data.dtype)
+    else:
+        gdata = out
+        gdata.fill(0)
+    logits, (values, caches) = _execute(graph, data, batch_x, None, want_caches=True)
     loss, dlogits = L.softmax_cross_entropy(logits, np.asarray(batch_y))
 
     grads: dict[str, np.ndarray] = {graph.sink: dlogits}
-    data = params.data
-    gdata = np.zeros(graph.num_params, dtype=params.dtype)
     for node in reversed(graph.plan):
         name = node.name
         g = grads.pop(name, None)
@@ -166,8 +176,9 @@ def loss_and_grad(
             o, n, shape = node.slices[0]
             w = data[o : o + n].reshape(shape)  # a weight, or a batch_norm's scale
         if node.kind == "dense":
-            dx, dw, db = L.dense_backward(g, caches[name], w)
-            if len(node.in_shape) > 1:
+            # a layer that reads the batch has no input whose gradient is needed
+            dx, dw, db = L.dense_backward(g, caches[name], w, need_dx=bool(node.inputs))
+            if dx is not None and len(node.in_shape) > 1:
                 dx = dx.T.reshape(node.in_shape + (g.shape[0],))
             pgrads = (dw, db)
         elif node.kind == "conv2d":
@@ -195,10 +206,10 @@ def loss_and_grad(
             dx = g  # both inputs receive the same gradient
 
         for (o, n, _), arr in zip(node.slices, pgrads):
-            gdata[o : o + n] = arr.reshape(-1).astype(params.dtype)
+            gdata[o : o + n] = arr.reshape(-1)  # casts to the buffer's dtype
         for src in node.inputs:
             if src in grads:
                 grads[src] = grads[src] + dx
             else:
                 grads[src] = dx
-    return loss, graph.wrap(gdata)
+    return loss, (graph.wrap(gdata) if out is None else gdata)

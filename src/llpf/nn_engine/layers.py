@@ -38,11 +38,14 @@ def dense_forward(x, w, b):
     return x @ w + b
 
 
-def dense_backward(g, x, w):
-    dx = g @ w.T
+def dense_backward(g, x, w, need_dx=True):
+    """Returns (dx, dw, db); ``need_dx=False`` skips the input gradient and
+    returns ``dx=None`` (for a dense layer that reads the model input)."""
     dw = x.T @ g
     db = g.sum(axis=0)
-    return dx, dw, db
+    if not need_dx:
+        return None, dw, db
+    return g @ w.T, dw, db
 
 
 # -- convolution -------------------------------------------------------------

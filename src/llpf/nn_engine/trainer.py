@@ -3,6 +3,11 @@
 Batch sampling draws uniformly with replacement from a seeded generator, so a
 run is bit-reproducible from (seed, config, data) on a single thread.
 
+``train_until`` runs its rounds on one private flat copy of the parameters:
+the engine writes each round's gradient into a buffer the trainer owns, and
+:func:`sgd_step` updates the parameters and the velocity in place.  Only the
+trained point is wrapped back into a :class:`ParamVector`.
+
 Evaluation runs the dataset through the model in chunks sized from the
 model: as many rows as keep the widest array one sample makes in a forward
 (a node output or a conv's im2col patch matrix) within ``EVAL_CHUNK_BYTES``.
@@ -22,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..param_space import ParamVector
+from ..param_space import LayoutMismatch, ParamVector
 from .engine import forward, loss_and_grad, norm_stats
 from .layers import cross_entropy_loss
 from .graph import ModelGraph
@@ -181,30 +186,30 @@ def _lr_vector(
 
 
 def sgd_step(
-    params: ParamVector,
-    grad: ParamVector,
-    cfg: TrainerConfig,
+    params: np.ndarray,
+    grad: np.ndarray,
     velocity: np.ndarray | None,
+    cfg: TrainerConfig,
     lr: np.ndarray | float | None = None,
-) -> tuple[ParamVector, np.ndarray]:
-    """One SGD update: decay folds into the gradient, momentum into velocity.
+) -> None:
+    """One SGD update of the flat arrays ``params`` and ``velocity``, in
+    place: decay folds into the gradient (``grad`` is overwritten with
+    ``grad + wd * params``), momentum into the velocity (``m * v + g``),
+    and the parameters take ``p - lr * v``.  A caller starts the velocity
+    at zeros; without momentum the velocity is the gradient itself, and
+    ``velocity`` may be None.
 
     ``lr`` may be a per-coordinate array (per-layer learning rates); it
     defaults to the scalar from the config.
     """
-    params.require_compatible(grad)
-    g = grad.data
     if cfg.weight_decay:
-        g = g + cfg.weight_decay * params.data
-    if velocity is None:
-        velocity = np.zeros(params.size, dtype=params.dtype)
+        grad += cfg.weight_decay * params
     if cfg.momentum:
-        velocity = cfg.momentum * velocity + g
+        velocity *= cfg.momentum
+        velocity += grad
     else:
-        velocity = g
-    step = cfg.lr if lr is None else lr
-    new_data = params.data - step * velocity
-    return ParamVector(new_data.astype(params.dtype), params.layout), velocity
+        velocity = grad
+    params -= (cfg.lr if lr is None else lr) * velocity
 
 
 def train_until(
@@ -217,17 +222,26 @@ def train_until(
     lr_map: Mapping[str, float] | None = None,
 ) -> TrainResult:
     """SGD on random batches until the rolling loss beats the threshold or the
-    round cap is reached (the latter is a normal outcome, not an error)."""
-    lr = _lr_vector(graph, cfg.lr, lr_map, params.dtype)
-    velocity = None
+    round cap is reached (the latter is a normal outcome, not an error).
+
+    The rounds update one private copy of ``params`` in place, with one
+    gradient buffer and, under momentum, one velocity buffer; the layout is
+    checked once, here.  The result wraps that copy.
+    """
+    if params.layout != graph.layout:
+        raise LayoutMismatch("parameter layout differs from the graph's")
+    p = params.copy_data()
+    grad = np.empty_like(p)
+    velocity = np.zeros_like(p) if cfg.momentum else None
+    lr = _lr_vector(graph, cfg.lr, lr_map, p.dtype)
     recent: deque[float] = deque(maxlen=rule.window)
     losses: list[float] = []
     rounds = 0
     hit = False
     for rounds in range(1, rule.max_rounds + 1):
         x, y = sample_batch(data, cfg.batch_size, rng)
-        loss, grad = loss_and_grad(graph, params, x, y)
-        params, velocity = sgd_step(params, grad, cfg, velocity, lr)
+        loss, _ = loss_and_grad(graph, p, x, y, out=grad)
+        sgd_step(p, grad, velocity, cfg, lr)
         recent.append(loss)
         losses.append(loss)
         if (
@@ -238,7 +252,7 @@ def train_until(
             hit = True
             break
     rolling = float(np.mean(recent)) if recent else float("nan")
-    return TrainResult(params, rounds, rolling, hit, losses)
+    return TrainResult(ParamVector(p, params.layout), rounds, rolling, hit, losses)
 
 
 def eval_chunk_rows(graph: ModelGraph, itemsize: int) -> int:

@@ -5,8 +5,13 @@ named layer slices, described by a :class:`Layout` that is validated once and
 shared by every vector derived from it.  Every statistic here uses the
 population (1/n) variance and accumulates in float64 regardless of the
 storage dtype; slices whose variance falls below ``EPS_VAR`` are treated as
-degenerate by the correction step.  All operations are pure: inputs are never
-mutated.
+degenerate by the correction step.  Every operation here is pure: inputs are
+never mutated, and :func:`l2_distance` also reads a plain flat array laid out
+like its second argument.  The functions that write a caller-owned flat
+buffer in place live with their callers: ``nn_engine.trainer.sgd_step`` (the
+parameters, gradient and velocity), ``nn_engine.engine.loss_and_grad`` given
+``out`` (the gradient), and ``llpf_core.move_toward`` given an array (a
+walk's working point).
 """
 
 from __future__ import annotations
@@ -51,7 +56,8 @@ class LayerStats:
 class Layout(tuple):
     """A validated tuple of :class:`SliceInfo`: contiguous from offset 0,
     unique names, known kinds.  It also carries ``index`` (slice name ->
-    ``SliceInfo``) and ``size`` (total scalar count)."""
+    ``SliceInfo``), ``spans`` (slice name -> the ``slice`` of the flat array
+    it covers) and ``size`` (total scalar count)."""
 
     def __new__(cls, slices: Iterable[SliceInfo]) -> "Layout":
         self = super().__new__(cls, slices)
@@ -73,6 +79,7 @@ class Layout(tuple):
                 raise ValueError(f"slice {s.name!r} has non-positive length")
             expected += s.length
         self.index = index
+        self.spans = {s.name: slice(s.offset, s.offset + s.length) for s in self}
         self.size = expected
         return self
 
@@ -125,8 +132,10 @@ class ParamVector:
 
     def get(self, name: str) -> np.ndarray:
         """Read-only view of one layer slice."""
-        s = self.info(name)
-        return self.data[s.offset : s.offset + s.length]
+        try:
+            return self.data[self.layout.spans[name]]
+        except KeyError:
+            raise KeyError(f"no layer slice named {name!r}") from None
 
     def copy_data(self) -> np.ndarray:
         return self.data.copy()
@@ -161,8 +170,10 @@ def layer_stats(values: np.ndarray) -> LayerStats:
     if values.size == 0:
         raise ValueError("empty layer")
     wide = values.astype(np.float64, copy=False)
-    mean = float(wide.mean())
-    variance = float(np.mean((wide - mean) ** 2))
+    # np.add.reduce(x) / n is what ndarray.mean computes for a full
+    # reduction, without its Python-level wrapper
+    mean = float(np.add.reduce(wide) / wide.size)
+    variance = float(np.add.reduce((wide - mean) ** 2) / wide.size)
     return LayerStats(mean=mean, variance=variance, n=values.size)
 
 
@@ -180,10 +191,11 @@ def variance_correction(values: np.ndarray, v: float) -> np.ndarray:
     if v < 0:
         raise ValueError("target variance must be non-negative")
     wide = values.reshape(-1).astype(np.float64)
-    mean = wide.mean()
+    n = wide.size
+    mean = np.add.reduce(wide) / n  # ndarray.mean's arithmetic, as in layer_stats
     dev = wide - mean
-    dev -= dev.mean()  # second-pass centering keeps the mean bit-stable
-    var = float(np.mean(dev * dev))
+    dev -= np.add.reduce(dev) / n  # second-pass centering keeps the mean bit-stable
+    var = float(np.add.reduce(dev * dev) / n)
     if v == 0.0:
         out = np.full_like(wide, mean)
         return out.astype(values.dtype).reshape(values.shape)
@@ -195,17 +207,24 @@ def variance_correction(values: np.ndarray, v: float) -> np.ndarray:
 
 
 def l2_distance(
-    a: ParamVector, b: ParamVector, layers: Iterable[str]
+    a: ParamVector | np.ndarray, b: ParamVector, layers: Iterable[str]
 ) -> dict[str, float]:
-    """Per-layer Euclidean distance between two layout-compatible vectors."""
-    a.require_compatible(b)
+    """Per-layer Euclidean distance between two layout-compatible vectors.
+
+    ``a`` may also be a flat array laid out like ``b`` (a walk's working
+    point), which its caller has already checked.
+    """
+    if isinstance(a, ParamVector):
+        a.require_compatible(b)
+        a = a.data
     names = list(layers)
     if not names:
         raise ValueError("layers must be non-empty")
+    spans = b.layout.spans
     out = {}
     for name in names:
-        da = a.get(name).astype(np.float64, copy=False)
         db = b.get(name).astype(np.float64, copy=False)
+        da = a[spans[name]].astype(np.float64, copy=False)
         out[name] = float(np.linalg.norm(da - db))
     return out
 

@@ -2,7 +2,9 @@
 
 Runs ``bench/run.py`` from the repository root the way the benchmark is run,
 so a change that breaks a benchmark workload fails here and not only in the
-benchmark itself.  Timings of smoke runs mean nothing and are not checked.
+benchmark itself.  Timings of smoke runs mean nothing and are not checked,
+but a traced run must time every stage and round step it names: a refactor
+that stops calling a traced function would otherwise zero its metric.
 """
 
 from __future__ import annotations
@@ -15,11 +17,16 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+# per-layer metrics that only read 0 when their traced function is never called
+TRACED = tuple(
+    f"llpf_core.{stage}.ms_per_iter"
+    for stage in ("move_toward", "variance_correction", "train_until", "l2_distance")
+) + tuple(f"trainer.{step}.us_per_round" for step in ("sample_batch", "loss_and_grad", "sgd_step"))
 
 
 @pytest.mark.parametrize(
     "workload, trace",
-    [("m2m_lenet", "0"), ("m2m_mlp2", "0"), ("avs_mlp2", "0"), ("m2m_lenet", "1")],
+    [("m2m_lenet", "0"), ("m2m_mlp2", "0"), ("avs_mlp2", "0"), ("m2m_lenet", "1"), ("m2m_mlp2", "1")],
 )
 def test_smoke_run_exits_cleanly_and_is_correct(workload, trace):
     proc = subprocess.run(
@@ -31,3 +38,6 @@ def test_smoke_run_exits_cleanly_and_is_correct(workload, trace):
     line = json.loads(proc.stdout.strip().splitlines()[-1])
     assert line["correct"] is True
     assert line["failed"] == 0
+    if trace == "1":
+        zero = [name for name in TRACED if not line["metrics"][name]["value"] > 0]
+        assert not zero, f"traced metrics read 0: {zero}"

@@ -424,6 +424,32 @@ dir = out
         assert f"{cfg}:{line}: unknown key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, section, body",
+        [
+            ("connect-m2m", "m2m", "[m2m]\nstart = a.ckpt\ndest = b.ckpt\n"),
+            ("connect-m2m", "m2m.phase.1", "[m2m]\nstart = a.ckpt\ndest = b.ckpt\nstep_f = 1e-3\n"
+                                           "[m2m.phase.1]\nlayers = all\nstep_f = 0\n"),
+            ("collapse-m2o", "m2o", "[m2o]\nstart = a.ckpt\n"),
+            ("connect-avs", "avs.m2o", "[avs]\nstart = a.ckpt\ndest = b.ckpt\n[avs.m2o]\n"
+                                       "[avs.m2m]\nstep_f = 1e-3\n"),
+            ("connect-avs", "avs.m2m", "[avs]\nstart = a.ckpt\ndest = b.ckpt\n[avs.m2o]\n"
+                                       "step_a = 1e-3\n[avs.m2m]\n"),
+        ],
+        ids=["m2m", "m2m.phase.1", "m2o", "avs.m2o", "avs.m2m"],
+    )
+    def test_step_without_positive_coefficient_rejected_with_line(
+        self, tmp_path, capsys, command, section, body
+    ):
+        text = BASE + body + "\n[output]\ndir = out\n"
+        cfg = write_cfg(tmp_path, text)
+        line = text.splitlines().index(f"[{section}]") + 1
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:{line}: [{section}] at least one step coefficient must be positive" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert main(["train-modes", "--config", str(tmp_path / "none.cfg")]) == 1
 

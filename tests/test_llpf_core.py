@@ -418,6 +418,44 @@ class TestCrossVariance:
         assert iters == sorted(iters) and len(set(iters)) == len(iters)
 
 
+class TestStoredPointsOwnTheirParams:
+    """A walk updates one working array in place; a stored point that kept a
+    view of it would change as the walk went on."""
+
+    def test_no_shared_memory_and_read_only(self, blobs, quick_mode):
+        train, _ = blobs
+        g, mode = quick_mode
+        trainer = TrainerConfig(lr=1e-3, batch_size=32)
+        settings = SearchSettings(seed=2, checkpoint_stride=2, mode_acceptance_loss=0.5)
+        stop = StopRule(0.0, 2, 1)
+        step = StepParams(step_a=2e-2, step_f=1e-3)
+        partner = mode.with_slices({"fc1.weight": mode.get("fc1.weight")[::-1]})
+        bigger = mode.with_slices({n: mode.get(n) * 1.1 for n in ("fc1.weight", "fc2.weight")})
+        m2m = llpf_m2m(
+            mode, partner, single_phase_plan(g, 7, step, stop), trainer, train,
+            settings=replace(settings, mode_acceptance_loss=0.0), graph=g,
+        )
+        m2o = llpf_m2o(
+            mode, M2OConfig(iterations=7, step=step, stop=stop, eta_base=1e-3), trainer, train,
+            settings=settings, graph=g,
+        )
+        avs = connect_cross_variance(
+            bigger, mode,
+            CrossVarianceConfig(
+                m2o=M2OConfig(iterations=2000, step=step, stop=stop, eta_base=1e-3),
+                m2m_plan=single_phase_plan(g, 7, step, stop),
+            ),
+            trainer, train, settings=settings, graph=g,
+        )
+        assert avs.stage_boundary > 0
+        for record in (m2m, m2o, avs):
+            stored = [p.params.data for p in record.stored_points()]
+            assert len(stored) >= 5
+            for i, data in enumerate(stored):
+                assert not data.flags.writeable
+                assert not any(np.shares_memory(data, other) for other in stored[i + 1 :])
+
+
 class TestCrossVarianceTestMetrics:
     def test_each_stored_point_evaluated_once(self, blobs, quick_mode, monkeypatch):
         train, test = blobs
@@ -632,7 +670,8 @@ class TestMultiPhase:
         real = llpf_core._phase_arcs
 
         def spy(current, dest, phase):
-            anchored.append((current, phase.active_layers))
+            # the walk's working array: keep what it holds now
+            anchored.append((current.copy(), phase.active_layers))
             return real(current, dest, phase)
 
         monkeypatch.setattr(llpf_core, "_phase_arcs", spy)
@@ -642,8 +681,9 @@ class TestMultiPhase:
             graph=g,
         )
         assert [layers for _, layers in anchored] == [p.active_layers for p in plan.phases]
-        assert anchored[0][0] is mode
-        assert anchored[1][0] is record.points[3].params  # the last point of phase 1
+        assert np.array_equal(anchored[0][0], mode.data)
+        # the last point of phase 1
+        assert np.array_equal(anchored[1][0], record.points[3].params.data)
 
 
 class TestPhaseArcs:
@@ -660,7 +700,7 @@ class TestPhaseArcs:
     )
     def test_anchors(self, dest, expected):
         phase = Phase(("w", "v"), 1, StepParams(step_c=1.0), StopRule(0.0, 1, 1))
-        arcs = llpf_core._phase_arcs(vector(self.CURRENT), vector(dest), phase)
+        arcs = llpf_core._phase_arcs(vector(self.CURRENT).data, vector(dest), phase)
         assert arcs == pytest.approx(expected)
 
     def test_radius_toward_origin_is_float64(self):
@@ -669,13 +709,13 @@ class TestPhaseArcs:
         current = ParamVector(values, layout)
         origin = ParamVector(np.zeros(101, dtype=np.float32), layout)
         phase = Phase(("w",), 1, StepParams(step_c=1.0), StopRule(0.0, 1, 1))
-        arcs = llpf_core._phase_arcs(current, origin, phase)
+        arcs = llpf_core._phase_arcs(current.data, origin, phase)
         assert arcs["w"] == float(np.linalg.norm(values.astype(np.float64)))
 
     def test_no_arc_term_gives_none(self):
         phase = Phase(("w", "v"), 1, StepParams(step_a=1.0), StopRule(0.0, 1, 1))
         current = vector(self.CURRENT)
-        assert llpf_core._phase_arcs(current, current, phase) is None
+        assert llpf_core._phase_arcs(current.data, current, phase) is None
 
 
 def spy_generators(monkeypatch):

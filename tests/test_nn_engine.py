@@ -411,23 +411,26 @@ class TestKernelReference:
         assert np.array_equal(dw2, dw) and np.array_equal(db2, db)
 
     def test_input_conv_skips_dx_without_changing_grads(self, monkeypatch):
-        g = lenet_micro()
-        params = init_params(g, 0)
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(4,) + g.input_shape).astype(np.float32)
-        y = rng.integers(0, g.shapes[g.sink][0], size=4)
-        _, grads = loss_and_grad(g, params, x, y)
-        full = L.conv2d_backward
-        asked = {}
+        # the layer that reads the batch, a conv or a dense one, is the last
+        # whose backward runs, and the only one asked for no dx
+        for g, kernel in ((lenet_micro(), "conv2d_backward"), (mlp2(), "dense_backward")):
+            params = init_params(g, 0)
+            rng = np.random.default_rng(0)
+            x = rng.normal(size=(4,) + g.input_shape).astype(np.float32)
+            y = rng.integers(0, g.shapes[g.sink][0], size=4)
+            _, grads = loss_and_grad(g, params, x, y)
+            full = getattr(L, kernel)
+            asked = []
 
-        def always_dx(*args, need_dx=True):
-            asked[args[1]] = need_dx
-            return full(*args)
+            def always_dx(*args, need_dx=True):
+                asked.append(need_dx)
+                return full(*args)
 
-        monkeypatch.setattr(L, "conv2d_backward", always_dx)
-        _, grads_full = loss_and_grad(g, params, x, y)
-        assert asked[g.input_shape + (4,)] is False and list(asked.values()).count(False) == 1
-        assert np.array_equal(grads.data, grads_full.data)
+            with monkeypatch.context() as patch:
+                patch.setattr(L, kernel, always_dx)
+                _, grads_full = loss_and_grad(g, params, x, y)
+            assert asked[-1] is False and asked.count(False) == 1, kernel
+            assert np.array_equal(grads.data, grads_full.data)
 
     @pytest.mark.parametrize("kernel", [2, 3])
     def test_maxpool_matches_window_argmax(self, kernel):
@@ -462,48 +465,79 @@ class TestKernelReference:
         assert np.array_equal(per_window, ones)
 
 
-class TestSgdStep:
-    def _one_param_graph(self):
-        return ModelGraph([GraphNode("d", "dense", (), {"out": 1})], (1,))
+def sgd_step_allocating(params, grad, cfg, velocity, lr=None):
+    """The allocating SGD update that the in-place ``sgd_step`` replaced,
+    frozen as its reference: it returns new (params, velocity) arrays."""
+    g = grad
+    if cfg.weight_decay:
+        g = g + cfg.weight_decay * params
+    if velocity is None:
+        velocity = np.zeros(params.size, dtype=params.dtype)
+    if cfg.momentum:
+        velocity = cfg.momentum * velocity + g
+    else:
+        velocity = g
+    step = cfg.lr if lr is None else lr
+    return (params - step * velocity).astype(params.dtype), velocity
 
+
+class TestSgdStep:
     def test_plain_step(self):
-        g = self._one_param_graph()
-        params = g.wrap(np.array([1.0, 0.0]))  # weight=1, bias=0
-        grad = g.wrap(np.array([2.0, 0.0]))
+        params = np.array([1.0, 0.0])  # weight=1, bias=0
         cfg = TrainerConfig(lr=0.1, momentum=0.0, weight_decay=0.0)
-        out, _ = sgd_step(params, grad, cfg, None)
-        assert out.data[0] == pytest.approx(0.8)
+        sgd_step(params, np.array([2.0, 0.0]), None, cfg)
+        assert params[0] == pytest.approx(0.8)
 
     def test_pure_shrinkage(self):
-        g = self._one_param_graph()
-        params = g.wrap(np.array([1.0, 2.0]))
-        grad = g.wrap(np.zeros(2))
+        start = np.array([1.0, 2.0])
+        params = start.copy()
         cfg = TrainerConfig(lr=0.1, weight_decay=0.5)
-        out, _ = sgd_step(params, grad, cfg, None)
-        assert np.allclose(out.data, params.data * (1 - 0.1 * 0.5))
+        sgd_step(params, np.zeros(2), None, cfg)
+        assert np.allclose(params, start * (1 - 0.1 * 0.5))
 
     def test_momentum_unrolled(self):
-        g = self._one_param_graph()
-        params = g.wrap(np.array([1.0, 0.0]))
-        grad = g.wrap(np.array([2.0, 0.0]))
+        params = np.array([1.0, 0.0])
+        velocity = np.zeros(2)
         cfg = TrainerConfig(lr=0.1, momentum=0.9)
-        p1, vel = sgd_step(params, grad, cfg, None)
-        p2, _ = sgd_step(p1, grad, cfg, vel)
+        sgd_step(params, np.array([2.0, 0.0]), velocity, cfg)
+        p1 = params[0]
+        sgd_step(params, np.array([2.0, 0.0]), velocity, cfg)
         # v1 = 2 -> theta 0.8; v2 = 0.9*2 + 2 = 3.8 -> theta 0.8 - 0.38 = 0.42
-        assert p1.data[0] == pytest.approx(0.8)
-        assert p2.data[0] == pytest.approx(0.42)
+        assert p1 == pytest.approx(0.8)
+        assert params[0] == pytest.approx(0.42)
 
     def test_per_layer_rate_vector(self):
         g = mlp2(2, 2, 2)
-        params = g.wrap(np.ones(g.num_params))
-        grad = g.wrap(np.ones(g.num_params))
+        params = np.ones(g.num_params)
         cfg = TrainerConfig(lr=1.0)
         lr = np.zeros(g.num_params)
-        info = params.info("fc2.weight")
-        lr[info.offset : info.offset + info.length] = 0.5
-        out, _ = sgd_step(params, grad, cfg, None, lr=lr)
+        lr[g.layout.spans["fc2.weight"]] = 0.5
+        sgd_step(params, np.ones(g.num_params), None, cfg, lr=lr)
+        out = g.wrap(params)
         assert np.all(out.get("fc1.weight") == 1.0)
         assert np.all(out.get("fc2.weight") == 0.5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rate", ["scalar", "per-coordinate"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_in_place_step_matches_the_allocating_reference(
+        self, momentum, weight_decay, rate, dtype
+    ):
+        rng = np.random.default_rng(0)
+        n = 257
+        cfg = TrainerConfig(lr=0.05, momentum=momentum, weight_decay=weight_decay)
+        lr = None if rate == "scalar" else rng.uniform(0.0, 0.1, n).astype(dtype)
+        ref_p, ref_v = rng.normal(size=n).astype(dtype), None
+        params = ref_p.copy()
+        velocity = np.zeros_like(params) if momentum else None
+        for _ in range(40):
+            grad = rng.normal(size=n).astype(dtype)
+            ref_p, ref_v = sgd_step_allocating(ref_p, grad, cfg, ref_v, lr)
+            sgd_step(params, grad.copy(), velocity, cfg, lr)
+            assert params.dtype == dtype and params.tobytes() == ref_p.tobytes()
+            if momentum:
+                assert velocity.tobytes() == ref_v.tobytes()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from llpf.harness_cli.checkpoint import load_checkpoint, save_checkpoint
 from llpf.llpf_core import StepParams, move_toward
-from llpf.nn_engine import TrainerConfig, init_params, mlp2, sgd_step
+from llpf.nn_engine import Dataset, StopRule, TrainerConfig, init_params, mlp2, train_until
 from llpf.param_space import (
     EPS_VAR,
     DegenerateVariance,
@@ -90,8 +90,11 @@ class TestLayout:
 
         monkeypatch.setattr(Layout, "__new__", revalidate)
         a = init_params(g, 1)
-        grad = g.wrap(np.ones(g.num_params, dtype=np.float32))
-        stepped, _ = sgd_step(a, grad, TrainerConfig(lr=0.1), None)
+        # the SGD rounds update a flat buffer; train_until wraps it at exit
+        data = Dataset(np.ones((4, 4), dtype=np.float32), np.zeros(4, dtype=np.int64), "train", 2)
+        stepped = train_until(
+            g, a, data, TrainerConfig(lr=0.1), StopRule(0.0, 1), np.random.default_rng(0)
+        ).params
         replaced = a.with_slices({"fc2.bias": np.ones(2)})
         moved = move_toward(a, init_params(g, 2), None, StepParams(step_f=0.1), ["fc1.weight"])
         save_checkpoint(a, g, tmp_path / "a.ckpt")
