@@ -133,7 +133,8 @@ def path_metrics(
                     for name in p.per_layer_dist
                 }
             else:
-                dists = l2_distance(p.params, destination, list(p.per_layer_dist))
+                p.params.require_compatible(destination)
+                dists = l2_distance(p.params.data, destination, list(p.per_layer_dist))
             if test_data is not None and graph is not None:
                 t_loss, t_acc = evaluate(graph, p.params, test_data, norm_x)
             else:
@@ -171,23 +172,20 @@ class SeedStudyTable:
 def seed_variance_study(
     graph: ModelGraph,
     trainer: TrainerConfig,
-    n_seeds: int,
+    seeds: Sequence[int],
     data: Dataset,
     rule: StopRule,
-    seeds: Sequence[int] | None = None,
     acceptance_loss: float | None = None,
     eval_size: int = 2048,
 ) -> SeedStudyTable:
     """Train modes from independent seeds and tabulate per-layer statistics.
 
-    Each seed initializes and trains one mode under ``rule`` with the
-    dataset's augmentation, if it has any.  ``seeds`` defaults to
-    ``0..n_seeds-1``.  With an ``acceptance_loss``, every mode is scored on
-    one fixed ``eval_size`` training subset, and seeds whose loss misses the
-    bar are excluded from the table and reported in ``failed_seeds``.
+    Each of ``seeds`` (at least two) initializes and trains one mode under
+    ``rule`` with the dataset's augmentation, if it has any.  With an
+    ``acceptance_loss``, every mode is scored on one fixed ``eval_size``
+    training subset, and seeds whose loss misses the bar are excluded from
+    the table and reported in ``failed_seeds``.
     """
-    if seeds is None:
-        seeds = list(range(n_seeds))
     if len(seeds) < 2:
         raise ValueError("need at least two seeds")
     per_layer: dict[str, list[tuple[int, float, float]]] = {
@@ -197,8 +195,9 @@ def seed_variance_study(
     norm_x = norm_rows(data)
     failed = []
     for seed in seeds:
-        rng = np.random.default_rng(seed)
-        params = train_until(graph, init_params(graph, seed), data, trainer, rule, rng).params
+        p = init_params(graph, seed).copy_data()
+        train_until(graph, p, data, trainer, rule, np.random.default_rng(seed))
+        params = graph.wrap(p)
         if acceptance_loss is not None:
             loss, _ = evaluate(graph, params, subset, norm_x)
             if loss >= acceptance_loss:

@@ -118,13 +118,14 @@ def cmd_train_modes(args) -> int:
     subset = fixed_subset(train_data, out.eval_subset)
     norm_x = norm_rows(train_data)
     for seed in seeds:
+        p = init_params(graph, seed).copy_data()
         result = train_until(
-            graph, init_params(graph, seed), train_data, modes.trainer,
-            modes.rule, np.random.default_rng(seed),
+            graph, p, train_data, modes.trainer, modes.rule, np.random.default_rng(seed)
         )
-        loss, acc = evaluate(graph, result.params, subset, norm_x)
+        params = graph.wrap(p)
+        loss, acc = evaluate(graph, params, subset, norm_x)
         ckpt = out.out_dir / f"mode_{seed}.ckpt"
-        save_checkpoint(result.params, graph, ckpt)
+        save_checkpoint(params, graph, ckpt)
         rows = [
             {"round": i + 1, "loss": v}
             for i, v in enumerate(result.losses)
@@ -248,8 +249,7 @@ def cmd_seed_study(args) -> int:
         seeds = [args.seed_override + i for i in range(len(seeds))]
     started = datetime.now(timezone.utc)
     table = seed_variance_study(
-        graph, modes.trainer, len(seeds), train_data, modes.rule,
-        seeds=seeds,
+        graph, modes.trainer, seeds, train_data, modes.rule,
         acceptance_loss=block.acceptance_loss,
         eval_size=out.eval_subset,
     )

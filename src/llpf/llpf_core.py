@@ -6,7 +6,11 @@ what every search shares: the seeded generator its repair rounds draw
 batches from, the arc anchors captured at each phase start, and the returned
 :class:`PathRecord`.  The drivers share one mode-acceptance rule
 (``_accept_modes``) and differ only in their prerequisite checks and in the
-repair policy they hand the walk.
+repair policy they hand the walk.  Every step of the walk acts on its one
+flat working array: :func:`move_toward`, the variance correction,
+``train_until``, :func:`angle_conformal` and ``l2_distance`` read or write it
+in place, and a :class:`ParamVector` is built only for the points the walk
+keeps.
 
 The model-to-model search (``llpf_m2m``) walks one mode toward another along
 their shared per-layer variance spheres: it projects the moved point back
@@ -168,39 +172,22 @@ class M2OConfig:
 
 
 def move_toward(
-    current: ParamVector | np.ndarray,
+    current: np.ndarray,
     dest: ParamVector,
     arc0: Mapping[str, float] | None,
     step: StepParams,
     active_layers: Iterable[str],
-) -> ParamVector | None:
-    """Move each active layer a bounded distance straight toward the
-    destination; the step never overshoots, and inactive layers keep their
-    values.  ``arc0`` supplies the per-layer arc anchor captured at phase
-    start (required only when ``step_c`` is nonzero).
-
-    Given a writable flat array laid out like ``dest`` (a walk's working
-    point, checked by the walk), the array is moved in place and None is
-    returned.  Given a ParamVector, a moved copy is returned, or ``current``
-    itself when no layer moves.
+) -> None:
+    """Move each active layer of the writable flat array ``current``, laid
+    out like ``dest`` (a walk's working point, checked by the walk), a
+    bounded distance straight toward the destination, in place; the step
+    never overshoots, and inactive layers keep their values.  ``arc0``
+    supplies the per-layer arc anchor captured at phase start (required only
+    when ``step_c`` is nonzero).
     """
     if step.step_c > 0 and arc0 is None:
         raise ValueError("step_c > 0 requires per-layer arc anchors")
-    if isinstance(current, ParamVector):
-        current.require_compatible(dest)
-        data = current.copy_data()
-        if not _move_in_place(data, dest, arc0, step, active_layers):
-            return current
-        return ParamVector(data, current.layout)
-    _move_in_place(current, dest, arc0, step, active_layers)
-    return None
-
-
-def _move_in_place(current, dest, arc0, step, active_layers) -> bool:
-    """The arithmetic of :func:`move_toward` on a flat array; whether any
-    layer moved."""
     spans = dest.layout.spans
-    moved = False
     for name in active_layers:
         a = current[spans[name]].astype(np.float64)
         b = dest.get(name).astype(np.float64)
@@ -212,22 +199,22 @@ def _move_in_place(current, dest, arc0, step, active_layers) -> bool:
         if step.step_c > 0:
             s += step.step_c * arc0.get(name, 0.0)
         current[spans[name]] = a + (min(s, dist) / dist) * gap  # casts to the array's dtype
-        moved = True
-    return moved
 
 
 def angle_conformal(
-    n_params: ParamVector,
+    current: np.ndarray,
+    layout: Layout,
     v_base: Mapping[str, float],
     eta_base: float,
     excluded: Iterable[str] = (),
 ) -> dict[str, float]:
-    """Per-layer learning rates scaled by the current-to-base variance ratio,
-    so update angles stay comparable as a layer's sphere shrinks.  Excluded
+    """Per-layer learning rates for the flat array ``current`` laid out by
+    ``layout``, scaled by each layer's current-to-base variance ratio, so
+    update angles stay comparable as a layer's sphere shrinks.  Excluded
     layers get a zero rate and are therefore never trained."""
     excluded = set(excluded)
     rates = {}
-    for info in n_params.layout:
+    for info in layout:
         name = info.name
         if name in excluded:
             rates[name] = 0.0
@@ -237,8 +224,8 @@ def angle_conformal(
         base = v_base[name]
         if base <= 0:
             raise ValueError(f"base variance must be positive for layer {name!r}")
-        current = layer_stats(n_params.get(name)).variance
-        rates[name] = eta_base * current / base
+        current_var = layer_stats(current[layout.spans[name]]).variance
+        rates[name] = eta_base * current_var / base
     return rates
 
 
@@ -450,9 +437,7 @@ def llpf_m2m(
     def repair(current, phase, rng):
         names = [n for n in phase.active_layers if n in correctable]
         _correct(current, layout, names, targets)
-        moved = ParamVector(current.copy(), layout)
-        result = train_until(graph, moved, repair_data, trainer, phase.stop, rng)
-        current[...] = result.params.data
+        result = train_until(graph, current, repair_data, trainer, phase.stop, rng)
         _correct(current, layout, names, targets)
         return result
 
@@ -516,15 +501,13 @@ def llpf_m2o(
     step_trainer = replace(trainer, lr=cfg.eta_base)
     repair_data = replace(train_data, augment=None)
     layout = start.layout
+    lr = np.empty(start.size, dtype=start.dtype)
 
     def repair(current, phase, rng):
-        moved = ParamVector(current.copy(), layout)
-        rates = angle_conformal(moved, v_base, cfg.eta_base, excluded)
-        result = train_until(
-            graph, moved, repair_data, step_trainer, phase.stop, rng, lr_map=rates
-        )
-        current[...] = result.params.data
-        return result
+        rates = angle_conformal(current, layout, v_base, cfg.eta_base, excluded)
+        for name, rate in rates.items():
+            lr[layout.spans[name]] = rate  # casts to the params dtype
+        return train_until(graph, current, repair_data, step_trainer, phase.stop, rng, lr=lr)
 
     stop_when = None
     if var_stop is not None:

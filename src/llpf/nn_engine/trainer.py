@@ -3,10 +3,11 @@
 Batch sampling draws uniformly with replacement from a seeded generator, so a
 run is bit-reproducible from (seed, config, data) on a single thread.
 
-``train_until`` runs its rounds on one private flat copy of the parameters:
+``train_until`` trains the caller's writable flat parameter array in place:
 the engine writes each round's gradient into a buffer the trainer owns, and
-:func:`sgd_step` updates the parameters and the velocity in place.  Only the
-trained point is wrapped back into a :class:`ParamVector`.
+:func:`sgd_step` updates the parameters and the velocity in place.  A caller
+holding a :class:`ParamVector` trains ``params.copy_data()`` and wraps the
+result with ``graph.wrap``.
 
 Evaluation runs the dataset through the model in chunks sized from the
 model: as many rows as keep the widest array one sample makes in a forward
@@ -23,7 +24,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -117,7 +117,6 @@ class StopRule:
 
 @dataclass
 class TrainResult:
-    params: ParamVector
     rounds: int
     rolling_loss: float
     hit_threshold: bool
@@ -174,17 +173,6 @@ def sample_batch(
     return x, data.labels[idx]
 
 
-def _lr_vector(
-    graph: ModelGraph, base_lr: float, lr_map: Mapping[str, float] | None, dtype
-) -> np.ndarray | float:
-    if lr_map is None:
-        return base_lr
-    lr = np.empty(graph.num_params, dtype=np.float64)
-    for info in graph.layout:
-        lr[info.offset : info.offset + info.length] = lr_map.get(info.name, base_lr)
-    return lr.astype(dtype)
-
-
 def sgd_step(
     params: np.ndarray,
     grad: np.ndarray,
@@ -214,26 +202,34 @@ def sgd_step(
 
 def train_until(
     graph: ModelGraph,
-    params: ParamVector,
+    p: np.ndarray,
     data: Dataset,
     cfg: TrainerConfig,
     rule: StopRule,
     rng: np.random.Generator,
-    lr_map: Mapping[str, float] | None = None,
+    lr: np.ndarray | float | None = None,
 ) -> TrainResult:
     """SGD on random batches until the rolling loss beats the threshold or the
     round cap is reached (the latter is a normal outcome, not an error).
 
-    The rounds update one private copy of ``params`` in place, with one
-    gradient buffer and, under momentum, one velocity buffer; the layout is
-    checked once, here.  The result wraps that copy.
+    The rounds train the caller's writable flat array ``p``, laid out like
+    the graph's parameters, in place, with one gradient buffer and, under
+    momentum, one velocity buffer; the array is checked once, here.  ``lr``
+    is the learning rate of :func:`sgd_step`: a per-coordinate array, or by
+    default the config's scalar.
     """
-    if params.layout != graph.layout:
-        raise LayoutMismatch("parameter layout differs from the graph's")
-    p = params.copy_data()
+    if not (
+        isinstance(p, np.ndarray)
+        and p.ndim == 1
+        and np.issubdtype(p.dtype, np.floating)
+        and p.shape[0] == graph.num_params
+        and p.flags.writeable
+    ):
+        raise LayoutMismatch(
+            f"train_until trains a writable 1-D float array of {graph.num_params} entries"
+        )
     grad = np.empty_like(p)
     velocity = np.zeros_like(p) if cfg.momentum else None
-    lr = _lr_vector(graph, cfg.lr, lr_map, p.dtype)
     recent: deque[float] = deque(maxlen=rule.window)
     losses: list[float] = []
     rounds = 0
@@ -252,7 +248,7 @@ def train_until(
             hit = True
             break
     rolling = float(np.mean(recent)) if recent else float("nan")
-    return TrainResult(ParamVector(p, params.layout), rounds, rolling, hit, losses)
+    return TrainResult(rounds, rolling, hit, losses)
 
 
 def eval_chunk_rows(graph: ModelGraph, itemsize: int) -> int:

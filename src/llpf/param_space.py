@@ -6,12 +6,12 @@ shared by every vector derived from it.  Every statistic here uses the
 population (1/n) variance and accumulates in float64 regardless of the
 storage dtype; slices whose variance falls below ``EPS_VAR`` are treated as
 degenerate by the correction step.  Every operation here is pure: inputs are
-never mutated, and :func:`l2_distance` also reads a plain flat array laid out
-like its second argument.  The functions that write a caller-owned flat
-buffer in place live with their callers: ``nn_engine.trainer.sgd_step`` (the
-parameters, gradient and velocity), ``nn_engine.engine.loss_and_grad`` given
-``out`` (the gradient), and ``llpf_core.move_toward`` given an array (a
-walk's working point).
+never mutated, and :func:`l2_distance` reads a plain flat array laid out like
+its second argument.  The functions that write a caller-owned flat buffer in
+place live with their callers: ``nn_engine.trainer.train_until`` and
+``sgd_step`` (the parameters, gradient and velocity),
+``nn_engine.engine.loss_and_grad`` given ``out`` (the gradient), and
+``llpf_core.move_toward`` (a walk's working point).
 """
 
 from __future__ import annotations
@@ -160,9 +160,6 @@ class ParamVector:
             data[s.offset : s.offset + s.length] = values
         return ParamVector(data, self.layout)
 
-    def astype(self, dtype) -> "ParamVector":
-        return ParamVector(self.data.astype(dtype), self.layout)
-
 
 def layer_stats(values: np.ndarray) -> LayerStats:
     """Population mean/variance of one layer slice, accumulated in float64."""
@@ -206,17 +203,10 @@ def variance_correction(values: np.ndarray, v: float) -> np.ndarray:
     return out.astype(values.dtype).reshape(values.shape)
 
 
-def l2_distance(
-    a: ParamVector | np.ndarray, b: ParamVector, layers: Iterable[str]
-) -> dict[str, float]:
-    """Per-layer Euclidean distance between two layout-compatible vectors.
-
-    ``a`` may also be a flat array laid out like ``b`` (a walk's working
-    point), which its caller has already checked.
-    """
-    if isinstance(a, ParamVector):
-        a.require_compatible(b)
-        a = a.data
+def l2_distance(a: np.ndarray, b: ParamVector, layers: Iterable[str]) -> dict[str, float]:
+    """Per-layer Euclidean distance from the flat array ``a``, laid out like
+    ``b`` (a walk's working point, or a kept vector's ``data``), to ``b``.
+    The caller checks the layout."""
     names = list(layers)
     if not names:
         raise ValueError("layers must be non-empty")

@@ -75,8 +75,9 @@ def desk_modes():
         rule = StopRule(loss_threshold=0.0, max_rounds=60000, window=10)
         modes = []
         for seed in (1, 2):
-            rng = np.random.default_rng(seed)
-            modes.append(train_until(g, init_params(g, seed), train, cfg, rule, rng).params)
+            p = init_params(g, seed).copy_data()
+            train_until(g, p, train, cfg, rule, np.random.default_rng(seed))
+            modes.append(g.wrap(p))
         _cache["modes"] = tuple(modes)
     return _cache["modes"]
 
@@ -225,7 +226,7 @@ def test_trained_mode_statistics():
     g = desk_graph()
     cfg = TrainerConfig(lr=0.1, momentum=0.9, weight_decay=1e-3, batch_size=32)
     table = seed_variance_study(
-        g, cfg, 10, train,
+        g, cfg, list(range(10)), train,
         rule=StopRule(loss_threshold=0.0, max_rounds=20000, window=10),
         acceptance_loss=0.05,
     )
@@ -338,7 +339,7 @@ def test_origin_collapse():
     assert not norm_slices  # the desk model is norm-free; exclusion is vacuous here
     v_base = {n: layer_stats(a.get(n)).variance for n in g.slice_names()}
     for point in record.stored_points():
-        rates = angle_conformal(point.params, v_base, cfg.eta_base)
+        rates = angle_conformal(point.params.data, point.params.layout, v_base, cfg.eta_base)
         assert all(r <= cfg.eta_base * (1 + 1e-9) for r in rates.values())
 
     elapsed = time.monotonic() - started
@@ -355,10 +356,11 @@ def test_cross_sphere_connection():
     g = desk_graph()
 
     def make(seed, wd, rounds):
-        rng = np.random.default_rng(seed)
+        p = init_params(g, seed).copy_data()
         cfg = TrainerConfig(lr=0.1, momentum=0.9, weight_decay=wd, batch_size=32)
         rule = StopRule(loss_threshold=0.0, max_rounds=rounds, window=10)
-        return train_until(g, init_params(g, seed), train, cfg, rule, rng).params
+        train_until(g, p, train, cfg, rule, np.random.default_rng(seed))
+        return g.wrap(p)
 
     outer = make(3, 0.0, 300)        # no decay: stays on the large init sphere
     inner = make(4, 1e-2, 1000)      # strong decay: equilibrates near the origin

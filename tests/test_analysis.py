@@ -33,7 +33,7 @@ from llpf.nn_engine import (
     train_until,
 )
 from llpf.harness_cli.datasets import gen_blobs
-from llpf.param_space import ParamVector, l2_distance, radial_norm_sq
+from llpf.param_space import LayoutMismatch, ParamVector, l2_distance, radial_norm_sq
 
 
 class TestRollingAverage:
@@ -79,10 +79,11 @@ def short_path(blobs):
     g = mlp2(20, 16, 3)
 
     def make(seed):
-        params = init_params(g, seed)
+        p = init_params(g, seed).copy_data()
         rng = np.random.default_rng(seed)
         cfg = TrainerConfig(lr=0.1, momentum=0.9, weight_decay=1e-3, batch_size=32)
-        return train_until(g, params, train, cfg, StopRule(0.0, 3000, 10), rng).params
+        train_until(g, p, train, cfg, StopRule(0.0, 3000, 10), rng)
+        return g.wrap(p)
 
     a, b = make(1), make(2)
     plan = PhasePlan(
@@ -251,7 +252,7 @@ class TestPathMetrics:
         g = mlp2(20, 8, 3)
         a = init_params(g, 0)
         b = init_params(g, 1)
-        dists = l2_distance(a, b, g.slice_names())
+        dists = l2_distance(a.data, b, g.slice_names())
         record = PathRecord(points=[PathPoint(0, 0, 0.5, dists, params=a)])
         rows = path_metrics(record, b)
         assert len(rows) == 1
@@ -297,6 +298,13 @@ class TestPathMetrics:
                 assert row["test_loss"] == other["test_loss"]
                 assert row["test_acc"] == other["test_acc"]
 
+    def test_recompute_rejects_a_mismatched_destination(self):
+        a = init_params(mlp2(20, 8, 3), 0)
+        other = init_params(mlp2(20, 6, 3), 0)
+        record = PathRecord(points=[PathPoint(0, 0, 0.5, {"fc1.weight": 0.0}, params=a)])
+        with pytest.raises(LayoutMismatch):
+            path_metrics(record, other, recompute=True)
+
     def test_row_order_and_columns(self, short_path, blobs):
         g, record, _, b = short_path
         rows = path_metrics(record, b)
@@ -309,9 +317,7 @@ class TestSeedVarianceStudy:
         train, _ = blobs
         g = mlp2(20, 8, 3)
         cfg = TrainerConfig(lr=0.05, batch_size=32)
-        table = seed_variance_study(
-            g, cfg, 2, train, rule=StopRule(0.0, 20, 10), seeds=[5, 5]
-        )
+        table = seed_variance_study(g, cfg, [5, 5], train, rule=StopRule(0.0, 20, 10))
         for name, stats in table.summary.items():
             assert stats["variance_cov"] == pytest.approx(0.0, abs=1e-12)
 
@@ -321,9 +327,8 @@ class TestSeedVarianceStudy:
         cfg = TrainerConfig(lr=1e-6, batch_size=16)
         with caplog.at_level(logging.WARNING):
             table = seed_variance_study(
-                g, cfg, 2, train,
+                g, cfg, [1, 2], train,
                 rule=StopRule(0.0, 5, 10),
-                seeds=[1, 2],
                 acceptance_loss=1e-9,  # nothing passes
             )
         assert table.failed_seeds == [1, 2]
@@ -334,7 +339,7 @@ class TestSeedVarianceStudy:
         train, _ = blobs
         with pytest.raises(ValueError):
             seed_variance_study(
-                mlp2(20, 8, 3), TrainerConfig(lr=0.1), 1, train, StopRule(0.0, 1, 10), seeds=[1]
+                mlp2(20, 8, 3), TrainerConfig(lr=0.1), [1], train, StopRule(0.0, 1, 10)
             )
 
     def test_summary_covers_exactly_weight_slices(self, blobs):
@@ -348,7 +353,7 @@ class TestSeedVarianceStudy:
             split="train",
             num_classes=3,
         )
-        table = seed_variance_study(g, TrainerConfig(lr=0.1), 3, data, StopRule(0.0, 1, 10))
+        table = seed_variance_study(g, TrainerConfig(lr=0.1), [0, 1, 2], data, StopRule(0.0, 1, 10))
         weight_names = {s.name for s in g.layout if s.kind == "weight"}
         assert set(table.summary) == weight_names
 

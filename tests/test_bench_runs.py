@@ -26,7 +26,10 @@ TRACED = tuple(
 
 @pytest.mark.parametrize(
     "workload, trace",
-    [("m2m_lenet", "0"), ("m2m_mlp2", "0"), ("avs_mlp2", "0"), ("m2m_lenet", "1"), ("m2m_mlp2", "1")],
+    [
+        ("m2m_lenet", "0"), ("m2m_mlp2", "0"), ("avs_mlp2", "0"),
+        ("m2m_lenet", "1"), ("m2m_mlp2", "1"), ("avs_mlp2", "1"),
+    ],
 )
 def test_smoke_run_exits_cleanly_and_is_correct(workload, trace):
     proc = subprocess.run(
@@ -41,3 +44,10 @@ def test_smoke_run_exits_cleanly_and_is_correct(workload, trace):
     if trace == "1":
         zero = [name for name in TRACED if not line["metrics"][name]["value"] > 0]
         assert not zero, f"traced metrics read 0: {zero}"
+    if (workload, trace) == ("avs_mlp2", "1"):
+        # the origin walk's repair: its rates and its rounds on the walk's array
+        result = json.loads(
+            (ROOT / ".bench_out" / "results" / "avs_mlp2-seed3-trace1.json").read_text()
+        )
+        for name in ("angle_conformal", "train_until"):
+            assert result["per_layer"][f"llpf_core.{name}.ms_per_iter"] > 0, name

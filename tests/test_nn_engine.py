@@ -27,7 +27,7 @@ from llpf.nn_engine import (
 from llpf.nn_engine import trainer
 from llpf.nn_engine.graph import MODEL_BUILDERS
 from llpf.harness_cli.datasets import gen_blobs
-from llpf.param_space import layer_stats
+from llpf.param_space import LayoutMismatch, layer_stats
 
 
 def finite_difference_check(graph, seed=0, batch=3, h=1e-5, jitter=0.05):
@@ -563,43 +563,57 @@ class TestTrainAndEvaluate:
     def test_stops_at_window_when_already_low(self, blobs):
         train, _ = blobs
         g = mlp2(20, 8, 3)
-        params = init_params(g, 0)
+        p = init_params(g, 0).copy_data()
         rule = StopRule(loss_threshold=1e9, max_rounds=500, window=10)
         rng = np.random.default_rng(0)
-        result = train_until(g, params, train, TrainerConfig(lr=1e-4), rule, rng)
+        result = train_until(g, p, train, TrainerConfig(lr=1e-4), rule, rng)
         assert result.rounds == 10 and result.hit_threshold
 
     def test_round_cap_is_normal_outcome(self, blobs):
         train, _ = blobs
         g = mlp2(20, 8, 3)
-        params = init_params(g, 0)
+        p = init_params(g, 0).copy_data()
         rule = StopRule(loss_threshold=0.0, max_rounds=25, window=10)
         rng = np.random.default_rng(0)
-        result = train_until(g, params, train, TrainerConfig(lr=1e-3), rule, rng)
+        result = train_until(g, p, train, TrainerConfig(lr=1e-3), rule, rng)
         assert result.rounds == 25 and not result.hit_threshold
 
     def test_training_is_deterministic(self, blobs):
         train, _ = blobs
         g = mlp2(20, 8, 3)
         rule = StopRule(loss_threshold=0.0, max_rounds=50, window=10)
-        runs = []
+        finals, losses = [], []
         for _ in range(2):
-            params = init_params(g, 3)
+            p = init_params(g, 3).copy_data()
             rng = np.random.default_rng(3)
-            runs.append(train_until(g, params, train, TrainerConfig(lr=0.05), rule, rng))
-        assert np.array_equal(runs[0].params.data, runs[1].params.data)
-        assert runs[0].losses == runs[1].losses
+            losses.append(train_until(g, p, train, TrainerConfig(lr=0.05), rule, rng).losses)
+            finals.append(p)
+        assert np.array_equal(*finals)
+        assert losses[0] == losses[1]
+
+    def test_trains_the_callers_array_in_place(self, blobs):
+        train, _ = blobs
+        g = mlp2(20, 8, 3)
+        start = init_params(g, 3)
+        p = start.copy_data()
+        rule = StopRule(loss_threshold=0.0, max_rounds=5, window=10)
+        train_until(g, p, train, TrainerConfig(lr=0.05), rule, np.random.default_rng(3))
+        assert not np.array_equal(p, start.data)
+        # a vector, a read-only array or one of another length is refused
+        for bad in (start, start.data, p[:-1], p.astype(np.int64)):
+            with pytest.raises(LayoutMismatch):
+                train_until(g, bad, train, TrainerConfig(lr=0.05), rule, np.random.default_rng(3))
 
     def test_desk_training_reaches_low_loss(self, blobs):
         train, test = blobs
         g = mlp2(20, 16, 3)
-        params = init_params(g, 1)
+        p = init_params(g, 1).copy_data()
         rng = np.random.default_rng(1)
         cfg = TrainerConfig(lr=0.1, momentum=0.9, weight_decay=1e-3, batch_size=32)
         rule = StopRule(loss_threshold=0.05, max_rounds=2000, window=10)
-        result = train_until(g, params, train, cfg, rule, rng)
+        result = train_until(g, p, train, cfg, rule, rng)
         assert result.hit_threshold and result.rolling_loss < 0.05
-        loss, acc = evaluate(g, result.params, test)
+        loss, acc = evaluate(g, g.wrap(p), test)
         assert acc > 0.95
 
     def test_uniform_logits_evaluation(self, blobs):
@@ -811,13 +825,14 @@ class TestConvNetTraining:
         )
         g = lenet_micro()
         cfg = TrainerConfig(lr=0.05, momentum=0.9, weight_decay=1e-4, batch_size=16)
-        runs = [
-            train_until(g, init_params(g, 6), data, cfg, StopRule(0.0, 12, 4),
-                        np.random.default_rng(6))
-            for _ in range(2)
-        ]
-        assert runs[0].params.data.tobytes() == runs[1].params.data.tobytes()
-        assert [v.hex() for v in runs[0].losses] == [v.hex() for v in runs[1].losses]
+        finals, losses = [], []
+        for _ in range(2):
+            p = init_params(g, 6).copy_data()
+            result = train_until(g, p, data, cfg, StopRule(0.0, 12, 4), np.random.default_rng(6))
+            losses.append([v.hex() for v in result.losses])
+            finals.append(p.tobytes())
+        assert finals[0] == finals[1]
+        assert losses[0] == losses[1]
 
     def test_small_convnet_learns_synthetic_images(self):
         # class = which quadrant holds the bright blob
@@ -832,12 +847,12 @@ class TestConvNetTraining:
         data = Dataset(images, labels, "train", 4)
 
         g = lenet_micro(in_channels=1, hw=8, classes=4)
-        params = init_params(g, 1)
+        p = init_params(g, 1).copy_data()
         rng = np.random.default_rng(1)
         cfg = TrainerConfig(lr=0.05, momentum=0.9, batch_size=16)
-        result = train_until(g, params, data, cfg, StopRule(0.05, 600, 10), rng)
+        result = train_until(g, p, data, cfg, StopRule(0.05, 600, 10), rng)
         assert result.rolling_loss < 0.2
-        _, acc = evaluate(g, result.params, data)
+        _, acc = evaluate(g, g.wrap(p), data)
         assert acc > 0.9
 
     def test_resnet_micro_trains_above_chance(self):
@@ -846,12 +861,10 @@ class TestConvNetTraining:
         labels = (images.mean(axis=(1, 2, 3)) > 0).astype(np.int64)
         data = Dataset(images, labels, "train", 2)
         g = resnet_micro(1, 8, 2, width=4)
-        params = init_params(g, 0)
+        p = init_params(g, 0).copy_data()
         cfg = TrainerConfig(lr=0.05, momentum=0.9, batch_size=16)
-        result = train_until(
-            g, params, data, cfg, StopRule(0.0, 200, 10), np.random.default_rng(0)
-        )
+        result = train_until(g, p, data, cfg, StopRule(0.0, 200, 10), np.random.default_rng(0))
         assert result.rolling_loss < np.log(2.0)  # beats chance
         # statistics fitted at the trained point make evaluation usable
-        loss, acc = evaluate(g, result.params, data, norm_rows(data))
+        loss, acc = evaluate(g, g.wrap(p), data, norm_rows(data))
         assert loss < np.log(2.0) and acc > 0.6
