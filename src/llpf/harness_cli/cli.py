@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..analysis import interpolation_continuity, path_metrics, seed_variance_study
+from ..analysis import interpolation_continuity, seed_variance_study
 from ..llpf_core import connect_cross_variance, llpf_m2m, llpf_m2o
 from ..nn_engine.engine import init_params
 from ..nn_engine.trainer import evaluate, fixed_subset, norm_rows, train_until
@@ -25,7 +25,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, parse_config
 from .datasets import IdxFormatError
 from .records import read_path_record, write_manifest, write_path_record
-from .reports import emit_csv, emit_svg, metric_fieldnames, read_csv
+from .reports import emit_csv, emit_svg, read_csv
 from . import run_config as rc
 
 log = logging.getLogger("llpf")
@@ -180,10 +180,7 @@ def cmd_collapse_m2o(args) -> int:
     settings = rc.search_settings(
         out, cfg.digest, (block.start.name, "origin"), block.mode_acceptance_loss
     )
-    record = llpf_m2o(
-        start, block.cfg, block.trainer, train_data, test_data,
-        settings=settings, graph=graph,
-    )
+    record = llpf_m2o(start, block.cfg, train_data, test_data, settings=settings, graph=graph)
     return _finish_record(record, graph, cfg, out, "collapse-m2o", [out.seed], started)
 
 

@@ -9,7 +9,7 @@ key reference lives in docs/config.md.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 

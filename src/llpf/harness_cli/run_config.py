@@ -1,7 +1,8 @@
 """Assembly of library objects from parsed config files.
 
-Each ``build_*`` helper validates one section (unknown keys are rejected with
-their line number) and returns ready-to-use engine objects.
+Each ``build_*`` helper validates one section and its phase or stage sections
+(unknown keys are rejected with their line number) and returns ready-to-use
+engine objects.  The four walk sections share one reader, ``_walk_section``.
 """
 
 from __future__ import annotations
@@ -178,6 +179,67 @@ def _expand_layers(cfg: ConfigFile, patterns: list[str], graph: ModelGraph, line
     return names
 
 
+def _required_section(cfg: ConfigFile, name: str) -> Section:
+    if not cfg.has(name):
+        raise ConfigError(f"{cfg.path}: missing [{name}] section")
+    return Section(cfg, name)
+
+
+def _check_checkpoints(sec: Section, paths: dict[str, Path]) -> None:
+    for label, path in paths.items():
+        if not path.is_file():
+            message = f"[{sec.name}] {label} checkpoint {path} does not exist"
+            raise ConfigError(f"{sec.cfg.path}: {message}")
+
+
+@dataclass
+class WalkSection:
+    """The keys every walk section shares, read by :func:`_walk_section`.
+    ``sec`` stays open for the section's own keys; its builder finishes it."""
+
+    sec: Section
+    checkpoints: dict[str, Path]
+    iterations: int
+    step: StepParams
+    stop: StopRule
+    batch_size: int
+
+
+def _walk_section(cfg: ConfigFile, name: str, *checkpoints: str) -> WalkSection:
+    """Open walk section ``[name]``, which must exist, and read the checkpoint
+    paths under the keys ``checkpoints``, then the keys every walk shares."""
+    sec = _required_section(cfg, name)
+    return WalkSection(
+        sec,
+        {key: resolve_path(cfg, sec.require_str(key)) for key in checkpoints},
+        iterations=sec.positive_int("iterations", 1000),
+        step=_step_params(sec),
+        stop=_stop_rule(sec),
+        batch_size=sec.positive_int("batch_size", 64),
+    )
+
+
+def _all_layers_plan(graph: ModelGraph, walk: WalkSection) -> PhasePlan:
+    return PhasePlan((Phase(tuple(graph.slice_names()), walk.iterations, walk.step, walk.stop),))
+
+
+def _m2m_trainer(walk: WalkSection, default_lr: float) -> TrainerConfig:
+    lr = walk.sec.get_float("lr", default_lr)
+    return _checked(walk.sec, TrainerConfig, lr=lr, batch_size=walk.batch_size)
+
+
+def _m2o_config(cfg: ConfigFile, graph: ModelGraph, walk: WalkSection) -> M2OConfig:
+    """An origin walk's config: the shared keys plus ``eta`` and ``exclude``.
+    Finishes the section."""
+    sec = walk.sec
+    eta = sec.get_float("eta", 1e-3)
+    extra = sec.get_str_list("exclude", [])
+    sec.finish()
+    excluded = tuple(_expand_layers(cfg, extra, graph, sec.line))
+    return _checked(sec, M2OConfig, iterations=walk.iterations, step=walk.step, stop=walk.stop,
+                    eta_base=eta, excluded_layers=excluded, batch_size=walk.batch_size)
+
+
 @dataclass
 class M2MBlock:
     start: Path
@@ -204,25 +266,14 @@ def _phase_sections(cfg: ConfigFile, prefix: str) -> list[str]:
     return [name for _, name in found]
 
 
-def build_m2m(cfg: ConfigFile, graph: ModelGraph, section: str = "m2m") -> M2MBlock:
-    sec = Section(cfg, section)
-    if not cfg.has(section):
-        raise ConfigError(f"{cfg.path}: missing [{section}] section")
-    start = resolve_path(cfg, sec.require_str("start"))
-    dest = resolve_path(cfg, sec.require_str("dest"))
-    iterations = sec.positive_int("iterations", 1000)
-    step = _step_params(sec)
-    stop = _stop_rule(sec)
-    trainer = TrainerConfig(
-        lr=sec.get_float("lr", 1e-3),
-        momentum=0.0,
-        weight_decay=0.0,
-        batch_size=sec.positive_int("batch_size", 64),
-    )
+def build_m2m(cfg: ConfigFile, graph: ModelGraph) -> M2MBlock:
+    walk = _walk_section(cfg, "m2m", "start", "dest")
+    sec = walk.sec
+    trainer = _m2m_trainer(walk, 1e-3)
     phases_kind = sec.get_str("phases", "all")
     acceptance = sec.get_float("mode_acceptance_loss")
     bound = sec.get_float("variance_ratio_bound", 1.5)
-    phase_names = _phase_sections(cfg, f"{section}.phase")
+    phase_names = _phase_sections(cfg, "m2m.phase")
     if phase_names:
         if phases_kind != "all":
             raise cfg.error(sec.line, "use either phases=fdf or explicit phase sections, not both")
@@ -232,65 +283,36 @@ def build_m2m(cfg: ConfigFile, graph: ModelGraph, section: str = "m2m") -> M2MBl
             patterns = psec.get_str_list("layers")
             if not patterns:
                 raise cfg.error(psec.line, f"[{name}] needs a 'layers' list")
-            layers = _expand_layers(cfg, patterns, graph, psec.line)
-            phases.append(
-                Phase(
-                    active_layers=tuple(layers),
-                    iterations=psec.positive_int("iterations", iterations),
-                    step=_step_params(psec, step),
-                    stop=_stop_rule(psec, stop),
-                )
-            )
+            layers = tuple(_expand_layers(cfg, patterns, graph, psec.line))
+            iterations = psec.positive_int("iterations", walk.iterations)
+            step, stop = _step_params(psec, walk.step), _stop_rule(psec, walk.stop)
+            phases.append(Phase(layers, iterations, step, stop))
             psec.finish()
         plan = PhasePlan(tuple(phases))
     elif phases_kind == "fdf":
-        plan = fdf_phase_plan(graph, iterations, step, stop)
+        plan = fdf_phase_plan(graph, walk.iterations, walk.step, walk.stop)
     elif phases_kind == "all":
-        plan = PhasePlan((Phase(tuple(graph.slice_names()), iterations, step, stop),))
+        plan = _all_layers_plan(graph, walk)
     else:
         raise cfg.error(sec.line, f"phases must be 'all' or 'fdf', got {phases_kind!r}")
     sec.finish()
-    for path, label in ((start, "start"), (dest, "dest")):
-        if not path.is_file():
-            raise ConfigError(f"{cfg.path}: [{section}] {label} checkpoint {path} does not exist")
-    return M2MBlock(start, dest, plan, trainer, acceptance, bound)
+    _check_checkpoints(sec, walk.checkpoints)
+    return M2MBlock(*walk.checkpoints.values(), plan, trainer, acceptance, bound)
 
 
 @dataclass
 class M2OBlock:
-    start: Path | None
+    start: Path
     cfg: M2OConfig
-    trainer: TrainerConfig
     mode_acceptance_loss: float | None
 
 
-def build_m2o(cfg: ConfigFile, graph: ModelGraph, section: str = "m2o", need_start: bool = True) -> M2OBlock:
-    sec = Section(cfg, section)
-    if not cfg.has(section):
-        raise ConfigError(f"{cfg.path}: missing [{section}] section")
-    start = None
-    if need_start:
-        start = resolve_path(cfg, sec.require_str("start"))
-    iterations = sec.positive_int("iterations", 1000)
-    step = _step_params(sec)
-    stop = _stop_rule(sec)
-    eta = sec.get_float("eta", 1e-3)
-    batch_size = sec.positive_int("batch_size", 64)
-    extra = sec.get_str_list("exclude", [])
-    acceptance = sec.get_float("mode_acceptance_loss")
-    sec.finish()
-    excluded_layers = tuple(_expand_layers(cfg, extra, graph, sec.line)) if extra else ()
-    m2o_cfg = M2OConfig(
-        iterations=iterations,
-        step=step,
-        stop=stop,
-        eta_base=eta,
-        excluded_layers=excluded_layers,
-    )
-    trainer = TrainerConfig(lr=eta, batch_size=batch_size)
-    if start is not None and not start.is_file():
-        raise ConfigError(f"{cfg.path}: [{section}] start checkpoint {start} does not exist")
-    return M2OBlock(start, m2o_cfg, trainer, acceptance)
+def build_m2o(cfg: ConfigFile, graph: ModelGraph) -> M2OBlock:
+    walk = _walk_section(cfg, "m2o", "start")
+    acceptance = walk.sec.get_float("mode_acceptance_loss")
+    m2o = _m2o_config(cfg, graph, walk)
+    _check_checkpoints(walk.sec, walk.checkpoints)
+    return M2OBlock(*walk.checkpoints.values(), m2o, acceptance)
 
 
 @dataclass
@@ -298,36 +320,25 @@ class AvsBlock:
     start: Path
     dest: Path
     cfg: CrossVarianceConfig
-    trainer: TrainerConfig
+    trainer: TrainerConfig  # stage 2's; stage 1 runs from cfg.m2o
     mode_acceptance_loss: float | None
 
 
 def build_avs(cfg: ConfigFile, graph: ModelGraph) -> AvsBlock:
-    sec = Section(cfg, "avs")
-    if not cfg.has("avs"):
-        raise ConfigError(f"{cfg.path}: missing [avs] section")
-    start = resolve_path(cfg, sec.require_str("start"))
-    dest = resolve_path(cfg, sec.require_str("dest"))
+    """``[avs]``, then the stage sections ``[avs.m2o]`` (an origin walk
+    section) and ``[avs.m2m]`` (the shared walk keys and ``lr``)."""
+    sec = _required_section(cfg, "avs")
+    checkpoints = {key: resolve_path(cfg, sec.require_str(key)) for key in ("start", "dest")}
     rtol = sec.get_float("sphere_match_rtol", 1.05)
     acceptance = sec.get_float("mode_acceptance_loss")
     sec.finish()
-    m2o_block = build_m2o(cfg, graph, "avs.m2o", need_start=False)
-    m2m_sec = Section(cfg, "avs.m2m")
-    if not cfg.has("avs.m2m"):
-        raise ConfigError(f"{cfg.path}: missing [avs.m2m] section")
-    iterations = m2m_sec.positive_int("iterations", 1000)
-    step = _step_params(m2m_sec)
-    stop = _stop_rule(m2m_sec)
-    batch_size = m2m_sec.positive_int("batch_size", 64)
-    lr = m2m_sec.get_float("lr", m2o_block.cfg.eta_base)
-    m2m_sec.finish()
-    plan = PhasePlan((Phase(tuple(graph.slice_names()), iterations, step, stop),))
-    cross = CrossVarianceConfig(m2o=m2o_block.cfg, m2m_plan=plan, sphere_match_rtol=rtol)
-    trainer = TrainerConfig(lr=lr, batch_size=batch_size)
-    for path, label in ((start, "start"), (dest, "dest")):
-        if not path.is_file():
-            raise ConfigError(f"{cfg.path}: [avs] {label} checkpoint {path} does not exist")
-    return AvsBlock(start, dest, cross, trainer, acceptance)
+    m2o = _m2o_config(cfg, graph, _walk_section(cfg, "avs.m2o"))
+    m2m = _walk_section(cfg, "avs.m2m")
+    trainer = _m2m_trainer(m2m, m2o.eta_base)
+    m2m.sec.finish()
+    cross = CrossVarianceConfig(m2o, _all_layers_plan(graph, m2m), sphere_match_rtol=rtol)
+    _check_checkpoints(sec, checkpoints)
+    return AvsBlock(*checkpoints.values(), cross, trainer, acceptance)
 
 
 @dataclass
@@ -338,9 +349,7 @@ class ContinuityBlock:
 
 
 def build_continuity(cfg: ConfigFile) -> ContinuityBlock:
-    sec = Section(cfg, "continuity")
-    if not cfg.has("continuity"):
-        raise ConfigError(f"{cfg.path}: missing [continuity] section")
+    sec = _required_section(cfg, "continuity")
     record_dir = resolve_path(cfg, sec.require_str("record_dir"))
     samples = sec.positive_int("samples", 50)
     eval_subset = sec.positive_int("eval_subset", 2048)
@@ -361,9 +370,7 @@ class SeedStudyBlock:
 def build_seed_study(cfg: ConfigFile) -> SeedStudyBlock:
     """The studied seeds: the ``seeds`` list, or ``0..n_seeds-1``; a section
     may set one of the two keys, not both."""
-    sec = Section(cfg, "seed_study")
-    if not cfg.has("seed_study"):
-        raise ConfigError(f"{cfg.path}: missing [seed_study] section")
+    sec = _required_section(cfg, "seed_study")
     seeds = sec.get_int_list("seeds")
     if seeds and "n_seeds" in sec.values:
         raise cfg.error(

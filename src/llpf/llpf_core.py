@@ -157,15 +157,21 @@ class SearchSettings:
 
 @dataclass(frozen=True)
 class M2OConfig:
+    """The origin walk's settings: its one phase, the base of its per-layer
+    repair rates, the layers it freezes, and its repair batch size."""
+
     iterations: int
     step: StepParams
     stop: StopRule
     eta_base: float
     excluded_layers: tuple[str, ...] = ()
+    batch_size: int = 32
 
     def __post_init__(self):
         if self.eta_base <= 0:
             raise ValueError("eta_base must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 # -- elementary steps ---------------------------------------------------------
@@ -453,7 +459,6 @@ def llpf_m2m(
 def llpf_m2o(
     start: ParamVector,
     cfg: M2OConfig,
-    trainer: TrainerConfig,
     train_data: Dataset,
     test_data: Dataset | None = None,
     *,
@@ -469,12 +474,11 @@ def llpf_m2o(
     correction; instead each layer's learning rate is rescaled by its
     current-to-start variance ratio, so excluded layers
     (``cfg.excluded_layers`` and every normalization parameter) stay
-    bit-identical.  ``var_stop`` optionally ends the walk once every
-    correctable layer's variance is within a factor of the given targets
-    (used by the cross-sphere connection).
+    bit-identical.  Repair rounds draw ``cfg.batch_size``-row batches and
+    run without momentum or weight decay.  ``var_stop`` optionally ends the
+    walk once every correctable layer's variance is within a factor of the
+    given targets (used by the cross-sphere connection).
     """
-    trainer = _path_trainer(trainer)
-
     excluded = set(cfg.excluded_layers)
     excluded.update(
         info.name for info in start.layout if info.kind in ("norm_scale", "norm_shift")
@@ -498,7 +502,7 @@ def llpf_m2o(
         start.require_compatible(destination)
         dest = destination
 
-    step_trainer = replace(trainer, lr=cfg.eta_base)
+    trainer = TrainerConfig(lr=cfg.eta_base, batch_size=cfg.batch_size)
     repair_data = replace(train_data, augment=None)
     layout = start.layout
     lr = np.empty(start.size, dtype=start.dtype)
@@ -507,7 +511,7 @@ def llpf_m2o(
         rates = angle_conformal(current, layout, v_base, cfg.eta_base, excluded)
         for name, rate in rates.items():
             lr[layout.spans[name]] = rate  # casts to the params dtype
-        return train_until(graph, current, repair_data, step_trainer, phase.stop, rng, lr=lr)
+        return train_until(graph, current, repair_data, trainer, phase.stop, rng, lr=lr)
 
     stop_when = None
     if var_stop is not None:
@@ -551,11 +555,12 @@ def connect_cross_variance(
 
     Stage one walks ``start`` inward to the projection of itself onto the
     destination's per-layer spheres (the inward walk only shrinks, so the
-    start must sit on the larger spheres on average).  Stage two runs the
-    same-sphere search from that intermediate point to ``dest``.  The
-    returned record is the concatenation, with the hand-off point recorded
-    once at ``stage_boundary``.  Test metrics are filled in on the merged
-    record, once per point that keeps its params.
+    start must sit on the larger spheres on average), entirely from
+    ``cfg.m2o``.  Stage two runs the same-sphere search from that
+    intermediate point to ``dest`` with ``trainer``.  The returned record,
+    labelled with ``settings.endpoint_ids``, is the concatenation, with the
+    hand-off point recorded once at ``stage_boundary``.  Test metrics are
+    filled in on the merged record, once per point that keeps its params.
     """
     start.require_compatible(dest)
 
@@ -572,26 +577,14 @@ def connect_cross_variance(
     projection = ParamVector(projection, start.layout)
 
     stage1 = llpf_m2o(
-        start,
-        cfg.m2o,
-        trainer,
-        train_data,
-        settings=replace(settings, endpoint_ids=(settings.endpoint_ids[0], "sphere-projection")),
-        graph=graph,
-        destination=projection,
+        start, cfg.m2o, train_data, settings=settings, graph=graph, destination=projection,
         var_stop=(dest_targets, cfg.sphere_match_rtol),
     )
     hand_off = stage1.points[-1]
     assert hand_off.params is not None
 
     stage2 = llpf_m2m(
-        hand_off.params,
-        dest,
-        cfg.m2m_plan,
-        trainer,
-        train_data,
-        settings=replace(settings, endpoint_ids=("stage-1-endpoint", settings.endpoint_ids[1])),
-        graph=graph,
+        hand_off.params, dest, cfg.m2m_plan, trainer, train_data, settings=settings, graph=graph
     )
 
     # stage 1 is the single phase 0, so stage 2's phases follow from 1

@@ -89,6 +89,8 @@ class TrainerConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.weight_decay < 0:
             raise ValueError("weight decay must be non-negative")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass(frozen=True)

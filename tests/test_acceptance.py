@@ -315,12 +315,10 @@ def test_origin_collapse():
         step=StepParams(step_a=1e-3),
         stop=StopRule(loss_threshold=0.09, max_rounds=600, window=5),
         eta_base=2.5e-4,
+        batch_size=64,
     )
     settings = SearchSettings(seed=0, checkpoint_stride=10, mode_acceptance_loss=0.05)
-    record = llpf_m2o(
-        a, cfg, TrainerConfig(lr=2.5e-4, batch_size=64), train, test,
-        settings=settings, graph=g,
-    )
+    record = llpf_m2o(a, cfg, train, test, settings=settings, graph=g)
 
     totals = [np.sqrt(sum(v * v for v in p.per_layer_dist.values())) for p in record.points]
     reach = next((i for i, v in enumerate(totals) if totals[0] / v >= 2.0), None)
@@ -377,6 +375,7 @@ def test_cross_sphere_connection():
             step=StepParams(step_a=3e-3),
             stop=StopRule(loss_threshold=0.05, max_rounds=300, window=5),
             eta_base=3e-3,
+            batch_size=64,
         ),
         m2m_plan=PhasePlan(
             (Phase(tuple(g.slice_names()), 800, StepParams(step_a=1e-3, step_f=1e-3), StopRule(0.0, 5, 10)),)

@@ -385,6 +385,7 @@ class TestExitCodes:
             ("connect-m2m", "m2m", "augment_path_steps"),
             ("collapse-m2o", "m2o", "augment_path_steps"),
             ("connect-avs", "avs.m2o", "augment_path_steps"),
+            ("connect-avs", "avs.m2o", "mode_acceptance_loss"),
             ("continuity", "continuity", "use_full_set"),
             ("seed-study", "seed_study", "init_only"),
         ],
@@ -525,6 +526,20 @@ class TestShippedConfigs:
                 else:
                     builders[top](cfg)
                 built.add(top)  # stage and phase sections are read by their parent's builder
+
+    def test_documented_m2m_record_is_where_continuity_reads(self):
+        """The header of blobs_m2m.cfg runs connect-m2m with an ``--out``
+        relative to the repository root; blobs_continuity.cfg reads the same
+        directory, relative to its own."""
+        from llpf.harness_cli.config import parse_config, resolve_path
+
+        root = Path(__file__).resolve().parent.parent
+        header = (root / "configs" / "blobs_m2m.cfg").read_text().splitlines()
+        [line] = [text for text in header if text.startswith("#") and "connect-m2m" in text]
+        args = line.split()
+        written = (root / args[args.index("--out") + 1]).resolve()
+        cfg = parse_config(root / "configs" / "blobs_continuity.cfg")
+        assert resolve_path(cfg, cfg.sections["continuity"]["record_dir"].text) == written
 
     def test_long_convnet_schedule_builds(self, tmp_path):
         """The documented 30000-iteration convnet schedule parses into the
@@ -712,6 +727,57 @@ checkpoint_stride = 1
         record = read_path_record(tmp_path / "out_avs", g)
         assert record.stage_boundary == 0
         assert len(record.points) == 5
+
+    def test_each_stage_draws_its_own_batch_size(self, modes_dir, tmp_path, monkeypatch):
+        """Stage 1 repairs with ``[avs.m2o] batch_size``, stage 2 with
+        ``[avs.m2m] batch_size``."""
+        from llpf import llpf_core
+        from llpf.harness_cli.checkpoint import save_checkpoint
+        from llpf.param_space import ParamVector
+
+        g = mlp2(10, 8, 3)
+        start = load_checkpoint(g, modes_dir / "out" / "mode_1.ckpt")
+        # the same mode at 0.81x the variance: stage 1 has to walk inward
+        save_checkpoint(ParamVector(start.data * 0.9, start.layout), g, tmp_path / "inner.ckpt")
+        cfg = write_cfg(
+            tmp_path,
+            BASE
+            + f"""
+[avs]
+start = {modes_dir}/out/mode_1.ckpt
+dest = inner.ckpt
+mode_acceptance_loss = 1.0
+
+[avs.m2o]
+iterations = 3
+step_a = 0.1
+eta = 1e-4
+batch_size = 16
+train_rounds = 2
+
+[avs.m2m]
+iterations = 2
+step_f = 1e-3
+lr = 1e-5
+batch_size = 64
+train_rounds = 2
+
+[output]
+dir = out_avs
+""",
+        )
+        batch_sizes = []
+        real = llpf_core.train_until
+
+        def spy(graph, p, data, trainer, *args, **kwargs):
+            batch_sizes.append(trainer.batch_size)
+            return real(graph, p, data, trainer, *args, **kwargs)
+
+        monkeypatch.setattr(llpf_core, "train_until", spy)
+        assert main(["connect-avs", "--config", str(cfg)]) == 0
+        boundary = read_path_record(tmp_path / "out_avs", g).stage_boundary
+        assert 0 < boundary < len(batch_sizes)
+        assert batch_sizes == [16] * boundary + [64] * (len(batch_sizes) - boundary)
 
 
 class TestM2OExcludeGlobs:

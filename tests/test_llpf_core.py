@@ -276,8 +276,11 @@ class TestM2O:
         )
         with pytest.raises(ValueError):
             M2OConfig(iterations=0, step=StepParams(step_a=1e-3), stop=StopRule(0.0, 1, 1), eta_base=0.0)
+        with pytest.raises(ValueError, match="batch_size"):
+            M2OConfig(iterations=0, step=StepParams(step_a=1e-3), stop=StopRule(0.0, 1, 1),
+                      eta_base=1e-3, batch_size=0)
         record = llpf_m2o(
-            mode, cfg, TrainerConfig(lr=1e-3), train, None,
+            mode, cfg, train, None,
             settings=SearchSettings(mode_acceptance_loss=0.5), graph=g,
         )
         assert len(record.points) == 1
@@ -292,7 +295,7 @@ class TestM2O:
         )
         with caplog.at_level(logging.WARNING, logger="llpf.llpf_core"):
             llpf_m2o(
-                mode, cfg, TrainerConfig(lr=1e-3), train, None,
+                mode, cfg, train, None,
                 settings=SearchSettings(mode_acceptance_loss=0.0), graph=g,
             )
         assert "no positive mode-acceptance threshold" in caplog.text
@@ -315,10 +318,10 @@ class TestM2O:
         )
         cfg = M2OConfig(
             iterations=3, step=StepParams(step_a=1e-2),
-            stop=StopRule(0.0, 2, 10), eta_base=1e-3,
+            stop=StopRule(0.0, 2, 10), eta_base=1e-3, batch_size=16,
         )
         record = llpf_m2o(
-            params, cfg, TrainerConfig(lr=1e-3, batch_size=16), data, None,
+            params, cfg, data, None,
             settings=SearchSettings(mode_acceptance_loss=0.0, checkpoint_stride=1),
             graph=g,
         )
@@ -338,7 +341,7 @@ class TestM2O:
             stop=StopRule(0.0, 2, 10), eta_base=1e-3,
         )
         record = llpf_m2o(
-            mode, cfg, TrainerConfig(lr=1e-3, batch_size=32), train, None,
+            mode, cfg, train, None,
             settings=SearchSettings(seed=0, mode_acceptance_loss=0.5, checkpoint_stride=5),
             graph=g,
         )
@@ -377,7 +380,7 @@ class TestTestMetricCadence:
                         stop=StopRule(0.0, 2, 1), eta_base=1e-3)
         stride = 4
         record = llpf_m2o(
-            bigger, cfg, TrainerConfig(lr=1e-3, batch_size=32), train, test,
+            bigger, cfg, train, test,
             settings=SearchSettings(seed=3, checkpoint_stride=stride, mode_acceptance_loss=0.5),
             graph=g, var_stop=(targets, 1.05),
         )
@@ -449,7 +452,7 @@ class TestStoredPointsOwnTheirParams:
             settings=replace(settings, mode_acceptance_loss=0.0), graph=g,
         )
         m2o = llpf_m2o(
-            mode, M2OConfig(iterations=7, step=step, stop=stop, eta_base=1e-3), trainer, train,
+            mode, M2OConfig(iterations=7, step=step, stop=stop, eta_base=1e-3), train,
             settings=settings, graph=g,
         )
         avs = connect_cross_variance(
@@ -491,7 +494,7 @@ class TestRepairTrainsTheWorkingArray:
                 plan = single_phase_plan(g, iterations, step, stop)
                 return llpf_m2m(mode, partner, plan, trainer, train, settings=settings, graph=g)
             cfg = M2OConfig(iterations=iterations, step=step, stop=stop, eta_base=1e-3)
-            return llpf_m2o(mode, cfg, trainer, train, settings=settings, graph=g)
+            return llpf_m2o(mode, cfg, train, settings=settings, graph=g)
 
         buffers, built = [], []
         real_train, real_init = llpf_core.train_until, ParamVector.__init__
@@ -577,9 +580,7 @@ class TestCrossVarianceEarlyStop:
         )
         hand_off = record.points[record.stage_boundary]
         standalone = llpf_m2m(
-            hand_off.params, mode, plan, trainer, train, test,
-            settings=replace(settings, endpoint_ids=("stage-1-endpoint", settings.endpoint_ids[1])),
-            graph=g,
+            hand_off.params, mode, plan, trainer, train, test, settings=settings, graph=g,
         )
         return g, mode, record, standalone
 
@@ -819,7 +820,7 @@ class TestWalkGenerator:
         seen = spy_generators(monkeypatch)
         llpf_m2m(mode, partner, plan, trainer, train, None, settings=settings, graph=g)
         cfg = M2OConfig(iterations=3, step=StepParams(step_a=1e-3), stop=stop, eta_base=1e-3)
-        llpf_m2o(mode, cfg, trainer, train, None, settings=settings, graph=g)
+        llpf_m2o(mode, cfg, train, None, settings=settings, graph=g)
         assert len(seen) == 9
         assert_one_fresh_generator_each([seen[:6], seen[6:]], self.SEED)
 
@@ -878,7 +879,7 @@ class TestPinnedWalks:
         m2o = llpf_m2o(
             a, M2OConfig(iterations=8, step=StepParams(step_a=1e-2, step_c=2e-2), stop=stop,
                          eta_base=1e-3),
-            trainer, train, test, settings=settings, graph=g,
+            train, test, settings=settings, graph=g,
         )
         arc_step = StepParams(step_a=1e-2, step_c=1e-2, step_f=1e-3)
         plan = PhasePlan((
@@ -977,13 +978,14 @@ class TestPathStepAugmentation:
         m2o_cfg = M2OConfig(
             iterations=2, step=StepParams(step_a=1e-2), stop=stop, eta_base=1e-2,
             excluded_layers=tuple(n for n in g.slice_names() if n.endswith(".bias")),
+            batch_size=trainer.batch_size,
         )
 
         def m2m(data):
             return llpf_m2m(mode, mode, plan, trainer, data, None, settings=settings, graph=g)
 
         def m2o(data):
-            return llpf_m2o(mode, m2o_cfg, trainer, data, None, settings=settings, graph=g)
+            return llpf_m2o(mode, m2o_cfg, data, None, settings=settings, graph=g)
 
         for run in (m2m, m2o):
             a, b = run(plain), run(augmented)

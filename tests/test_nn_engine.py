@@ -544,6 +544,9 @@ class TestSgdStep:
             TrainerConfig(lr=0.0)
         with pytest.raises(ValueError):
             TrainerConfig(lr=0.1, momentum=1.0)
+        # an empty batch trains nothing and reports a NaN loss
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainerConfig(lr=0.1, batch_size=0)
         with pytest.raises(ValueError):
             StopRule(loss_threshold=0.1, max_rounds=0)
         # a rolling window wider than the round cap never fills, so a
