@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -189,16 +190,16 @@ def move_toward(
     bounded distance straight toward the destination, in place; the step
     never overshoots, and inactive layers keep their values.  ``arc0``
     supplies the per-layer arc anchor captured at phase start (required only
-    when ``step_c`` is nonzero).
+    when ``step_c`` is nonzero).  The walk passes a float64 ``dest``, which
+    is then read without a copy.
     """
     if step.step_c > 0 and arc0 is None:
         raise ValueError("step_c > 0 requires per-layer arc anchors")
     spans = dest.layout.spans
     for name in active_layers:
         a = current[spans[name]].astype(np.float64)
-        b = dest.get(name).astype(np.float64)
-        gap = b - a
-        dist = float(np.linalg.norm(gap))
+        gap = dest.get(name).astype(np.float64, copy=False) - a
+        dist = math.sqrt(gap @ gap)  # np.linalg.norm's float64 arithmetic
         if dist == 0.0:
             continue
         s = step.step_a * dist + step.step_f
@@ -282,9 +283,13 @@ def _accept_modes(graph, settings, phases, train_data, *modes) -> float:
     return losses[0]
 
 
-def _path_trainer(trainer: TrainerConfig) -> TrainerConfig:
-    # path-step training always runs without momentum or weight decay
-    return replace(trainer, momentum=0.0, weight_decay=0.0)
+def _require_plain_sgd(trainer: TrainerConfig) -> None:
+    """Path repair runs plain SGD, so a repair config that asks for momentum
+    or weight decay is rejected rather than run without them."""
+    for name in ("momentum", "weight_decay"):
+        value = getattr(trainer, name)
+        if value:
+            raise ValueError(f"path repair runs plain SGD: TrainerConfig.{name} must be 0, not {value}")
 
 
 def _phase_arcs(current, dest, phase):
@@ -338,7 +343,8 @@ def _walk(
     """Walk from ``start`` toward ``dest`` through the phase schedule.
 
     The walk holds its current point in one private, writable flat array,
-    laid out like ``start`` and checked against ``dest`` once, here.  Each
+    laid out like ``start`` and checked against ``dest`` once, here, and
+    reads ``dest`` through one float64 copy, made here too.  Each
     iteration moves the phase's active layers of that array in place, hands
     it to ``repair`` together with the walk's one generator (seeded from
     ``settings.seed``), which repairs it in place and returns its
@@ -355,6 +361,7 @@ def _walk(
     with ``settings.endpoint_ids``.
     """
     start.require_compatible(dest)
+    dest = ParamVector(dest.data.astype(np.float64), dest.layout)
     rng = np.random.default_rng(settings.seed)
     total = sum(p.iterations for p in phases)
     points: list[PathPoint] = []
@@ -414,11 +421,13 @@ def llpf_m2m(
     the destination, projects them back onto the start mode's captured
     per-layer variance spheres, retrains briefly, and projects again.  Both
     endpoints must already be low-loss modes whose correctable layers sit on
-    nearby spheres.
+    nearby spheres.  The retraining is plain SGD at ``trainer.lr`` on
+    ``trainer.batch_size``-row batches; a ``trainer`` with momentum or
+    weight decay raises ``ValueError``.
     """
     start.require_compatible(dest)
     plan.validate_against(graph)
-    trainer = _path_trainer(trainer)
+    _require_plain_sgd(trainer)
 
     targets = _variances(start.data, start.layout, start.names())
     correctable = correctable_layers(start, targets)
@@ -557,12 +566,14 @@ def connect_cross_variance(
     destination's per-layer spheres (the inward walk only shrinks, so the
     start must sit on the larger spheres on average), entirely from
     ``cfg.m2o``.  Stage two runs the same-sphere search from that
-    intermediate point to ``dest`` with ``trainer``.  The returned record,
+    intermediate point to ``dest`` with ``trainer``, checked before stage
+    one starts, as :func:`llpf_m2m` checks it.  The returned record,
     labelled with ``settings.endpoint_ids``, is the concatenation, with the
     hand-off point recorded once at ``stage_boundary``.  Test metrics are
     filled in on the merged record, once per point that keeps its params.
     """
     start.require_compatible(dest)
+    _require_plain_sgd(trainer)
 
     dest_targets = _variances(dest.data, dest.layout, dest.names())
     correctable = correctable_layers(dest, dest_targets)

@@ -1,16 +1,23 @@
-"""Graph execution: parameter init, forward pass, and backpropagation.
+"""Graph execution: parameter init, and forward and backward passes run from
+a bound plan.
 
-Execution walks ``graph.plan``, the per-node records the graph resolved once
-at construction: each node's parameters are views at its slices' offsets,
-reshaped to their resolved shapes, and its gradients are written back
-through one loop over the same slices.  Kernels are looked up in
-:mod:`.layers` at call time.
+``graph.plan`` resolves each node once per graph.  A :class:`Plan` binds it,
+once per training or evaluation call, to one flat parameter array and, to
+train, one flat gradient buffer: every step holds its parameter views into
+the array, its gradient views into the buffer, its :mod:`.layers` kernel
+(looked up when the steps are bound) and its output and input-gradient
+buffers, sized for the batch.  A run only calls the steps, and the kernels
+write into those buffers with ``out=``; a batch of another row count or
+dtype binds the steps anew.  The buffers live as long as the plan, and a
+plan as long as the call that built it, so nothing is kept between calls.
 
-Image activations run batch-last, (C, H, W, N); the (N, C, H, W) input batch
-is transposed once on entry.  Dense layers and their activations stay
+Image activations run batch-last, (C, H, W, N): the (N, C, H, W) input batch
+is copied once on entry into the buffer the first layer reads (a padded
+convolution's padded input).  Dense layers and their activations stay
 batch-first, (N, F): ``flatten``, and a dense node reading an image, switch
 layouts through one ``reshape(-1, N).T`` view, which keeps the features in
-C, H, W order, so parameters, checkpoints and logits are layout-free.
+C, H, W order, so parameters, checkpoints and logits are layout-free.  A
+model whose input is flat reads the batch as given.
 
 A batch_norm node normalizes with the (mean, population variance) its caller
 fixes, and otherwise with its own batch's.  Training always uses the batch's.
@@ -50,84 +57,151 @@ def init_params(graph: ModelGraph, seed: int, dtype=np.float32) -> ParamVector:
     return graph.wrap(data)
 
 
-def forward(
-    graph: ModelGraph,
-    params: ParamVector,
-    x: np.ndarray,
-    stats: dict[str, tuple[np.ndarray, np.ndarray]] | None = None,
-) -> np.ndarray:
-    """Run the graph on a batch and return logits.
+class Plan:
+    """The steps of ``graph`` bound to the flat parameter array ``params``
+    and, to train, the flat gradient buffer ``grad``, both laid out like the
+    graph's parameters.
 
-    ``stats`` maps batch_norm node names to the (mean, var) each normalizes
-    with; by default every batch_norm uses the batch's own statistics.
+    :meth:`forward` returns the logits in a buffer of the plan that its next
+    run overwrites; :meth:`loss_and_grad` writes every slice of ``grad``.
     """
-    logits, _ = _execute(graph, params.data, x, stats, want_caches=False)
-    return logits
+
+    def __init__(self, graph: ModelGraph, params: np.ndarray, grad: np.ndarray | None = None):
+        self.graph = graph
+        self.params = params
+        self.grad = grad
+        # what batch_norm steps normalize with in the current run, in a list
+        # the steps hold, so that they hold no reference to the plan
+        self._stats = [None]
+        self._batch = None  # (rows, dtype) of the batch the steps are bound for
+
+    def forward(self, x, stats=None) -> np.ndarray:
+        """Logits of the batch ``x``; ``stats`` as :func:`forward` takes it."""
+        self._run(self._enter(x), stats)
+        return self._logits
+
+    def loss_and_grad(self, x, y) -> float:
+        """Mean cross-entropy of the batch, normalized with its own
+        statistics; the gradient lands in ``grad``."""
+        x = self._enter(x)
+        self._run(x, None)
+        loss = self._loss(y)
+        for step in self._backward:
+            step()
+        self._tail(x)
+        for view, wide in self._casts:
+            view[...] = wide
+        return loss
+
+    def _run(self, x, stats) -> None:
+        self._stats[0] = stats
+        self._head(x)
+        for step in self._forward:
+            step()
+
+    def _enter(self, x):
+        x = np.asarray(x)
+        if x.shape[1:] != self.graph.input_shape:
+            raise ValueError(
+                f"batch shape {x.shape[1:]} does not match model input {self.graph.input_shape}"
+            )
+        if (x.shape[0], x.dtype) != self._batch:
+            self._bind(x.shape[0], x.dtype)
+        return x
+
+    def _bind(self, n, xdtype) -> None:
+        """Bind every step for a batch of ``n`` rows of ``xdtype``.  A node
+        that trains computes in the parameters' and batch's common dtype;
+        one before every parameter keeps the batch's."""
+        graph, params = self.graph, self.params
+        wide = np.promote_types(xdtype, params.dtype)
+        source = graph.plan[0]
+        padded = None
+        if len(graph.input_shape) == 1:
+            entry = None  # the first layer reads the batch as given
+        else:
+            shape = graph.input_shape + (n,)
+            if source.kind == "conv2d" and source.pad:
+                padded = _zero_padded(shape, source.pad, xdtype)
+                entry = _interior(padded, source.pad, shape)
+            else:
+                entry = np.empty(shape, xdtype)
+            self._head = lambda x: np.copyto(entry, x.transpose(1, 2, 3, 0))
+        outs = {}
+        self._forward = forward = []
+        backward = []
+        for node in graph.plan:
+            p = [params[o : o + k].reshape(shape) for o, k, shape in node.slices]
+            if not node.inputs:
+                a = entry
+            elif len(node.inputs) == 1:
+                a = outs[node.inputs[0]]
+            else:
+                a = tuple(outs[src] for src in node.inputs)
+            dtype = wide if node.trains else xdtype
+            shape = _batched(graph.shapes[node.name], n)
+            if node.kind == "conv2d":
+                y, step, bind = _conv2d(self, node, a, p, shape, dtype, padded if a is entry else None)
+            else:
+                y, step, bind = _BINDERS[node.kind](self, node, a, p, shape, dtype)
+            outs[node.name] = y
+            if a is None:
+                self._head = step
+            elif step is not None:
+                forward.append(step)
+            if node.trains:
+                backward.append((node, bind, dtype))
+        self._logits = outs[graph.sink]
+        if self.grad is not None:
+            self._bind_backward(n, backward[::-1], entry is None)
+        self._batch = (n, xdtype)
+
+    def _bind_backward(self, n, nodes, flat) -> None:
+        """Bind the loss and the backward steps of ``nodes``, the trainable
+        ones in reverse plan order.  A node read by several consumers sums
+        their input gradients in the order the consumers' steps run."""
+        grad, logits = self.grad, self._logits
+        dlogits = np.empty(logits.shape, logits.dtype)
+        work = L.loss_work(n, logits.shape[1])
+        kernel = L.softmax_cross_entropy
+        self._loss = lambda y: kernel(logits, y, out=dlogits, work=work)[0]
+        self._backward = steps = []
+        self._tail = _ignore
+        self._casts = casts = []
+        parts = {self.graph.sink: [dlogits]}
+        for node, bind, dtype in nodes:
+            g = _summed(parts.pop(node.name), dtype, steps)
+            dp = [grad[o : o + k].reshape(shape) for o, k, shape in node.slices]
+            if grad.dtype != dtype:  # computed wide, cast into the buffer after
+                wide = [np.empty(view.shape, dtype) for view in dp]
+                casts.extend(zip(dp, wide))
+                dp = wide
+            step, dx = bind(g, node.needs_dx, dp)
+            if flat and not node.inputs:
+                self._tail = step
+            elif step is not None:
+                steps.append(step)
+            if dx is not None:  # an input that does not train never collects it
+                for src in node.inputs:
+                    parts.setdefault(src, []).append(dx)
 
 
-def norm_stats(
-    graph: ModelGraph, params: ParamVector, x: np.ndarray
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Each batch_norm node's batch (mean, population var) over ``x``, from
-    one forward pass at ``params``."""
-    stats: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    _execute(graph, params.data, x, stats, want_caches=False)
-    return stats
+def _ignore(x):
+    pass
 
 
-def _execute(graph, data, x, stats, want_caches):
-    """Forward pass at the flat parameter array ``data``.  A batch_norm node
-    named in ``stats`` normalizes with those statistics; one missing from a
-    ``stats`` dict uses its batch's and records them there.  Backward caches
-    are kept only when ``want_caches``, so an evaluation pass frees each
-    node's im2col matrix and batch-norm cache as soon as the node has run."""
-    x = np.asarray(x)
-    if x.shape[1:] != graph.input_shape:
-        raise ValueError(
-            f"batch shape {x.shape[1:]} does not match model input {graph.input_shape}"
-        )
-    if x.ndim == 4:
-        x = x.transpose(1, 2, 3, 0)
-    values: dict[str, np.ndarray] = {}
-    caches: dict[str, object] = {}
-    for node in graph.plan:
-        name = node.name
-        ins = [values[s] for s in node.inputs] if node.inputs else [x]
-        a = ins[0]
-        p = [data[o : o + n].reshape(shape) for o, n, shape in node.slices]
-        cache = None  # frees the previous node's cache before this node runs
-        if node.kind == "dense":
-            if a.ndim > 2:
-                a = _batch_first(a)
-            y, cache = L.dense_forward(a, p[0], p[1]), a
-        elif node.kind == "conv2d":
-            b = p[1] if len(p) > 1 else None
-            y, cache = L.conv2d_forward(a, p[0], b, node.stride, node.pad)
-            cache = (a.shape, cache)  # the im2col matrix
-        elif node.kind == "batch_norm":
-            fixed = None if stats is None else stats.get(name)
-            y, cache = L.batchnorm_forward(a, p[0], p[1], fixed)
-            if stats is not None:
-                stats[name] = cache[2]
-            cache = (a, cache)
-        elif node.kind == "relu":
-            y, cache = np.maximum(a, 0), a
-        elif node.kind == "max_pool":
-            y, cache = L.maxpool_forward(a, node.kernel)
-            cache = (a.shape, cache)
-        elif node.kind == "avg_pool":
-            y, cache = L.avgpool_forward(a, node.kernel), a.shape
-        elif node.kind == "flatten":
-            y, cache = _batch_first(a), a.shape
-        elif node.kind == "residual_add":
-            y = ins[0] + ins[1]
-        values[name] = y
-        if want_caches:
-            caches[name] = cache
-    out = values[graph.sink]
-    if want_caches:
-        return out, (values, caches)
-    return out, None
+def _batched(shape, n):
+    """A node's output shape with the batch axis: (N, F) or (C, H, W, N)."""
+    return (n,) + shape if len(shape) == 1 else shape + (n,)
+
+
+def _zero_padded(shape, pad, dtype):
+    c, h, w, n = shape
+    return np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=dtype)
+
+
+def _interior(padded, pad, shape):
+    return padded[:, pad : pad + shape[1], pad : pad + shape[2]]
 
 
 def _batch_first(a):
@@ -135,8 +209,233 @@ def _batch_first(a):
     return a.reshape(-1, a.shape[-1]).T
 
 
+def _summed(parts, dtype, steps):
+    """The gradient of a node's output: its one consumer's input gradient,
+    or the sum of several, added into a buffer by a step appended here."""
+    if len(parts) == 1:
+        return parts[0]
+    total = np.empty(parts[0].shape, dtype)
+    first, rest = parts[:2], parts[2:]
+
+    def step():
+        np.add(*first, out=total)
+        for part in rest:
+            np.add(total, part, out=total)
+
+    steps.append(step)
+    return total
+
+
+# -- one binder per node kind ---------------------------------------------------
+#
+# ``bind(plan, node, a, p, shape, dtype)`` gets the node's input ``a`` (its
+# producer's output buffer, a tuple of them for residual_add, or None when
+# the node reads a flat batch), its parameter views ``p``, and its output's
+# batched shape and dtype.  It returns the output buffer, the forward step
+# (None when there is nothing to compute), and ``backward(g, need_dx, dp)``,
+# which binds the backward step to the output gradient ``g`` and the
+# parameter-gradient targets ``dp`` and returns it with the input gradient
+# (None when ``need_dx`` is false).  The steps of a node that reads a flat
+# batch take the batch as their argument, in place of a bound input.
+
+
+def _dense(plan, node, a, p, shape, dtype):
+    w, b = p
+    y = np.empty(shape, dtype)
+    x = a if a is None or a.ndim == 2 else _batch_first(a)
+    kernel = L.dense_forward
+
+    def backward(g, need_dx, dp):
+        dw, db = dp
+        grad_kernel = L.dense_backward
+        if not need_dx:
+            return (lambda x=x: grad_kernel(g, x, w, need_dx=False, dw=dw, db=db)), None
+        dx = np.empty((shape[0], w.shape[0]), dtype)
+        if a.ndim == 2:
+            return (lambda: grad_kernel(g, x, w, dx=dx, dw=dw, db=db)), dx
+        image = np.empty(a.shape, dtype)
+        rows = image.reshape(-1, shape[0])
+
+        def step():
+            grad_kernel(g, x, w, dx=dx, dw=dw, db=db)
+            np.copyto(rows, dx.T)
+
+        return step, image
+
+    return y, (lambda x=x: kernel(x, w, b, y)), backward
+
+
+def _conv2d(plan, node, a, p, shape, dtype, padded=None):
+    w, b = p[0], (p[1] if len(p) > 1 else None)
+    stride, pad = node.stride, node.pad
+    c, k = node.in_shape[0], node.kernel
+    out_c, oh, ow, n = shape
+    y = np.empty(shape, dtype)
+    y_rows = y.reshape(out_c, -1)
+    cols = np.empty((c * k * k, oh * ow * n), a.dtype)
+    copy_in = pad and padded is None  # else the entry buffer is already padded
+    inner = None
+    if copy_in:
+        padded = _zero_padded(a.shape, pad, a.dtype)
+        inner = _interior(padded, pad, a.shape)
+    kernel = L.conv2d_forward
+
+    def forward():
+        if copy_in:
+            inner[...] = a
+        kernel(a, w, b, stride, pad, xp=padded, cols=cols, out=y_rows)
+
+    def backward(g, need_dx, dp):
+        dw, db = dp[0], (dp[1] if len(dp) > 1 else None)
+        # the patch gradient overwrites the patch matrix, which it has the
+        # dtype of whenever it is needed, once the weight gradient has read it
+        work = L.conv_work(a.shape, w.shape, (oh, ow), pad, dtype, need_dx, cols)
+        grad_kernel = L.conv2d_backward
+
+        def step():
+            grad_kernel(g, a.shape, w, cols, stride, pad, need_dx=need_dx, dw=dw, db=db, work=work)
+
+        dx = None
+        if need_dx:
+            dx = _interior(work[3], pad, a.shape) if pad else work[3]
+        return step, dx
+
+    return y, forward, backward
+
+
+def _batch_norm(plan, node, a, p, shape, dtype):
+    scale, shift = p
+    name = node.name
+    y = np.empty(shape, dtype)
+    cache = [None]
+    current = plan._stats
+    kernel = L.batchnorm_forward
+
+    def forward(a=a):
+        stats = current[0]
+        _, cache[0] = kernel(a, scale, shift, None if stats is None else stats.get(name), y)
+        if stats is not None:
+            stats[name] = cache[0][2]
+
+    def backward(g, need_dx, dp):
+        dx = np.empty(shape, dtype) if need_dx else None
+        dscale, dshift = dp
+        grad_kernel = L.batchnorm_backward
+        return (lambda a=a: grad_kernel(g, a, scale, cache[0], dx=dx, dscale=dscale, dshift=dshift)), dx
+
+    return y, forward, backward
+
+
+def _relu(plan, node, a, p, shape, dtype):
+    # written over its input, the output is positive exactly where the input
+    # was, which is all that the backward step reads from that buffer
+    y = a if node.overwrites_input else np.empty(shape, dtype)
+
+    def backward(g, need_dx, dp):
+        mask = np.empty(shape, bool)
+        dx = np.empty(shape, dtype)
+
+        def step():
+            np.greater(a, 0, out=mask)
+            np.multiply(g, mask, out=dx)
+
+        return step, dx
+
+    return y, (lambda a=a: np.maximum(a, 0, out=y)), backward
+
+
+def _max_pool(plan, node, a, p, shape, dtype):
+    y = np.empty(shape, dtype)
+    kernel, size = L.maxpool_forward, node.kernel
+
+    def backward(g, need_dx, dp):
+        dx = np.empty(a.shape, dtype)
+        masks = np.empty(shape, bool), np.empty(shape, bool)
+        grad_kernel = L.maxpool_backward
+        return (lambda: grad_kernel(g, a.shape, size, (a, y), out=dx, masks=masks)), dx
+
+    return y, (lambda: kernel(a, size, y)), backward
+
+
+def _avg_pool(plan, node, a, p, shape, dtype):
+    y = np.empty(shape, dtype)
+    kernel, size = L.avgpool_forward, node.kernel
+
+    def backward(g, need_dx, dp):
+        dx = np.empty(a.shape, dtype)
+        grad_kernel = L.avgpool_backward
+        return (lambda: grad_kernel(g, a.shape, size, dx)), dx
+
+    return y, (lambda: kernel(a, size, y)), backward
+
+
+def _flatten(plan, node, a, p, shape, dtype):
+    def backward(g, need_dx, dp):
+        image = np.empty(a.shape, dtype)
+        rows = image.reshape(-1, a.shape[-1])
+        return (lambda: np.copyto(rows, g.T)), image
+
+    return _batch_first(a), None, backward
+
+
+def _residual_add(plan, node, a, p, shape, dtype):
+    y = np.empty(shape, dtype)
+    left, right = a
+    # both inputs receive the output's gradient
+    return y, (lambda: np.add(left, right, out=y)), (lambda g, need_dx, dp: (None, g))
+
+
+_BINDERS = {
+    "dense": _dense,
+    "conv2d": _conv2d,
+    "batch_norm": _batch_norm,
+    "relu": _relu,
+    "max_pool": _max_pool,
+    "avg_pool": _avg_pool,
+    "flatten": _flatten,
+    "residual_add": _residual_add,
+}
+
+
+def _bound_plan(graph: ModelGraph | Plan, data: np.ndarray, grad: np.ndarray | None = None) -> Plan:
+    """``graph`` when it is a plan bound to ``data`` (and ``grad``), else a
+    new plan for the call."""
+    if not isinstance(graph, Plan):
+        return Plan(graph, data, grad)
+    if graph.params is not data or graph.grad is not grad:
+        raise ValueError("a plan runs on the arrays it was bound to")
+    return graph
+
+
+def forward(
+    graph: ModelGraph | Plan,
+    params: ParamVector,
+    x: np.ndarray,
+    stats: dict[str, tuple[np.ndarray, np.ndarray]] | None = None,
+) -> np.ndarray:
+    """Run the graph on a batch and return logits.
+
+    ``graph`` may be a :class:`Plan` bound to ``params.data``, whose logits
+    buffer the next run overwrites.  ``stats`` maps batch_norm node names to
+    the (mean, var) each normalizes with; by default every batch_norm uses
+    the batch's own statistics.
+    """
+    return _bound_plan(graph, params.data).forward(x, stats)
+
+
+def norm_stats(
+    graph: ModelGraph | Plan, params: ParamVector, x: np.ndarray
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each batch_norm node's batch (mean, population var) over ``x``, from
+    one forward pass at ``params`` (through ``graph``, a plan as for
+    :func:`forward`)."""
+    stats: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    _bound_plan(graph, params.data).forward(x, stats)
+    return stats
+
+
 def loss_and_grad(
-    graph: ModelGraph,
+    graph: ModelGraph | Plan,
     params: ParamVector | np.ndarray,
     batch_x: np.ndarray,
     batch_y: np.ndarray,
@@ -147,69 +446,18 @@ def loss_and_grad(
 
     ``params`` is a ParamVector, or a flat array in the graph's layout that
     its caller has already checked (a trainer's working buffer).  Given
-    ``out``, a flat buffer the caller owns, the gradient is written there and
-    ``out`` is returned; the buffer is zeroed first, so a slice that gets no
-    gradient reads 0.  Without it the gradient comes back as a new
-    ParamVector in the dtype of ``params``.  Every batch_norm normalizes with
-    the batch's statistics; ``mode`` names that and accepts nothing but
+    ``out``, a flat buffer the caller owns, the gradient is written there,
+    every slice of it, and ``out`` is returned; ``graph`` may then be a
+    :class:`Plan` bound to ``params`` and ``out``, which a trainer builds
+    once for all its rounds.  Without ``out`` the gradient comes back as a
+    new ParamVector in the dtype of ``params``.  Every batch_norm normalizes
+    with the batch's statistics; ``mode`` names that and accepts nothing but
     ``"train"``.
     """
     if mode != "train":
         raise ValueError(f"loss_and_grad runs in train mode only, not {mode!r}")
     data = params.data if isinstance(params, ParamVector) else params
-    if out is None:
-        gdata = np.zeros(graph.num_params, dtype=data.dtype)
-    else:
-        gdata = out
-        gdata.fill(0)
-    logits, (values, caches) = _execute(graph, data, batch_x, None, want_caches=True)
-    loss, dlogits = L.softmax_cross_entropy(logits, np.asarray(batch_y))
-
-    grads: dict[str, np.ndarray] = {graph.sink: dlogits}
-    for node in reversed(graph.plan):
-        name = node.name
-        g = grads.pop(name, None)
-        if g is None:
-            continue
-        pgrads = ()
-        if node.slices:
-            o, n, shape = node.slices[0]
-            w = data[o : o + n].reshape(shape)  # a weight, or a batch_norm's scale
-        if node.kind == "dense":
-            # a layer that reads the batch has no input whose gradient is needed
-            dx, dw, db = L.dense_backward(g, caches[name], w, need_dx=bool(node.inputs))
-            if dx is not None and len(node.in_shape) > 1:
-                dx = dx.T.reshape(node.in_shape + (g.shape[0],))
-            pgrads = (dw, db)
-        elif node.kind == "conv2d":
-            x_shape, cols = caches[name]
-            # a conv that reads the batch has no input whose gradient is needed
-            dx, dw, db = L.conv2d_backward(
-                g, x_shape, w, cols, node.stride, node.pad, need_dx=bool(node.inputs)
-            )
-            pgrads = (dw, db)  # a bias-less conv owns one slice; zip drops db
-        elif node.kind == "batch_norm":
-            a, cache = caches[name]
-            dx, dscale, dshift = L.batchnorm_backward(g, a, w, cache)
-            pgrads = (dscale, dshift)
-        elif node.kind == "relu":
-            a = caches[name]
-            dx = g * (a > 0)
-        elif node.kind == "max_pool":
-            x_shape, cache = caches[name]
-            dx = L.maxpool_backward(g, x_shape, node.kernel, cache)
-        elif node.kind == "avg_pool":
-            dx = L.avgpool_backward(g, caches[name], node.kernel)
-        elif node.kind == "flatten":
-            dx = g.T.reshape(caches[name])
-        elif node.kind == "residual_add":
-            dx = g  # both inputs receive the same gradient
-
-        for (o, n, _), arr in zip(node.slices, pgrads):
-            gdata[o : o + n] = arr.reshape(-1)  # casts to the buffer's dtype
-        for src in node.inputs:
-            if src in grads:
-                grads[src] = grads[src] + dx
-            else:
-                grads[src] = dx
-    return loss, (graph.wrap(gdata) if out is None else gdata)
+    gdata = np.empty(data.shape[0], dtype=data.dtype) if out is None else out
+    plan = _bound_plan(graph, data, gdata)
+    loss = plan.loss_and_grad(batch_x, batch_y)
+    return loss, (plan.graph.wrap(gdata) if out is None else gdata)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -30,6 +31,11 @@ NODE_KINDS = (
     "flatten",
     "residual_add",
 )
+
+
+# kinds whose output is a buffer of their own that their backward pass does
+# not read (max_pool reads its output, and flatten's is a view of its input)
+_OWN_OUTPUT = ("dense", "conv2d", "batch_norm", "relu", "avg_pool", "residual_add")
 
 
 class GraphError(ValueError):
@@ -50,7 +56,13 @@ class ResolvedNode:
 
     ``slices`` holds ``(offset, length, shape)`` for each parameter slice the
     node owns, in layout order; ``kernel``/``stride``/``pad`` are as
-    ``_window`` resolves them.
+    ``_window`` resolves them.  ``trains`` says that the node or a node it
+    reads from, directly or not, owns parameters, so that a gradient reaches
+    parameters through its output; ``needs_dx`` that one of its inputs
+    trains, so that backpropagation needs its input gradient.
+    ``overwrites_input`` marks a relu that may write its output over its
+    input: nothing else reads that input, and its producer's backward pass
+    does not read its own output.
     """
 
     name: str
@@ -61,6 +73,9 @@ class ResolvedNode:
     kernel: int | None
     stride: int
     pad: int
+    trains: bool
+    needs_dx: bool
+    overwrites_input: bool
 
 
 class ModelGraph:
@@ -91,6 +106,7 @@ class ModelGraph:
         self.sink = sinks[0]
         self.topo_order = self._topo_sort()
         self._resolve()
+        self._digest = self._describe()
 
     # -- structure ---------------------------------------------------------
 
@@ -124,6 +140,8 @@ class ModelGraph:
     def _resolve(self) -> None:
         """Set ``plan``, ``shapes`` and ``layout`` in one topological pass."""
         shapes: dict[str, tuple[int, ...]] = {}
+        trains: dict[str, bool] = {}
+        readers = Counter(src for node in self.nodes for src in node.inputs)
         plan = []
         layout = []
         offset = 0
@@ -138,8 +156,19 @@ class ModelGraph:
                 layout.append(SliceInfo(f"{name}.{leaf}", offset, length, kind))
                 slices.append((offset, length, shape))
                 offset += length
+            needs_dx = any(trains[src] for src in node.inputs)
+            trains[name] = bool(slices) or needs_dx
+            overwrites = (
+                node.kind == "relu"
+                and len(node.inputs) == 1
+                and readers[node.inputs[0]] == 1
+                and self._by_name[node.inputs[0]].kind in _OWN_OUTPUT
+            )
             plan.append(
-                ResolvedNode(name, node.kind, node.inputs, ins[0], tuple(slices), kernel, stride, pad)
+                ResolvedNode(
+                    name, node.kind, node.inputs, ins[0], tuple(slices), kernel, stride, pad,
+                    trains[name], needs_dx, overwrites,
+                )
             )
         if not layout:
             raise GraphError("graph has no trainable parameters")
@@ -162,7 +191,11 @@ class ModelGraph:
         return self._has_norm
 
     def digest(self) -> bytes:
-        """Stable 32-byte digest of the architecture (names, kinds, shapes)."""
+        """Stable 32-byte digest of the architecture (names, kinds, shapes),
+        computed once, at construction: the graph never changes."""
+        return self._digest
+
+    def _describe(self) -> bytes:
         desc = {
             "input_shape": list(self.input_shape),
             "nodes": [

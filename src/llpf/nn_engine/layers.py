@@ -25,6 +25,11 @@ order numpy uses to sum one contiguous row, so losses and gradients keep
 the bits of the batch-first form.  The gradient goes back as a C-ordered (N, classes) array:
 an F-ordered one holds the same values, but the GEMMs of ``dense_backward``
 round differently on it.
+
+Every kernel also takes buffers for its results and scratch arrays (``out``,
+``dw``, ``work`` and the like), which the engine binds once per training or
+evaluation call; without them it allocates its own.  Either way it does the
+same arithmetic in the same order, so the results have the same bits.
 """
 
 from __future__ import annotations
@@ -34,18 +39,20 @@ import numpy as np
 BN_EPS = 1e-5
 
 
-def dense_forward(x, w, b):
-    return x @ w + b
+def dense_forward(x, w, b, out=None):
+    y = np.matmul(x, w, out=out)
+    y += b
+    return y
 
 
-def dense_backward(g, x, w, need_dx=True):
+def dense_backward(g, x, w, need_dx=True, *, dx=None, dw=None, db=None):
     """Returns (dx, dw, db); ``need_dx=False`` skips the input gradient and
     returns ``dx=None`` (for a dense layer that reads the model input)."""
-    dw = x.T @ g
-    db = g.sum(axis=0)
+    dw = np.matmul(x.T, g, out=dw)
+    db = np.add.reduce(g, 0, None, db)  # g.sum(axis=0), without its wrapper
     if not need_dx:
         return None, dw, db
-    return g @ w.T, dw, db
+    return np.matmul(g, w.T, out=dx), dw, db
 
 
 # -- convolution -------------------------------------------------------------
@@ -65,24 +72,35 @@ def _tap(stride, oh, ow, i, j):
     return (slice(None), slice(i, i + stride * oh, stride), slice(j, j + stride * ow, stride))
 
 
-def im2col(x, kernel, stride, pad):
-    """(C,H,W,N) -> (C*k*k, OH*OW*N) patch matrix, one copy per kernel tap."""
+def im2col(x, kernel, stride, pad, *, xp=None, out=None):
+    """(C,H,W,N) -> (C*k*k, OH*OW*N) patch matrix, one copy per kernel tap.
+
+    ``xp``, when given, already holds ``x`` padded by ``pad`` (a caller's
+    buffer); ``out`` receives the patch matrix.
+    """
     c, h, w, n = x.shape
     oh = (h + 2 * pad - kernel) // stride + 1
     ow = (w + 2 * pad - kernel) // stride + 1
-    xp = _pad_input(x, pad)
-    cols = np.empty((c, kernel, kernel, oh, ow, n), dtype=x.dtype)
+    if xp is None:
+        xp = _pad_input(x, pad)
+    if out is None:
+        out = np.empty((c * kernel * kernel, oh * ow * n), dtype=x.dtype)
+    cols = out.reshape(c, kernel, kernel, oh, ow, n)
     for i in range(kernel):
         for j in range(kernel):
             cols[:, i, j] = xp[_tap(stride, oh, ow, i, j)]
-    return cols.reshape(c * kernel * kernel, oh * ow * n), (oh, ow)
+    return out, (oh, ow)
 
 
-def col2im(cols, x_shape, kernel, stride, pad, out_hw):
-    """Scatter-add the inverse of :func:`im2col`."""
+def col2im(cols, x_shape, kernel, stride, pad, out_hw, xp=None):
+    """Scatter-add the inverse of :func:`im2col`, into the padded buffer
+    ``xp`` when given (zeroed here first)."""
     c, h, w, n = x_shape
     oh, ow = out_hw
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=cols.dtype)
+    if xp is None:
+        xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=cols.dtype)
+    else:
+        xp.fill(0)
     cols6 = cols.reshape(c, kernel, kernel, oh, ow, n)
     for i in range(kernel):
         for j in range(kernel):
@@ -92,37 +110,68 @@ def col2im(cols, x_shape, kernel, stride, pad, out_hw):
     return xp[:, pad : pad + h, pad : pad + w]
 
 
-def conv2d_forward(x, w, b, stride, pad):
-    """Returns (y, cols); ``b=None`` is a bias-less convolution."""
+def conv2d_forward(x, w, b, stride, pad, *, xp=None, cols=None, out=None):
+    """Returns (y, cols); ``b=None`` is a bias-less convolution.  ``xp`` and
+    ``cols`` are :func:`im2col`'s padded input and patch matrix, ``out`` an
+    (out_c, OH*OW*N) buffer for y, each allocated here when not given."""
     n = x.shape[-1]
     out_c = w.shape[0]
-    cols, (oh, ow) = im2col(x, w.shape[2], stride, pad)
-    y = w.reshape(out_c, -1) @ cols
+    cols, (oh, ow) = im2col(x, w.shape[2], stride, pad, xp=xp, out=cols)
+    y = np.matmul(w.reshape(out_c, -1), cols, out=out)
     if b is not None:
         y += b[:, None]
     return y.reshape(out_c, oh, ow, n), cols
 
 
-def conv2d_backward(g, x_shape, w, cols, stride, pad, need_dx=True):
+def conv2d_backward(g, x_shape, w, cols, stride, pad, need_dx=True, *, dw=None, db=None, work=None):
     """Returns (dx, dw, db); ``need_dx=False`` skips the input gradient and
     returns ``dx=None`` (for a convolution that reads the model input).
 
     The weight gradient sums one (C*k*k, OW*N) x (OW*N, out) product per
     output row: one product over all OH*OW*N columns measured up to 4x
-    slower when C*k*k and the output channels are few.
+    slower when C*k*k and the output channels are few.  ``dw`` and ``db``
+    receive the parameter gradients; ``work`` is a :func:`conv_work` of
+    buffers for the rest, dx included, which is then a view into it.
     """
     out_c, oh, ow, n = g.shape
     ckk = cols.shape[0]
+    if work is None:
+        work = conv_work(x_shape, w.shape, (oh, ow), pad, np.result_type(cols, g), need_dx)
+    rows, summed, dcols, xp = work
     gm = g.reshape(out_c, -1)
     cols_rows = cols.reshape(ckk, oh, ow * n).transpose(1, 0, 2)
     g_rows = gm.reshape(out_c, oh, ow * n).transpose(1, 2, 0)
-    dw = (cols_rows @ g_rows).sum(axis=0).T.reshape(w.shape)
-    db = gm.sum(axis=1)
+    np.matmul(cols_rows, g_rows, out=rows)
+    rows.sum(axis=0, out=summed)
+    if dw is None:
+        dw = np.empty(w.shape, dtype=summed.dtype)
+    dw.reshape(out_c, ckk)[...] = summed.T
+    db = np.add.reduce(gm, 1, None, db)
     if not need_dx:
         return None, dw, db
-    dcols = w.reshape(out_c, ckk).T @ gm
-    dx = col2im(dcols, x_shape, w.shape[2], stride, pad, (oh, ow))
+    dcols = np.matmul(w.reshape(out_c, ckk).T, gm, out=dcols)
+    dx = col2im(dcols, x_shape, w.shape[2], stride, pad, (oh, ow), xp)
     return dx, dw, db
+
+
+def conv_work(x_shape, w_shape, out_hw, pad, dtype, need_dx=True, dcols=None):
+    """The buffers of one :func:`conv2d_backward`: the per-row weight
+    products, their sum, and, when the input gradient is needed, the patch
+    gradient (``dcols`` when given: it may be the patch matrix itself, which
+    the weight gradient has read by then) and the padded buffer it is
+    scattered into."""
+    c, h, w, n = x_shape
+    out_c, _, k, _ = w_shape
+    oh, ow = out_hw
+    ckk = c * k * k
+    rows = np.empty((oh, ckk, out_c), dtype=dtype)
+    summed = np.empty((ckk, out_c), dtype=dtype)
+    if not need_dx:
+        return rows, summed, None, None
+    if dcols is None:
+        dcols = np.empty((ckk, oh * ow * n), dtype=dtype)
+    xp = np.empty((c, h + 2 * pad, w + 2 * pad, n), dtype=dtype)
+    return rows, summed, dcols, xp
 
 
 # -- batch normalization -------------------------------------------------------
@@ -137,7 +186,7 @@ def _bn_shape(x):
     return (1, -1) if x.ndim == 2 else (-1, 1, 1, 1)
 
 
-def batchnorm_forward(x, scale, shift, stats=None):
+def batchnorm_forward(x, scale, shift, stats=None, out=None):
     """Returns (y, cache).  Normalizes with ``stats`` = (mean, var) when the
     caller fixes them, otherwise with the batch's own mean and population
     variance; the cache ends with the (mean, var) pair that was used."""
@@ -148,23 +197,24 @@ def batchnorm_forward(x, scale, shift, stats=None):
     mean, var = stats
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
-    y = scale.reshape(shape) * xhat + shift.reshape(shape)
+    y = np.multiply(scale.reshape(shape), xhat, out=out)
+    y += shift.reshape(shape)
     return y, (xhat, inv_std, stats)
 
 
-def batchnorm_backward(g, x, scale, cache):
+def batchnorm_backward(g, x, scale, cache, *, dx=None, dscale=None, dshift=None):
     """Gradient of a batch-statistics forward: the statistics depend on x."""
     xhat, inv_std, _ = cache
     axes = _bn_axes(x)
     shape = _bn_shape(x)
     m = float(np.prod([x.shape[a] for a in axes]))
-    dscale = (g * xhat).sum(axis=axes)
-    dshift = g.sum(axis=axes)
+    dscale = (g * xhat).sum(axis=axes, out=dscale)
+    dshift = g.sum(axis=axes, out=dshift)
     dxhat = g * scale.reshape(shape)
     inv = inv_std.reshape(shape)
     sum_dxhat = dxhat.sum(axis=axes).reshape(shape)
     sum_dxhat_xhat = (dxhat * xhat).sum(axis=axes).reshape(shape)
-    dx = (inv / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+    dx = np.multiply(inv / m, m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat, out=dx)
     return dx, dscale, dshift
 
 
@@ -176,54 +226,71 @@ def _pool_windows(kernel):
     return [(i, j) for i in range(kernel) for j in range(kernel)]
 
 
-def maxpool_forward(x, kernel):
+def maxpool_forward(x, kernel, out=None):
     """Returns (y, cache); the cache is (x, y), from which backward picks winners."""
-    y = x[:, ::kernel, ::kernel].copy()
+    if out is None:
+        y = x[:, ::kernel, ::kernel].copy()
+    else:
+        y = out
+        np.copyto(y, x[:, ::kernel, ::kernel])
     for i, j in _pool_windows(kernel)[1:]:
         np.maximum(y, x[:, i::kernel, j::kernel], out=y)
     return y, (x, y)
 
 
-def maxpool_backward(g, x_shape, kernel, cache):
+def maxpool_backward(g, x_shape, kernel, cache, *, out=None, masks=None):
     """Route each output gradient to the first window input equal to the max.
 
     The gradient is copied as raw bits (multiplied by the 0/1 winner mask as
     unsigned integers), so losers get +0.0 and winners the exact value of g,
     signed zeros included: the same bits as an argmax scatter into zeros.
+    Every entry of ``out`` is written.  ``masks`` is a pair of boolean
+    buffers shaped like the output, for the winners found so far and for
+    one window offset's hits.
     """
     x, y = cache
     bits = f"u{g.itemsize}"
-    dx = np.empty(x_shape, dtype=g.dtype)
+    dx = np.empty(x_shape, dtype=g.dtype) if out is None else out
     g_bits, dx_bits = g.view(bits), dx.view(bits)
-    free = np.ones(y.shape, dtype=bool)  # outputs whose winner is not yet found
+    if masks is None:
+        masks = np.empty(y.shape, dtype=bool), np.empty(y.shape, dtype=bool)
+    free, hit = masks
+    free.fill(True)  # outputs whose winner is not yet found
     for i, j in _pool_windows(kernel):
-        hit = x[:, i::kernel, j::kernel] == y
+        np.equal(x[:, i::kernel, j::kernel], y, out=hit)
         hit &= free
         np.multiply(g_bits, hit, out=dx_bits[:, i::kernel, j::kernel])
         free ^= hit
     return dx
 
 
-def avgpool_forward(x, kernel=None):
+def avgpool_forward(x, kernel=None, out=None):
     c, h, w, n = x.shape
     if kernel is None:  # global
-        return x.mean(axis=(1, 2), keepdims=True)
+        return x.mean(axis=(1, 2), keepdims=True, out=out)
     xr = x.reshape(c, h // kernel, kernel, w // kernel, kernel, n)
-    return xr.mean(axis=(2, 4))
+    return xr.mean(axis=(2, 4), out=out)
 
 
-def avgpool_backward(g, x_shape, kernel=None):
+def avgpool_backward(g, x_shape, kernel=None, out=None):
+    """Spread each output gradient evenly over its window; every entry of
+    ``out`` is written."""
     c, h, w, n = x_shape
+    if out is None:
+        out = np.empty(x_shape, dtype=g.dtype)
     if kernel is None:
-        return np.broadcast_to(g / (h * w), x_shape).astype(g.dtype)
-    dx = np.repeat(np.repeat(g, kernel, axis=1), kernel, axis=2)
-    return dx / (kernel * kernel)
+        np.divide(g, h * w, out=out)  # g broadcasts over the whole image
+    else:
+        k = kernel
+        windows = out.reshape(c, h // k, k, w // k, k, n)
+        np.divide(g[:, :, None, :, None], k * k, out=windows)
+    return out
 
 
 # -- loss ----------------------------------------------------------------------
 
 
-def class_sum(z):
+def class_sum(z, out=None):
     """Sum over the rows of a (C, N) array, adding in the order that
     ``np.add.reduce`` uses for one contiguous row of C values, so the result
     equals ``z.T.sum(axis=1)`` of the batch-first layout bit for bit.
@@ -233,14 +300,19 @@ def class_sum(z):
     turn; above 128 it splits at a multiple of 8 near the middle and recurses.
     """
     c = z.shape[0]
+    if c == 1:
+        if out is None:
+            return z[0].copy()
+        np.copyto(out, z[0])
+        return out
     if c < 8:
-        total = z[0].copy()
-        for row in z[1:]:
+        total = np.add(z[0], z[1], out=out)
+        for row in z[2:]:
             total += row
         return total
     if c > 128:
         half = c // 2 - (c // 2) % 8
-        return class_sum(z[:half]) + class_sum(z[half:])
+        return np.add(class_sum(z[:half]), class_sum(z[half:]), out=out)
     full = c - c % 8
     acc = z[:8]
     if full > 8:
@@ -249,24 +321,34 @@ def class_sum(z):
             acc += z[i : i + 8]
     acc = acc[0::2] + acc[1::2]  # (a0+a1), (a2+a3), (a4+a5), (a6+a7)
     acc = acc[0::2] + acc[1::2]
-    total = acc[0] + acc[1]
+    total = np.add(acc[0], acc[1], out=out)
     for row in z[full:]:
         total += row
     return total
 
 
-def _log_softmax(logits):
-    """Class-major log-softmax: a C-ordered float64 (classes, N) array,
-    whatever the logits dtype."""
-    z = logits.T.astype(np.float64, order="C")
-    z -= z.max(axis=0)
-    z -= np.log(class_sum(np.exp(z)))
-    return z
+def loss_work(n, classes):
+    """The float64 workspaces of one loss kernel over ``n`` rows: the
+    class-major log-probabilities and their exponentials, a per-row scratch,
+    the row numbers, the labels' flat indices and the picked entries."""
+    return (
+        np.empty((classes, n)), np.empty((classes, n)), np.empty(n),
+        np.arange(n), np.empty(n, dtype=np.intp), np.empty(n),
+    )
 
 
-def _label_index(labels, n):
-    """Flat indices of each sample's label entry in a (classes, N) array."""
-    return np.asarray(labels, dtype=np.intp) * n + np.arange(n)
+def _log_softmax(logits, labels, work):
+    """Class-major log-softmax into ``work``'s C-ordered float64 (classes, N)
+    array, whatever the logits dtype, and the flat indices of each sample's
+    label entry in it.  Returns (log-probs, indices, sum of picked entries)."""
+    z, e, row, rows, at, picked = work
+    np.copyto(z, logits.T)  # casts to float64
+    z -= z.max(axis=0, out=row)
+    lse = class_sum(np.exp(z, out=e), out=row)
+    z -= np.log(lse, out=lse)
+    np.multiply(labels, z.shape[1], out=at, dtype=np.intp)
+    at += rows
+    return z, at, np.add.reduce(z.take(at, out=picked))
 
 
 def cross_entropy_loss(logits, labels):
@@ -276,20 +358,24 @@ def cross_entropy_loss(logits, labels):
     building the gradient that evaluation would throw away.
     """
     n = logits.shape[0]
-    return float(-_log_softmax(logits).take(_label_index(labels, n)).sum() / n)
+    return float(-_log_softmax(logits, labels, loss_work(n, logits.shape[1]))[2] / n)
 
 
-def softmax_cross_entropy(logits, labels):
+def softmax_cross_entropy(logits, labels, *, out=None, work=None):
     """Mean cross-entropy over the batch plus the gradient w.r.t. logits.
 
     The loss accumulates in float64; the gradient is a C-ordered (N, classes)
-    array in the logits dtype.
+    array in the logits dtype, written to ``out`` when given.  ``work`` is a
+    :func:`loss_work` for the batch, allocated here when not given.
     """
     n = logits.shape[0]
-    probs = _log_softmax(logits)
-    at = _label_index(labels, n)
-    loss = float(-probs.take(at).sum() / n)
+    if work is None:
+        work = loss_work(n, logits.shape[1])
+    if out is None:
+        out = np.empty(logits.shape, dtype=logits.dtype)
+    probs, at, picked = _log_softmax(logits, labels, work)
+    loss = float(-picked / n)
     np.exp(probs, out=probs)
     probs.ravel()[at] -= 1.0
-    probs /= n
-    return loss, probs.T.astype(logits.dtype, order="C")
+    np.divide(probs.T, n, out=out)  # in float64, then cast to the logits dtype
+    return loss, out

@@ -4,8 +4,10 @@ Batch sampling draws uniformly with replacement from a seeded generator, so a
 run is bit-reproducible from (seed, config, data) on a single thread.
 
 ``train_until`` trains the caller's writable flat parameter array in place:
-the engine writes each round's gradient into a buffer the trainer owns, and
-:func:`sgd_step` updates the parameters and the velocity in place.  A caller
+it binds one engine :class:`~.engine.Plan` to the array and to a gradient
+buffer it owns, each round's ``loss_and_grad`` runs that plan, and
+:func:`sgd_step` updates the parameters and the velocity in place.
+:func:`evaluate` likewise runs all its chunks through one plan.  A caller
 holding a :class:`ParamVector` trains ``params.copy_data()`` and wraps the
 result with ``graph.wrap``.
 
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..param_space import LayoutMismatch, ParamVector
-from .engine import forward, loss_and_grad, norm_stats
+from .engine import Plan, forward, loss_and_grad, norm_stats
 from .layers import cross_entropy_loss
 from .graph import ModelGraph
 
@@ -215,10 +217,10 @@ def train_until(
     round cap is reached (the latter is a normal outcome, not an error).
 
     The rounds train the caller's writable flat array ``p``, laid out like
-    the graph's parameters, in place, with one gradient buffer and, under
-    momentum, one velocity buffer; the array is checked once, here.  ``lr``
-    is the learning rate of :func:`sgd_step`: a per-coordinate array, or by
-    default the config's scalar.
+    the graph's parameters, in place, with one gradient buffer, one plan
+    bound to both and, under momentum, one velocity buffer; the array is
+    checked once, here.  ``lr`` is the learning rate of :func:`sgd_step`: a
+    per-coordinate array, or by default the config's scalar.
     """
     if not (
         isinstance(p, np.ndarray)
@@ -231,6 +233,7 @@ def train_until(
             f"train_until trains a writable 1-D float array of {graph.num_params} entries"
         )
     grad = np.empty_like(p)
+    plan = Plan(graph, p, grad)
     velocity = np.zeros_like(p) if cfg.momentum else None
     recent: deque[float] = deque(maxlen=rule.window)
     losses: list[float] = []
@@ -238,7 +241,7 @@ def train_until(
     hit = False
     for rounds in range(1, rule.max_rounds + 1):
         x, y = sample_batch(data, cfg.batch_size, rng)
-        loss, _ = loss_and_grad(graph, p, x, y, out=grad)
+        loss, _ = loss_and_grad(plan, p, x, y, out=grad)
         sgd_step(p, grad, velocity, cfg, lr)
         recent.append(loss)
         losses.append(loss)
@@ -284,18 +287,19 @@ def evaluate(
     """
     if len(data) == 0:
         raise ValueError("empty dataset")
+    plan = Plan(graph, params.data)
     stats = None
     if graph.has_norm_layers():
         if norm_x is None:
             raise ValueError("a batch-norm model needs norm_x rows to fit its statistics")
-        stats = norm_stats(graph, params, norm_x)
+        stats = norm_stats(plan, params, norm_x)
     rows = eval_chunk_rows(graph, np.result_type(data.inputs, params.data).itemsize)
     total_loss = 0.0
     correct = 0
     for start in range(0, len(data), rows):
         x = data.inputs[start : start + rows]
         y = data.labels[start : start + rows]
-        logits = forward(graph, params, x, stats)
+        logits = forward(plan, params, x, stats)
         total_loss += cross_entropy_loss(logits, y) * len(y)
         correct += int((logits.argmax(axis=1) == y).sum())
     return total_loss / len(data), correct / len(data)

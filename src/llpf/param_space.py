@@ -16,6 +16,7 @@ place live with their callers: ``nn_engine.trainer.train_until`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -198,7 +199,7 @@ def variance_correction(values: np.ndarray, v: float) -> np.ndarray:
         return out.astype(values.dtype).reshape(values.shape)
     if var <= EPS_VAR:
         raise DegenerateVariance("degenerate variance")
-    scale = np.sqrt(v / var)
+    scale = math.sqrt(v / var)
     out = mean + scale * dev
     return out.astype(values.dtype).reshape(values.shape)
 
@@ -214,8 +215,8 @@ def l2_distance(a: np.ndarray, b: ParamVector, layers: Iterable[str]) -> dict[st
     out = {}
     for name in names:
         db = b.get(name).astype(np.float64, copy=False)
-        da = a[spans[name]].astype(np.float64, copy=False)
-        out[name] = float(np.linalg.norm(da - db))
+        d = a[spans[name]].astype(np.float64, copy=False) - db
+        out[name] = math.sqrt(d @ d)  # np.linalg.norm's float64 arithmetic
     return out
 
 

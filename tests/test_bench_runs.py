@@ -17,11 +17,20 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-# per-layer metrics that only read 0 when their traced function is never called
-TRACED = tuple(
-    f"llpf_core.{stage}.ms_per_iter"
-    for stage in ("move_toward", "variance_correction", "train_until", "l2_distance")
-) + tuple(f"trainer.{step}.us_per_round" for step in ("sample_batch", "loss_and_grad", "sgd_step"))
+# per-layer metrics that only read 0 when their traced function is never
+# called: the walk's stages, a round's steps, and the kernels every workload's
+# rounds call through ``layers``
+TRACED = (
+    tuple(
+        f"llpf_core.{stage}.ms_per_iter"
+        for stage in ("move_toward", "variance_correction", "train_until", "l2_distance")
+    )
+    + tuple(f"trainer.{step}.us_per_round" for step in ("sample_batch", "loss_and_grad", "sgd_step"))
+    + tuple(
+        f"layers.{kernel}.us_per_call"
+        for kernel in ("dense_forward", "dense_backward", "softmax_cross_entropy")
+    )
+)
 
 
 @pytest.mark.parametrize(

@@ -500,7 +500,7 @@ class TestShippedConfigs:
         checkpoints = (("m2m", "start"), ("m2m", "dest"), ("m2o", "start"),
                        ("avs", "start"), ("avs", "dest"))
         configs = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
-        assert len(configs) == 6
+        assert len(configs) == 7
         for path in configs:
             copy = tmp_path / path.name
             shutil.copy(path, copy)
@@ -540,6 +540,41 @@ class TestShippedConfigs:
         written = (root / args[args.index("--out") + 1]).resolve()
         cfg = parse_config(root / "configs" / "blobs_continuity.cfg")
         assert resolve_path(cfg, cfg.sections["continuity"]["record_dir"].text) == written
+
+    def test_readme_trains_every_avs_endpoint_before_connecting(self):
+        """README's CLI block runs as listed: every checkpoint blobs_avs.cfg
+        reads is written by a train-modes line before its connect-avs line,
+        the destination with weight decay, and the record goes to an --out
+        of its own."""
+        from llpf.harness_cli import run_config as rc
+        from llpf.harness_cli.config import parse_config, resolve_path
+
+        root = Path(__file__).resolve().parent.parent
+        lines = [
+            line.split("#")[0].split()
+            for line in (root / "README.md").read_text().splitlines()
+            if line.startswith("llpf ")
+        ]
+        [at] = [i for i, args in enumerate(lines) if args[1] == "connect-avs"]
+        written = {}  # checkpoint path -> the weight decay it was trained with
+        for args in lines[:at]:
+            if args[1] != "train-modes":
+                continue
+            cfg = parse_config(root / args[args.index("--config") + 1])
+            modes = rc.build_modes(cfg)
+            out = rc.build_output(cfg).out_dir
+            if "--out" in args:
+                out = root / args[args.index("--out") + 1]
+            for seed in modes.seeds:
+                written[(out / f"mode_{seed}.ckpt").resolve()] = modes.trainer.weight_decay
+        args = lines[at]
+        cfg = parse_config(root / args[args.index("--config") + 1])
+        avs = cfg.sections["avs"]
+        start, dest = (resolve_path(cfg, avs[key].text).resolve() for key in ("start", "dest"))
+        assert start in written and dest in written
+        assert written[dest] == 1e-2 and written[start] == 0.0
+        record = (root / args[args.index("--out") + 1]).resolve()
+        assert record not in {path.parent for path in written}
 
     def test_long_convnet_schedule_builds(self, tmp_path):
         """The documented 30000-iteration convnet schedule parses into the

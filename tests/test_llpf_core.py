@@ -214,6 +214,32 @@ class TestM2M:
         with pytest.raises(ValueError, match="cover all"):
             plan.validate_against(g)
 
+
+class TestRepairRunsPlainSgd:
+    """A repair config with momentum or weight decay is rejected by both
+    searches that take one; it used to be run as plain SGD without a word."""
+
+    @pytest.mark.parametrize("field, trainer", [
+        ("momentum", TrainerConfig(lr=1e-2, momentum=0.9)),
+        ("weight_decay", TrainerConfig(lr=1e-2, weight_decay=1e-2)),
+    ])
+    @pytest.mark.parametrize("search", ["llpf_m2m", "connect_cross_variance"])
+    def test_rejected_naming_the_field(self, blobs, search, field, trainer):
+        train, _ = blobs
+        g = mlp2(20, 16, 3)
+        start, dest = init_params(g, 0), init_params(g, 1)
+        plan = single_phase_plan(g, 2, StepParams(step_f=1e-3), StopRule(0.0, 1, 1))
+        settings = SearchSettings(mode_acceptance_loss=0.0)
+        with pytest.raises(ValueError, match=f"TrainerConfig.{field} must be 0"):
+            if search == "llpf_m2m":
+                llpf_m2m(start, dest, plan, trainer, train, None, settings=settings, graph=g)
+            else:
+                m2o = M2OConfig(2, StepParams(step_a=1e-2), StopRule(0.0, 1, 1), eta_base=1e-3)
+                connect_cross_variance(
+                    start, dest, CrossVarianceConfig(m2o, plan), trainer, train,
+                    settings=settings, graph=g,
+                )
+
     def test_sphere_invariance_and_record_shape(self, blobs, quick_mode):
         train, test = blobs
         g, mode_a = quick_mode

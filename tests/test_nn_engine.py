@@ -25,6 +25,7 @@ from llpf.nn_engine import (
     train_until,
 )
 from llpf.nn_engine import trainer
+from llpf.nn_engine.engine import Plan
 from llpf.nn_engine.graph import MODEL_BUILDERS
 from llpf.harness_cli.datasets import gen_blobs
 from llpf.param_space import LayoutMismatch, layer_stats
@@ -103,6 +104,18 @@ class TestGraph:
     def test_digest_distinguishes_models(self):
         assert mlp2(20, 16, 3).digest() != mlp2(20, 17, 3).digest()
         assert mlp2(20, 16, 3).digest() == mlp2(20, 16, 3).digest()
+
+    @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
+    def test_digest_kept_from_construction_is_a_fresh_one(self, model):
+        g = build_model(model)
+        assert g.digest() is g.digest()
+        assert g.digest() == g._describe()
+
+    def test_digest_pinned(self):
+        # checkpoints store it, so their bytes change when it does
+        assert mlp2().digest().hex() == (
+            "409599ffe7d6f768467b4db170954b1b5080433b5ab1a488002aa308dea449ae"
+        )
 
 
 class TestResolvedPlan:
@@ -422,9 +435,9 @@ class TestKernelReference:
             full = getattr(L, kernel)
             asked = []
 
-            def always_dx(*args, need_dx=True):
+            def always_dx(*args, need_dx=True, **buffers):
                 asked.append(need_dx)
-                return full(*args)
+                return full(*args, **buffers)
 
             with monkeypatch.context() as patch:
                 patch.setattr(L, kernel, always_dx)
@@ -871,3 +884,394 @@ class TestConvNetTraining:
         # statistics fitted at the trained point make evaluation usable
         loss, acc = evaluate(g, g.wrap(p), data, norm_rows(data))
         assert loss < np.log(2.0) and acc > 0.6
+
+
+# -- the engine before plans, frozen as the plan's reference --------------------
+#
+# The graph walk, its backward loop and every kernel they call, as they were
+# before the engine bound its steps into a plan: each call allocates its
+# arrays.  The plan must match them bit for bit.
+
+
+def _ref_pad(x, pad):
+    if pad == 0:
+        return x
+    c, h, w, n = x.shape
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
+    xp[:, pad : pad + h, pad : pad + w] = x
+    return xp
+
+
+def _ref_tap(stride, oh, ow, i, j):
+    return (slice(None), slice(i, i + stride * oh, stride), slice(j, j + stride * ow, stride))
+
+
+def _ref_conv2d_forward(x, w, b, stride, pad):
+    c, h, wd, n = x.shape
+    out_c, k = w.shape[0], w.shape[2]
+    oh, ow = (h + 2 * pad - k) // stride + 1, (wd + 2 * pad - k) // stride + 1
+    xp = _ref_pad(x, pad)
+    cols = np.empty((c, k, k, oh, ow, n), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, i, j] = xp[_ref_tap(stride, oh, ow, i, j)]
+    cols = cols.reshape(c * k * k, oh * ow * n)
+    y = w.reshape(out_c, -1) @ cols
+    if b is not None:
+        y += b[:, None]
+    return y.reshape(out_c, oh, ow, n), cols
+
+
+def _ref_conv2d_backward(g, x_shape, w, cols, stride, pad, need_dx):
+    out_c, oh, ow, n = g.shape
+    ckk = cols.shape[0]
+    gm = g.reshape(out_c, -1)
+    cols_rows = cols.reshape(ckk, oh, ow * n).transpose(1, 0, 2)
+    g_rows = gm.reshape(out_c, oh, ow * n).transpose(1, 2, 0)
+    dw = (cols_rows @ g_rows).sum(axis=0).T.reshape(w.shape)
+    db = gm.sum(axis=1)
+    if not need_dx:
+        return None, dw, db
+    dcols = w.reshape(out_c, ckk).T @ gm
+    c, h, wd, n = x_shape
+    k = w.shape[2]
+    xp = np.zeros((c, h + 2 * pad, wd + 2 * pad, n), dtype=dcols.dtype)
+    cols6 = dcols.reshape(c, k, k, oh, ow, n)
+    for i in range(k):
+        for j in range(k):
+            xp[_ref_tap(stride, oh, ow, i, j)] += cols6[:, i, j]
+    return (xp if pad == 0 else xp[:, pad : pad + h, pad : pad + wd]), dw, db
+
+
+def _ref_bn_axes_shape(x):
+    return ((0,), (1, -1)) if x.ndim == 2 else ((1, 2, 3), (-1, 1, 1, 1))
+
+
+def _ref_batchnorm_forward(x, scale, shift, stats):
+    axes, shape = _ref_bn_axes_shape(x)
+    if stats is None:
+        stats = x.mean(axis=axes), x.var(axis=axes)
+    mean, var = stats
+    inv_std = 1.0 / np.sqrt(var + L.BN_EPS)
+    xhat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
+    return scale.reshape(shape) * xhat + shift.reshape(shape), (xhat, inv_std, stats)
+
+
+def _ref_batchnorm_backward(g, x, scale, cache):
+    xhat, inv_std, _ = cache
+    axes, shape = _ref_bn_axes_shape(x)
+    m = float(np.prod([x.shape[a] for a in axes]))
+    dscale = (g * xhat).sum(axis=axes)
+    dshift = g.sum(axis=axes)
+    dxhat = g * scale.reshape(shape)
+    inv = inv_std.reshape(shape)
+    sum_dxhat = dxhat.sum(axis=axes).reshape(shape)
+    sum_dxhat_xhat = (dxhat * xhat).sum(axis=axes).reshape(shape)
+    return (inv / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat), dscale, dshift
+
+
+def _ref_maxpool_forward(x, k):
+    y = x[:, ::k, ::k].copy()
+    for i in range(k):
+        for j in range(k):
+            if i or j:
+                np.maximum(y, x[:, i::k, j::k], out=y)
+    return y, (x, y)
+
+
+def _ref_maxpool_backward(g, x_shape, k, cache):
+    x, y = cache
+    bits = f"u{g.itemsize}"
+    dx = np.empty(x_shape, dtype=g.dtype)
+    g_bits, dx_bits = g.view(bits), dx.view(bits)
+    free = np.ones(y.shape, dtype=bool)
+    for i in range(k):
+        for j in range(k):
+            hit = x[:, i::k, j::k] == y
+            hit &= free
+            np.multiply(g_bits, hit, out=dx_bits[:, i::k, j::k])
+            free ^= hit
+    return dx
+
+
+def _ref_avgpool_forward(x, k):
+    c, h, w, n = x.shape
+    if k is None:
+        return x.mean(axis=(1, 2), keepdims=True)
+    return x.reshape(c, h // k, k, w // k, k, n).mean(axis=(2, 4))
+
+
+def _ref_avgpool_backward(g, x_shape, k):
+    c, h, w, n = x_shape
+    if k is None:
+        return np.broadcast_to(g / (h * w), x_shape).astype(g.dtype)
+    return np.repeat(np.repeat(g, k, axis=1), k, axis=2) / (k * k)
+
+
+def _ref_log_softmax(logits):
+    z = logits.T.astype(np.float64, order="C")
+    z -= z.max(axis=0)
+    e = np.exp(z)
+    total = e[0].copy() if len(e) < 8 else None
+    if total is None:  # the frozen class sum, 8 to 128 classes
+        full = len(e) - len(e) % 8
+        acc = e[:8] if full == 8 else e[:8].copy()
+        for i in range(8, full, 8):
+            acc += e[i : i + 8]
+        acc = acc[0::2] + acc[1::2]
+        acc = acc[0::2] + acc[1::2]
+        total = acc[0] + acc[1]
+        rest = e[full:]
+    else:
+        rest = e[1:]
+    for row in rest:
+        total += row
+    z -= np.log(total)
+    return z
+
+
+def _ref_softmax_cross_entropy(logits, labels):
+    n = logits.shape[0]
+    probs = _ref_log_softmax(logits)
+    at = np.asarray(labels, dtype=np.intp) * n + np.arange(n)
+    loss = float(-probs.take(at).sum() / n)
+    np.exp(probs, out=probs)
+    probs.ravel()[at] -= 1.0
+    probs /= n
+    return loss, probs.T.astype(logits.dtype, order="C")
+
+
+def _ref_cross_entropy_loss(logits, labels):
+    n = logits.shape[0]
+    at = np.asarray(labels, dtype=np.intp) * n + np.arange(n)
+    return float(-_ref_log_softmax(logits).take(at).sum() / n)
+
+
+def _ref_batch_first(a):
+    return a.reshape(-1, a.shape[-1]).T
+
+
+def _ref_execute(graph, data, x, stats, want_caches):
+    x = np.asarray(x)
+    if x.ndim == 4:
+        x = x.transpose(1, 2, 3, 0)
+    values, caches = {}, {}
+    for node in graph.plan:
+        name = node.name
+        ins = [values[s] for s in node.inputs] if node.inputs else [x]
+        a = ins[0]
+        p = [data[o : o + n].reshape(shape) for o, n, shape in node.slices]
+        cache = None
+        if node.kind == "dense":
+            if a.ndim > 2:
+                a = _ref_batch_first(a)
+            y, cache = a @ p[0] + p[1], a
+        elif node.kind == "conv2d":
+            y, cols = _ref_conv2d_forward(a, p[0], p[1] if len(p) > 1 else None, node.stride, node.pad)
+            cache = (a.shape, cols)
+        elif node.kind == "batch_norm":
+            fixed = None if stats is None else stats.get(name)
+            y, cache = _ref_batchnorm_forward(a, p[0], p[1], fixed)
+            if stats is not None:
+                stats[name] = cache[2]
+            cache = (a, cache)
+        elif node.kind == "relu":
+            y, cache = np.maximum(a, 0), a
+        elif node.kind == "max_pool":
+            y, cache = _ref_maxpool_forward(a, node.kernel)
+            cache = (a.shape, cache)
+        elif node.kind == "avg_pool":
+            y, cache = _ref_avgpool_forward(a, node.kernel), a.shape
+        elif node.kind == "flatten":
+            y, cache = _ref_batch_first(a), a.shape
+        elif node.kind == "residual_add":
+            y = ins[0] + ins[1]
+        values[name] = y
+        if want_caches:
+            caches[name] = cache
+    return values[graph.sink], caches
+
+
+def _ref_loss_and_grad(graph, data, batch_x, batch_y):
+    gdata = np.zeros(graph.num_params, dtype=data.dtype)
+    logits, caches = _ref_execute(graph, data, batch_x, None, want_caches=True)
+    loss, dlogits = _ref_softmax_cross_entropy(logits, np.asarray(batch_y))
+    grads = {graph.sink: dlogits}
+    for node in reversed(graph.plan):
+        name = node.name
+        g = grads.pop(name, None)
+        if g is None:
+            continue
+        pgrads = ()
+        if node.slices:
+            o, n, shape = node.slices[0]
+            w = data[o : o + n].reshape(shape)
+        if node.kind == "dense":
+            x = caches[name]
+            dw, db = x.T @ g, g.sum(axis=0)
+            dx = g @ w.T if node.inputs else None
+            if dx is not None and len(node.in_shape) > 1:
+                dx = dx.T.reshape(node.in_shape + (g.shape[0],))
+            pgrads = (dw, db)
+        elif node.kind == "conv2d":
+            x_shape, cols = caches[name]
+            dx, dw, db = _ref_conv2d_backward(
+                g, x_shape, w, cols, node.stride, node.pad, bool(node.inputs)
+            )
+            pgrads = (dw, db)
+        elif node.kind == "batch_norm":
+            a, cache = caches[name]
+            dx, dscale, dshift = _ref_batchnorm_backward(g, a, w, cache)
+            pgrads = (dscale, dshift)
+        elif node.kind == "relu":
+            dx = g * (caches[name] > 0)
+        elif node.kind == "max_pool":
+            x_shape, cache = caches[name]
+            dx = _ref_maxpool_backward(g, x_shape, node.kernel, cache)
+        elif node.kind == "avg_pool":
+            dx = _ref_avgpool_backward(g, caches[name], node.kernel)
+        elif node.kind == "flatten":
+            dx = g.T.reshape(caches[name])
+        elif node.kind == "residual_add":
+            dx = g
+        for (o, n, _), arr in zip(node.slices, pgrads):
+            gdata[o : o + n] = arr.reshape(-1)
+        for src in node.inputs:
+            grads[src] = grads[src] + dx if src in grads else dx
+    return loss, gdata
+
+
+def _ref_evaluate(graph, data, x, labels, norm_x, rows):
+    stats = None
+    if norm_x is not None:
+        stats = {}
+        _ref_execute(graph, data, norm_x, stats, want_caches=False)
+    total_loss, correct = 0.0, 0
+    for start in range(0, len(x), rows):
+        logits, _ = _ref_execute(graph, data, x[start : start + rows], stats, want_caches=False)
+        y = labels[start : start + rows]
+        total_loss += _ref_cross_entropy_loss(logits, y) * len(y)
+        correct += int((logits.argmax(axis=1) == y).sum())
+    return total_loss / len(x), correct / len(x)
+
+
+class TestPlanMatchesTheFrozenEngine:
+    """A plan's loss, gradient, logits and batch-norm statistics equal the
+    allocating engine's, bit for bit."""
+
+    MODELS = {
+        "mlp2": mlp2,
+        "lenet-micro": lenet_micro,
+        "resnet-micro": lambda: resnet_micro(1, 8, 3, width=2),
+        # an unpadded strided conv reading the batch, a relu over a max pool,
+        # a windowed average pool, and a dense layer reading an image
+        "conv-pools-dense": lambda: ModelGraph(
+            [
+                GraphNode("conv", "conv2d", (), {"out_channels": 3, "kernel": 3, "stride": 2}),
+                GraphNode("max", "max_pool", ("conv",), {"kernel": 2}),
+                GraphNode("act", "relu", ("max",)),
+                GraphNode("avg", "avg_pool", ("act",), {"kernel": 2}),
+                GraphNode("fc", "dense", ("avg",), {"out": 4}),
+            ],
+            (2, 9, 9),
+        ),
+    }
+    # (parameter dtype, input dtype): the last pair computes wide and casts
+    # each parameter gradient into the narrower buffer
+    DTYPES = [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)]
+
+    @staticmethod
+    def case(name, pdtype, xdtype, rows=(6, 6)):
+        g = TestPlanMatchesTheFrozenEngine.MODELS[name]()
+        rng = np.random.default_rng(3)
+        p = init_params(g, 1, pdtype).copy_data()
+        p += rng.normal(0, 0.05, p.shape).astype(pdtype)  # off the zero biases and unit scales
+        classes = g.shapes[g.sink][0]
+        batches = [
+            (rng.normal(size=(n,) + g.input_shape).astype(xdtype), rng.integers(0, classes, n))
+            for n in rows
+        ]
+        return g, p, batches
+
+    @pytest.mark.parametrize("pdtype, xdtype", DTYPES)
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_two_batches_back_to_back_on_one_training_plan(self, name, pdtype, xdtype):
+        g, p, batches = self.case(name, pdtype, xdtype)
+        grad = np.full_like(p, np.nan)
+        plan = Plan(g, p, grad)
+        for x, y in batches:
+            loss, out = loss_and_grad(plan, p, x, y, out=grad)
+            ref_loss, ref_grad = _ref_loss_and_grad(g, p, x, y)
+            assert out is grad and grad.dtype == p.dtype
+            assert loss.hex() == ref_loss.hex()
+            assert grad.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("pdtype, xdtype", DTYPES)
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_logits_and_norm_stats_on_one_evaluation_plan(self, name, pdtype, xdtype):
+        g, p, batches = self.case(name, pdtype, xdtype, rows=(7, 5, 7))
+        params = g.wrap(p)
+        plan = Plan(g, params.data)
+        stats = norm_stats(plan, params, batches[0][0])
+        ref_stats = {}
+        _ref_execute(g, params.data, batches[0][0], ref_stats, want_caches=False)
+        assert stats.keys() == ref_stats.keys()
+        for key, (mean, var) in stats.items():
+            assert mean.tobytes() == ref_stats[key][0].tobytes()
+            assert var.tobytes() == ref_stats[key][1].tobytes()
+        for x, _ in batches[1:]:
+            for fixed in (None, stats or None):
+                logits = forward(plan, params, x, fixed)
+                ref, _ = _ref_execute(g, params.data, x, fixed, want_caches=False)
+                assert logits.dtype == ref.dtype and logits.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_evaluation_with_a_short_last_chunk(self, name, monkeypatch):
+        g, p, _ = self.case(name, np.float32, np.float32)
+        rng = np.random.default_rng(8)
+        n, rows = 25, 7  # chunks of 7, 7, 7 and 4 rows
+        x = rng.normal(size=(n,) + g.input_shape).astype(np.float32)
+        y = rng.integers(0, g.shapes[g.sink][0], n)
+        data = Dataset(x, y, "test", int(g.shapes[g.sink][0]))
+        norm_x = norm_rows(data) if g.has_norm_layers() else None
+        monkeypatch.setattr(trainer, "eval_chunk_rows", lambda graph, itemsize: rows)
+        loss, acc = evaluate(g, g.wrap(p), data, norm_x)
+        ref_loss, ref_acc = _ref_evaluate(g, p, x, y, norm_x, rows)
+        assert loss.hex() == ref_loss.hex() and acc == ref_acc
+
+
+class TestRoundsReuseThePlansBuffers:
+    # conv1's output at batch 64: 4 channels x 28 x 28 x 64 rows x 4 bytes
+    CONV_ACTIVATION = 4 * 28 * 28 * 64 * 4
+    # measured with numpy 2.4: the sampled batch (64 x 784 float32, 200,704 B)
+    # plus its labels, indices and a few small temporaries
+    PEAK = 204_816
+
+    def test_lenet_rounds_after_the_first_allocate_no_activation(self, monkeypatch):
+        import tracemalloc
+
+        g = lenet_micro()
+        rng = np.random.default_rng(0)
+        data = Dataset(
+            rng.normal(size=(256, 1, 28, 28)).astype(np.float32), rng.integers(0, 10, 256), "train", 10
+        )
+        p = init_params(g, 0).copy_data()
+        after_first = []
+        step = trainer.sgd_step
+
+        def spy(*args):
+            step(*args)
+            if not after_first:  # the plan is bound and has run one round
+                after_first.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+
+        monkeypatch.setattr(trainer, "sgd_step", spy)
+        tracemalloc.start()
+        try:
+            train_until(g, p, data, TrainerConfig(lr=1e-3, batch_size=64), StopRule(0.0, 4, 1),
+                        np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1] - after_first[0]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.CONV_ACTIVATION
+        assert peak <= 1.5 * self.PEAK
