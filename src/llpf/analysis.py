@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .llpf_core import PathRecord
-from .nn_engine.engine import init_params
+from .nn_engine.engine import Plan, init_params
 from .nn_engine.graph import ModelGraph
 from .nn_engine.trainer import (
     Dataset,
@@ -57,7 +57,7 @@ class ContinuityReport:
 
 
 def interpolation_continuity(
-    path: PathRecord,
+    points: Mapping[int, ParamVector],
     samples: int,
     graph: ModelGraph,
     data: Dataset,
@@ -65,41 +65,60 @@ def interpolation_continuity(
 ) -> ContinuityReport:
     """Training loss along straight lines between consecutive stored points.
 
-    Every alpha is evaluated on one fixed, seeded subset of the training set
-    so segment curves are comparable and the check is deterministic; an
-    ``eval_size`` at least the size of the set evaluates all of it.  A
-    batch-norm model fits its statistics at every blend from the same
-    :func:`norm_rows` of the set.  The alpha=0 and alpha=1 blends are the
-    stored points themselves, so each stored point is evaluated once and its
-    loss ends both segments it bounds: ``len(stored) + (samples - 2) *
-    segments`` evaluations in all.
+    ``points`` maps each stored iteration of a path, in increasing order, to
+    its parameters: ``{p.iteration: p.params for p in
+    record.stored_points()}`` of a :class:`PathRecord`, or what
+    ``harness_cli.records.read_stored_points`` loads from a record
+    directory.  Every alpha is evaluated on one fixed, seeded subset of the
+    training set so segment curves are comparable and the check is
+    deterministic; an ``eval_size`` at least the size of the set evaluates
+    all of it.  A batch-norm model fits its statistics at every blend from
+    the same :func:`norm_rows` of the set.  The alpha=0 and alpha=1 blends
+    are the stored points themselves, so each stored point is evaluated once
+    and its loss ends both segments it bounds: ``len(points) + (samples - 2)
+    * segments`` evaluations in all.
+
+    Only the loss is computed, and every evaluation runs through one plan
+    bound to one parameter buffer held for the whole check: each stored
+    point, and each blend (formed in float64 and cast to the points' dtype
+    as ``astype`` casts), is written into that buffer in place.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    stored = path.stored_points()
+    iterations = list(points)
+    stored = list(points.values())
     if len(stored) < 2:
         raise ValueError("need at least two stored full-parameter points")
+    if any(b <= a for a, b in zip(iterations, iterations[1:])):
+        raise ValueError("stored iterations must be strictly increasing")
+    held = np.empty(stored[0].size, stored[0].dtype)
+    if any(p.dtype != held.dtype for p in stored):
+        raise ValueError("stored points differ in dtype")
+    plan = Plan(graph, held)
     subset = fixed_subset(data, eval_size)
     norm_x = norm_rows(data)
 
-    def loss_at(params):
-        return evaluate(graph, params, subset, norm_x)[0]
+    def loss_at(values):
+        np.copyto(held, values)
+        return evaluate(plan, held, subset, norm_x)[0]
 
     inner = np.linspace(0.0, 1.0, samples)[1:-1]
-    end_losses = [loss_at(p.params) for p in stored]
+    end_losses = [loss_at(p.data) for p in stored]
+    blend, part = np.empty(held.shape), np.empty(held.shape)
     seg_losses = []
-    bounds = []
-    for k, (a, b) in enumerate(zip(stored, stored[1:])):
-        pa = a.params.data.astype(np.float64)
-        pb = b.params.data.astype(np.float64)
+    pb = stored[0].data.astype(np.float64)
+    for k, b in enumerate(stored[1:]):
+        pa, pb = pb, b.data.astype(np.float64)
         losses = [end_losses[k]]
         for alpha in inner:
-            blend = ((1.0 - alpha) * pa + alpha * pb).astype(a.params.dtype)
-            losses.append(loss_at(ParamVector(blend, a.params.layout)))
+            # (1 - alpha) * pa + alpha * pb
+            np.multiply(1.0 - alpha, pa, out=blend)
+            np.multiply(alpha, pb, out=part)
+            blend += part
+            losses.append(loss_at(blend))
         losses.append(end_losses[k + 1])
         seg_losses.append(losses)
-        bounds.append((a.iteration, b.iteration))
-    return ContinuityReport(seg_losses, bounds, samples)
+    return ContinuityReport(seg_losses, list(zip(iterations, iterations[1:])), samples)
 
 
 def path_metrics(
@@ -136,7 +155,7 @@ def path_metrics(
                 p.params.require_compatible(destination)
                 dists = l2_distance(p.params.data, destination, list(p.per_layer_dist))
             if test_data is not None and graph is not None:
-                t_loss, t_acc = evaluate(graph, p.params, test_data, norm_x)
+                t_loss, t_acc = evaluate(graph, p.params, test_data, norm_x, accuracy=True)
             else:
                 t_loss, t_acc = p.test_loss, p.test_acc
         else:

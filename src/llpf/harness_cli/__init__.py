@@ -3,7 +3,7 @@
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, parse_config
 from .datasets import IdxFormatError, gen_blobs, load_mnist
-from .records import read_path_record, write_manifest, write_path_record
+from .records import read_path_record, read_stored_points, write_manifest, write_path_record
 from .reports import emit_csv, emit_svg, read_csv
 
 __all__ = [
@@ -18,6 +18,7 @@ __all__ = [
     "parse_config",
     "read_csv",
     "read_path_record",
+    "read_stored_points",
     "save_checkpoint",
     "write_manifest",
     "write_path_record",

@@ -24,7 +24,7 @@ from ..param_space import LayoutMismatch
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, parse_config
 from .datasets import IdxFormatError
-from .records import read_path_record, write_manifest, write_path_record
+from .records import read_stored_points, write_manifest, write_path_record
 from .reports import emit_csv, emit_svg, read_csv
 from . import run_config as rc
 
@@ -117,13 +117,14 @@ def cmd_train_modes(args) -> int:
 
     subset = fixed_subset(train_data, out.eval_subset)
     norm_x = norm_rows(train_data)
+    facts = {}
     for seed in seeds:
         p = init_params(graph, seed).copy_data()
         result = train_until(
             graph, p, train_data, modes.trainer, modes.rule, np.random.default_rng(seed)
         )
         params = graph.wrap(p)
-        loss, acc = evaluate(graph, params, subset, norm_x)
+        loss, acc = evaluate(graph, params, subset, norm_x, accuracy=True)
         ckpt = out.out_dir / f"mode_{seed}.ckpt"
         save_checkpoint(params, graph, ckpt)
         rows = [
@@ -137,7 +138,12 @@ def cmd_train_modes(args) -> int:
             f"mode seed={seed}: rounds={result.rounds} rolling={result.rolling_loss:.4g} "
             f"train_loss={loss:.4g} train_acc={acc:.4g} [{status}] -> {ckpt.name}"
         )
-    write_manifest(out.out_dir, "train-modes", cfg.digest, seeds, started)
+        facts[f"mode_{seed}"] = (
+            f"rounds={result.rounds} train_loss={loss!r} train_acc={acc!r} status={status}"
+        )
+    # a mode that misses its bar is named here; the command still exits 0,
+    # and connect commands refuse the mode when they score it
+    write_manifest(out.out_dir, "train-modes", cfg.digest, seeds, started, facts)
     return 0
 
 
@@ -204,9 +210,9 @@ def cmd_continuity(args) -> int:
     cfg, graph, train_data, _test_data, out = _load_common(args)
     block = rc.build_continuity(cfg)
     started = datetime.now(timezone.utc)
-    record = read_path_record(block.record_dir, graph)
+    points = read_stored_points(block.record_dir, graph)
     report = interpolation_continuity(
-        record, block.samples, graph, train_data, eval_size=block.eval_subset
+        points, block.samples, graph, train_data, eval_size=block.eval_subset
     )
     rows = []
     for (lo, hi), losses in zip(report.segment_bounds, report.segment_losses):

@@ -12,6 +12,7 @@ from .. import __version__
 from ..analysis import path_metrics
 from ..llpf_core import PathPoint, PathRecord
 from ..nn_engine.graph import ModelGraph
+from ..param_space import ParamVector
 from .checkpoint import load_checkpoint, save_checkpoint
 from .reports import csv_lines, emit_csv, metric_fieldnames, write_atomic
 
@@ -41,10 +42,32 @@ def write_path_record(out_dir: str | Path, record: PathRecord, graph: ModelGraph
     write_atomic(out_dir / "record.json", text.encode("utf-8"))
 
 
+def _read_meta(record_dir: Path) -> dict:
+    return json.loads((record_dir / "record.json").read_text())
+
+
+def _load_points(record_dir: Path, meta: dict, graph: ModelGraph, dtype) -> dict[int, ParamVector]:
+    return {
+        i: load_checkpoint(graph, record_dir / POINTS_DIR / f"point_{i:08d}.ckpt", dtype)
+        for i in meta["stored_iterations"]
+    }
+
+
+def read_stored_points(
+    record_dir: str | Path, graph: ModelGraph, dtype=np.float32
+) -> dict[int, ParamVector]:
+    """The parameters a path record keeps, by iteration in path order: the
+    checkpoints that ``record.json`` lists under ``stored_iterations``, each
+    verified as :func:`load_checkpoint` verifies it.  No metrics row is
+    read."""
+    record_dir = Path(record_dir)
+    return _load_points(record_dir, _read_meta(record_dir), graph, dtype)
+
+
 def read_path_record(record_dir: str | Path, graph: ModelGraph, dtype=np.float32) -> PathRecord:
     record_dir = Path(record_dir)
-    meta = json.loads((record_dir / "record.json").read_text())
-    stored = set(meta["stored_iterations"])
+    meta = _read_meta(record_dir)
+    stored = _load_points(record_dir, meta, graph, dtype)
     points = []
     with csv_lines(record_dir / "metrics.csv") as (header, lines):
         col = {name: i for i, name in enumerate(header)}
@@ -53,11 +76,6 @@ def read_path_record(record_dir: str | Path, graph: ModelGraph, dtype=np.float32
         exhausted_col = col.get("train_exhausted")
         for line in lines:
             iteration = int(line[col["iteration"]])
-            params = None
-            if iteration in stored:
-                params = load_checkpoint(
-                    graph, record_dir / POINTS_DIR / f"point_{iteration:08d}.ckpt", dtype
-                )
             points.append(
                 PathPoint(
                     iteration=iteration,
@@ -66,7 +84,7 @@ def read_path_record(record_dir: str | Path, graph: ModelGraph, dtype=np.float32
                     per_layer_dist={name: float(line[i]) for name, i in dist_cols},
                     test_loss=float(line[col["test_loss"]]),
                     test_acc=float(line[col["test_acc"]]),
-                    params=params,
+                    params=stored.get(iteration),
                     # an int first: bool("0") is True
                     train_exhausted=exhausted_col is not None and bool(int(line[exhausted_col])),
                 )

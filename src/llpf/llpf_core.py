@@ -255,8 +255,7 @@ def _correct(
 ) -> None:
     """Variance-correct the named slices of the flat array ``data`` in place."""
     for name in names:
-        view = data[layout.spans[name]]
-        view[...] = variance_correction(view, targets[name])
+        variance_correction(data[layout.spans[name]], targets[name])
 
 
 def _accept_modes(graph, settings, phases, train_data, *modes) -> float:
@@ -323,7 +322,7 @@ def _test_metrics(graph, points, test_data, train_data) -> None:
     norm_x = norm_rows(train_data)
     for p in points:
         if p.params is not None:
-            p.test_loss, p.test_acc = evaluate(graph, p.params, test_data, norm_x)
+            p.test_loss, p.test_acc = evaluate(graph, p.params, test_data, norm_x, accuracy=True)
 
 
 def _walk(

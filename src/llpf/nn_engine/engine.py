@@ -1,15 +1,17 @@
 """Graph execution: parameter init, and forward and backward passes run from
 a bound plan.
 
-``graph.plan`` resolves each node once per graph.  A :class:`Plan` binds it,
-once per training or evaluation call, to one flat parameter array and, to
-train, one flat gradient buffer: every step holds its parameter views into
-the array, its gradient views into the buffer, its :mod:`.layers` kernel
-(looked up when the steps are bound) and its output and input-gradient
-buffers, sized for the batch.  A run only calls the steps, and the kernels
-write into those buffers with ``out=``; a batch of another row count or
-dtype binds the steps anew.  The buffers live as long as the plan, and a
-plan as long as the call that built it, so nothing is kept between calls.
+``graph.plan`` resolves each node once per graph.  A :class:`Plan` binds it
+to one flat parameter array and, to train, one flat gradient buffer: every
+step holds its parameter views into the array, its gradient views into the
+buffer, its :mod:`.layers` kernel (looked up when the steps are bound) and
+its output and input-gradient buffers, sized for the batch.  A run only
+calls the steps, and the kernels write into those buffers with ``out=``; a
+batch of another row count or dtype binds the steps anew, into the memory of
+the buffers they replace wherever it is large enough.  The buffers live as
+long as the plan.  A training or evaluation call builds one plan for
+itself, and a caller that evaluates many points in one array (the
+continuity check) holds one plan for all of them.
 
 Image activations run batch-last, (C, H, W, N): the (N, C, H, W) input batch
 is copied once on entry into the buffer the first layer reads (a padded
@@ -28,6 +30,7 @@ statistics are never parameters: they are not in the ``ParamVector`` layout.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -62,6 +65,8 @@ class Plan:
     and, to train, the flat gradient buffer ``grad``, both laid out like the
     graph's parameters.
 
+    The steps hold views of ``params``, so each run reads what the array
+    holds then, and a caller may rewrite it in place between runs.
     :meth:`forward` returns the logits in a buffer of the plan that its next
     run overwrites; :meth:`loss_and_grad` writes every slice of ``grad``.
     """
@@ -74,6 +79,7 @@ class Plan:
         # the steps hold, so that they hold no reference to the plan
         self._stats = [None]
         self._batch = None  # (rows, dtype) of the batch the steps are bound for
+        self._slots = []  # the memory rebindings take their buffers from
 
     def forward(self, x, stats=None) -> np.ndarray:
         """Logits of the batch ``x``; ``stats`` as :func:`forward` takes it."""
@@ -112,7 +118,20 @@ class Plan:
     def _bind(self, n, xdtype) -> None:
         """Bind every step for a batch of ``n`` rows of ``xdtype``.  A node
         that trains computes in the parameters' and batch's common dtype;
-        one before every parameter keeps the batch's."""
+        one before every parameter keeps the batch's.
+
+        The first binding allocates its buffers with ``np.empty``, so a plan
+        bound once, as a training plan is, pays nothing for reuse.  A
+        rebinding first drops the steps it replaces, then takes each buffer
+        from the plan's slots (:func:`_reusing`), so a plan that switches
+        between row counts allocates nothing once its slots fit the
+        largest."""
+        if self._batch is None:
+            self._empty, self._zeros = np.empty, np.zeros
+        else:
+            self._head = self._forward = self._logits = None
+            self._loss = self._backward = self._tail = self._casts = None
+            self._empty, self._zeros = _reusing(self._slots)
         graph, params = self.graph, self.params
         wide = np.promote_types(xdtype, params.dtype)
         source = graph.plan[0]
@@ -122,10 +141,10 @@ class Plan:
         else:
             shape = graph.input_shape + (n,)
             if source.kind == "conv2d" and source.pad:
-                padded = _zero_padded(shape, source.pad, xdtype)
+                padded = _zero_padded(self, shape, source.pad, xdtype)
                 entry = _interior(padded, source.pad, shape)
             else:
-                entry = np.empty(shape, xdtype)
+                entry = self._empty(shape, xdtype)
             self._head = lambda x: np.copyto(entry, x.transpose(1, 2, 3, 0))
         outs = {}
         self._forward = forward = []
@@ -160,8 +179,8 @@ class Plan:
         """Bind the loss and the backward steps of ``nodes``, the trainable
         ones in reverse plan order.  A node read by several consumers sums
         their input gradients in the order the consumers' steps run."""
-        grad, logits = self.grad, self._logits
-        dlogits = np.empty(logits.shape, logits.dtype)
+        grad, logits, empty = self.grad, self._logits, self._empty
+        dlogits = empty(logits.shape, logits.dtype)
         work = L.loss_work(n, logits.shape[1])
         kernel = L.softmax_cross_entropy
         self._loss = lambda y: kernel(logits, y, out=dlogits, work=work)[0]
@@ -170,10 +189,10 @@ class Plan:
         self._casts = casts = []
         parts = {self.graph.sink: [dlogits]}
         for node, bind, dtype in nodes:
-            g = _summed(parts.pop(node.name), dtype, steps)
+            g = _summed(parts.pop(node.name), dtype, steps, empty)
             dp = [grad[o : o + k].reshape(shape) for o, k, shape in node.slices]
             if grad.dtype != dtype:  # computed wide, cast into the buffer after
-                wide = [np.empty(view.shape, dtype) for view in dp]
+                wide = [empty(view.shape, dtype) for view in dp]
                 casts.extend(zip(dp, wide))
                 dp = wide
             step, dx = bind(g, node.needs_dx, dp)
@@ -195,9 +214,36 @@ def _batched(shape, n):
     return (n,) + shape if len(shape) == 1 else shape + (n,)
 
 
-def _zero_padded(shape, pad, dtype):
+def _zero_padded(plan, shape, pad, dtype):
     c, h, w, n = shape
-    return np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=dtype)
+    return plan._zeros((c, h + 2 * pad, w + 2 * pad, n), dtype)
+
+
+def _reusing(slots):
+    """``np.empty`` and ``np.zeros`` for a rebinding: its k-th buffer takes
+    the memory of ``slots[k]`` when that is large enough.  A binding asks
+    for its buffers in the same order whatever the row count, so each slot
+    serves the same buffer in every binding; a zeroed buffer is zeroed
+    again here.  A slot too small is released with every later one, and
+    the rest of the binding allocates anew in request order, the layout a
+    fresh binding has: lenet-micro's conv1 GEMM ran its evaluations up to
+    8% slower when slots were replaced one by one between older ones."""
+    taken = itertools.count()
+
+    def empty(shape, dtype):
+        k = next(taken)
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        if k == len(slots) or slots[k].nbytes < nbytes:
+            del slots[k:]  # released before the new slot is allocated
+            slots.append(np.empty(nbytes, np.uint8))
+        return slots[k][:nbytes].view(dtype).reshape(shape)
+
+    def zeros(shape, dtype):
+        out = empty(shape, dtype)
+        out.fill(0)
+        return out
+
+    return empty, zeros
 
 
 def _interior(padded, pad, shape):
@@ -209,12 +255,12 @@ def _batch_first(a):
     return a.reshape(-1, a.shape[-1]).T
 
 
-def _summed(parts, dtype, steps):
+def _summed(parts, dtype, steps, empty):
     """The gradient of a node's output: its one consumer's input gradient,
     or the sum of several, added into a buffer by a step appended here."""
     if len(parts) == 1:
         return parts[0]
-    total = np.empty(parts[0].shape, dtype)
+    total = empty(parts[0].shape, dtype)
     first, rest = parts[:2], parts[2:]
 
     def step():
@@ -241,7 +287,7 @@ def _summed(parts, dtype, steps):
 
 def _dense(plan, node, a, p, shape, dtype):
     w, b = p
-    y = np.empty(shape, dtype)
+    y = plan._empty(shape, dtype)
     x = a if a is None or a.ndim == 2 else _batch_first(a)
     kernel = L.dense_forward
 
@@ -250,10 +296,10 @@ def _dense(plan, node, a, p, shape, dtype):
         grad_kernel = L.dense_backward
         if not need_dx:
             return (lambda x=x: grad_kernel(g, x, w, need_dx=False, dw=dw, db=db)), None
-        dx = np.empty((shape[0], w.shape[0]), dtype)
+        dx = plan._empty((shape[0], w.shape[0]), dtype)
         if a.ndim == 2:
             return (lambda: grad_kernel(g, x, w, dx=dx, dw=dw, db=db)), dx
-        image = np.empty(a.shape, dtype)
+        image = plan._empty(a.shape, dtype)
         rows = image.reshape(-1, shape[0])
 
         def step():
@@ -270,13 +316,13 @@ def _conv2d(plan, node, a, p, shape, dtype, padded=None):
     stride, pad = node.stride, node.pad
     c, k = node.in_shape[0], node.kernel
     out_c, oh, ow, n = shape
-    y = np.empty(shape, dtype)
+    y = plan._empty(shape, dtype)
     y_rows = y.reshape(out_c, -1)
-    cols = np.empty((c * k * k, oh * ow * n), a.dtype)
+    cols = plan._empty((c * k * k, oh * ow * n), a.dtype)
     copy_in = pad and padded is None  # else the entry buffer is already padded
     inner = None
     if copy_in:
-        padded = _zero_padded(a.shape, pad, a.dtype)
+        padded = _zero_padded(plan, a.shape, pad, a.dtype)
         inner = _interior(padded, pad, a.shape)
     kernel = L.conv2d_forward
 
@@ -306,7 +352,7 @@ def _conv2d(plan, node, a, p, shape, dtype, padded=None):
 def _batch_norm(plan, node, a, p, shape, dtype):
     scale, shift = p
     name = node.name
-    y = np.empty(shape, dtype)
+    y = plan._empty(shape, dtype)
     cache = [None]
     current = plan._stats
     kernel = L.batchnorm_forward
@@ -318,7 +364,7 @@ def _batch_norm(plan, node, a, p, shape, dtype):
             stats[name] = cache[0][2]
 
     def backward(g, need_dx, dp):
-        dx = np.empty(shape, dtype) if need_dx else None
+        dx = plan._empty(shape, dtype) if need_dx else None
         dscale, dshift = dp
         grad_kernel = L.batchnorm_backward
         return (lambda a=a: grad_kernel(g, a, scale, cache[0], dx=dx, dscale=dscale, dshift=dshift)), dx
@@ -329,11 +375,11 @@ def _batch_norm(plan, node, a, p, shape, dtype):
 def _relu(plan, node, a, p, shape, dtype):
     # written over its input, the output is positive exactly where the input
     # was, which is all that the backward step reads from that buffer
-    y = a if node.overwrites_input else np.empty(shape, dtype)
+    y = a if node.overwrites_input else plan._empty(shape, dtype)
 
     def backward(g, need_dx, dp):
-        mask = np.empty(shape, bool)
-        dx = np.empty(shape, dtype)
+        mask = plan._empty(shape, bool)
+        dx = plan._empty(shape, dtype)
 
         def step():
             np.greater(a, 0, out=mask)
@@ -345,12 +391,12 @@ def _relu(plan, node, a, p, shape, dtype):
 
 
 def _max_pool(plan, node, a, p, shape, dtype):
-    y = np.empty(shape, dtype)
+    y = plan._empty(shape, dtype)
     kernel, size = L.maxpool_forward, node.kernel
 
     def backward(g, need_dx, dp):
-        dx = np.empty(a.shape, dtype)
-        masks = np.empty(shape, bool), np.empty(shape, bool)
+        dx = plan._empty(a.shape, dtype)
+        masks = plan._empty(shape, bool), plan._empty(shape, bool)
         grad_kernel = L.maxpool_backward
         return (lambda: grad_kernel(g, a.shape, size, (a, y), out=dx, masks=masks)), dx
 
@@ -358,11 +404,11 @@ def _max_pool(plan, node, a, p, shape, dtype):
 
 
 def _avg_pool(plan, node, a, p, shape, dtype):
-    y = np.empty(shape, dtype)
+    y = plan._empty(shape, dtype)
     kernel, size = L.avgpool_forward, node.kernel
 
     def backward(g, need_dx, dp):
-        dx = np.empty(a.shape, dtype)
+        dx = plan._empty(a.shape, dtype)
         grad_kernel = L.avgpool_backward
         return (lambda: grad_kernel(g, a.shape, size, dx)), dx
 
@@ -371,7 +417,7 @@ def _avg_pool(plan, node, a, p, shape, dtype):
 
 def _flatten(plan, node, a, p, shape, dtype):
     def backward(g, need_dx, dp):
-        image = np.empty(a.shape, dtype)
+        image = plan._empty(a.shape, dtype)
         rows = image.reshape(-1, a.shape[-1])
         return (lambda: np.copyto(rows, g.T)), image
 
@@ -379,7 +425,7 @@ def _flatten(plan, node, a, p, shape, dtype):
 
 
 def _residual_add(plan, node, a, p, shape, dtype):
-    y = np.empty(shape, dtype)
+    y = plan._empty(shape, dtype)
     left, right = a
     # both inputs receive the output's gradient
     return y, (lambda: np.add(left, right, out=y)), (lambda g, need_dx, dp: (None, g))
@@ -407,30 +453,35 @@ def _bound_plan(graph: ModelGraph | Plan, data: np.ndarray, grad: np.ndarray | N
     return graph
 
 
+def _flat(params: ParamVector | np.ndarray) -> np.ndarray:
+    return params.data if isinstance(params, ParamVector) else params
+
+
 def forward(
     graph: ModelGraph | Plan,
-    params: ParamVector,
+    params: ParamVector | np.ndarray,
     x: np.ndarray,
     stats: dict[str, tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> np.ndarray:
     """Run the graph on a batch and return logits.
 
-    ``graph`` may be a :class:`Plan` bound to ``params.data``, whose logits
+    ``params`` is a ParamVector or a flat array in the graph's layout.
+    ``graph`` may be a :class:`Plan` bound to that array, whose logits
     buffer the next run overwrites.  ``stats`` maps batch_norm node names to
     the (mean, var) each normalizes with; by default every batch_norm uses
     the batch's own statistics.
     """
-    return _bound_plan(graph, params.data).forward(x, stats)
+    return _bound_plan(graph, _flat(params)).forward(x, stats)
 
 
 def norm_stats(
-    graph: ModelGraph | Plan, params: ParamVector, x: np.ndarray
+    graph: ModelGraph | Plan, params: ParamVector | np.ndarray, x: np.ndarray
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Each batch_norm node's batch (mean, population var) over ``x``, from
-    one forward pass at ``params`` (through ``graph``, a plan as for
+    one forward pass at ``params`` (through ``graph``, a plan, as for
     :func:`forward`)."""
     stats: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    _bound_plan(graph, params.data).forward(x, stats)
+    _bound_plan(graph, _flat(params)).forward(x, stats)
     return stats
 
 
@@ -456,7 +507,7 @@ def loss_and_grad(
     """
     if mode != "train":
         raise ValueError(f"loss_and_grad runs in train mode only, not {mode!r}")
-    data = params.data if isinstance(params, ParamVector) else params
+    data = _flat(params)
     gdata = np.empty(data.shape[0], dtype=data.dtype) if out is None else out
     plan = _bound_plan(graph, data, gdata)
     loss = plan.loss_and_grad(batch_x, batch_y)

@@ -7,9 +7,9 @@ run is bit-reproducible from (seed, config, data) on a single thread.
 it binds one engine :class:`~.engine.Plan` to the array and to a gradient
 buffer it owns, each round's ``loss_and_grad`` runs that plan, and
 :func:`sgd_step` updates the parameters and the velocity in place.
-:func:`evaluate` likewise runs all its chunks through one plan.  A caller
-holding a :class:`ParamVector` trains ``params.copy_data()`` and wraps the
-result with ``graph.wrap``.
+:func:`evaluate` likewise runs all its chunks through one plan, its own or
+one its caller holds.  A caller holding a :class:`ParamVector` trains
+``params.copy_data()`` and wraps the result with ``graph.wrap``.
 
 Evaluation runs the dataset through the model in chunks sized from the
 model: as many rows as keep the widest array one sample makes in a forward
@@ -271,29 +271,38 @@ def eval_chunk_rows(graph: ModelGraph, itemsize: int) -> int:
 
 
 def evaluate(
-    graph: ModelGraph,
-    params: ParamVector,
+    graph: ModelGraph | Plan,
+    params: ParamVector | np.ndarray,
     data: Dataset,
     norm_x: np.ndarray | None = None,
+    *,
+    accuracy: bool = False,
 ) -> tuple[float, float]:
-    """Full-dataset mean loss and top-1 accuracy.
+    """Full-dataset mean loss, and top-1 accuracy when ``accuracy`` is set
+    (NaN otherwise, without taking the logits' row-wise argmax).
 
-    A model with batch_norm normalizes with the statistics :func:`norm_stats`
-    fits at ``params`` from ``norm_x`` (the training rows of
-    :func:`norm_rows`), which it then needs.  The data runs in chunks of
-    :func:`eval_chunk_rows` rows: as many as keep the widest array of a
-    forward within ``EVAL_CHUNK_BYTES``.  The chunk size changes the loss
-    only in the last bits of its float64 sum.
+    ``params`` is a ParamVector or a flat array in the graph's layout.
+    ``graph`` may be a :class:`Plan` bound to that array, which a caller
+    evaluating many points holds for all of them, writing each into the
+    array in place; otherwise one plan serves the call.  A model with
+    batch_norm normalizes with the statistics :func:`norm_stats` fits at
+    ``params`` from ``norm_x`` (the training rows of :func:`norm_rows`),
+    which it then needs.  The data runs in chunks of :func:`eval_chunk_rows`
+    rows: as many as keep the widest array of a forward within
+    ``EVAL_CHUNK_BYTES``.  The chunk size changes the loss only in the last
+    bits of its float64 sum.
     """
     if len(data) == 0:
         raise ValueError("empty dataset")
-    plan = Plan(graph, params.data)
+    flat = params.data if isinstance(params, ParamVector) else params
+    plan = graph if isinstance(graph, Plan) else Plan(graph, flat)
+    model = plan.graph
     stats = None
-    if graph.has_norm_layers():
+    if model.has_norm_layers():
         if norm_x is None:
             raise ValueError("a batch-norm model needs norm_x rows to fit its statistics")
         stats = norm_stats(plan, params, norm_x)
-    rows = eval_chunk_rows(graph, np.result_type(data.inputs, params.data).itemsize)
+    rows = eval_chunk_rows(model, np.result_type(data.inputs, flat).itemsize)
     total_loss = 0.0
     correct = 0
     for start in range(0, len(data), rows):
@@ -301,5 +310,6 @@ def evaluate(
         y = data.labels[start : start + rows]
         logits = forward(plan, params, x, stats)
         total_loss += cross_entropy_loss(logits, y) * len(y)
-        correct += int((logits.argmax(axis=1) == y).sum())
-    return total_loss / len(data), correct / len(data)
+        if accuracy:
+            correct += int((logits.argmax(axis=1) == y).sum())
+    return total_loss / len(data), (correct / len(data) if accuracy else float("nan"))

@@ -5,10 +5,12 @@ named layer slices, described by a :class:`Layout` that is validated once and
 shared by every vector derived from it.  Every statistic here uses the
 population (1/n) variance and accumulates in float64 regardless of the
 storage dtype; slices whose variance falls below ``EPS_VAR`` are treated as
-degenerate by the correction step.  Every operation here is pure: inputs are
-never mutated, and :func:`l2_distance` reads a plain flat array laid out like
-its second argument.  The functions that write a caller-owned flat buffer in
-place live with their callers: ``nn_engine.trainer.train_until`` and
+degenerate by the correction step.  Every operation here but
+:func:`variance_correction` is pure: inputs are never mutated, and
+:func:`l2_distance` reads a plain flat array laid out like its second
+argument.  :func:`variance_correction` rescales a slice of a walk's working
+array in place.  The other functions that write a caller-owned flat buffer
+in place live with their callers: ``nn_engine.trainer.train_until`` and
 ``sgd_step`` (the parameters, gradient and velocity),
 ``nn_engine.engine.loss_and_grad`` given ``out`` (the gradient), and
 ``llpf_core.move_toward`` (a walk's working point).
@@ -175,33 +177,35 @@ def layer_stats(values: np.ndarray) -> LayerStats:
     return LayerStats(mean=mean, variance=variance, n=values.size)
 
 
-def variance_correction(values: np.ndarray, v: float) -> np.ndarray:
-    """Rescale a layer about its mean so its population variance equals ``v``.
+def variance_correction(values: np.ndarray, v: float) -> None:
+    """Rescale the writable layer array ``values`` in place, about its mean,
+    so that its population variance equals ``v``.
 
-    Returns a new array in the input dtype; the input is untouched.  The mean
-    is preserved exactly up to rounding (deviations are re-centered before
-    scaling).  Raises ``DegenerateVariance`` when the slice variance is at or
-    below ``EPS_VAR`` while a positive target is requested.
+    The arithmetic runs on one float64 working copy, cast back into
+    ``values`` once at the end.  The mean is preserved exactly up to
+    rounding (deviations are re-centered before scaling).  Raises
+    ``DegenerateVariance``, leaving ``values`` as it was, when the slice
+    variance is at or below ``EPS_VAR`` while a positive target is
+    requested.
     """
-    values = np.asarray(values)
     if values.size == 0:
         raise ValueError("empty layer")
     if v < 0:
         raise ValueError("target variance must be non-negative")
-    wide = values.reshape(-1).astype(np.float64)
-    n = wide.size
-    mean = np.add.reduce(wide) / n  # ndarray.mean's arithmetic, as in layer_stats
-    dev = wide - mean
+    dev = values.reshape(-1).astype(np.float64)
+    n = dev.size
+    mean = np.add.reduce(dev) / n  # ndarray.mean's arithmetic, as in layer_stats
+    dev -= mean
     dev -= np.add.reduce(dev) / n  # second-pass centering keeps the mean bit-stable
-    var = float(np.add.reduce(dev * dev) / n)
     if v == 0.0:
-        out = np.full_like(wide, mean)
-        return out.astype(values.dtype).reshape(values.shape)
+        values[...] = mean
+        return
+    var = float(np.add.reduce(dev * dev) / n)
     if var <= EPS_VAR:
         raise DegenerateVariance("degenerate variance")
-    scale = math.sqrt(v / var)
-    out = mean + scale * dev
-    return out.astype(values.dtype).reshape(values.shape)
+    dev *= math.sqrt(v / var)
+    dev += mean
+    np.copyto(values, dev.reshape(values.shape))
 
 
 def l2_distance(a: np.ndarray, b: ParamVector, layers: Iterable[str]) -> dict[str, float]:

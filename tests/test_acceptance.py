@@ -109,11 +109,13 @@ def test_variance_correction_suite():
         w = rng.normal(mean, std, size=n)
         stats = layer_stats(w)
         v = stats.variance * rng.uniform(0.25, 4.0)
-        out = variance_correction(w, v)
+        out = w.copy()
+        variance_correction(out, v)
         out_stats = layer_stats(out)
         assert abs(out_stats.variance - v) / max(v, EPS_VAR) <= 1e-10
         assert abs(out_stats.mean - stats.mean) <= 8 * eps * (1 + abs(stats.mean))
-        again = variance_correction(out, v)
+        again = out.copy()
+        variance_correction(again, v)
         assert np.allclose(again, out, rtol=1e-12, atol=1e-12 * std)
     elapsed = time.monotonic() - started
     assert elapsed < 5.0
@@ -263,8 +265,8 @@ def test_same_sphere_path():
         initial = first.per_layer_dist[name]
         assert last.per_layer_dist[name] <= 0.05 * initial, (name, initial)
 
-    _, acc_a = evaluate(g, a, test)
-    _, acc_b = evaluate(g, b, test)
+    _, acc_a = evaluate(g, a, test, accuracy=True)
+    _, acc_b = evaluate(g, b, test, accuracy=True)
     assert abs(last.test_acc - acc_a) <= 0.02
     assert abs(last.test_acc - acc_b) <= 0.02
 
@@ -292,7 +294,9 @@ def test_path_continuity():
     train, _ = blobs_data()
     g = desk_graph()
     record = same_sphere_record()
-    report = interpolation_continuity(record, 50, g, train)
+    report = interpolation_continuity(
+        {p.iteration: p.params for p in record.stored_points()}, 50, g, train
+    )
     assert report.samples == 50
     assert len(report.segment_bounds) == len(record.stored_points()) - 1
     pointwise_max = max(p.rolling_train_loss for p in record.points)
@@ -389,13 +393,13 @@ def test_cross_sphere_connection():
     )
     assert record.stage_boundary is not None
 
-    _, acc_outer = evaluate(g, outer, train)
-    _, acc_inner = evaluate(g, inner, train)
+    _, acc_outer = evaluate(g, outer, train, accuracy=True)
+    _, acc_inner = evaluate(g, inner, train, accuracy=True)
     floor = 0.95 * min(acc_outer, acc_inner)
     worst = 1.0
     for point in record.points:
         assert point.params is not None
-        _, acc = evaluate(g, point.params, train)
+        _, acc = evaluate(g, point.params, train, accuracy=True)
         worst = min(worst, acc)
         assert acc >= floor
     elapsed = time.monotonic() - started

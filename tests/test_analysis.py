@@ -27,12 +27,14 @@ from llpf.nn_engine import (
     evaluate,
     fixed_subset,
     init_params,
+    lenet_micro,
     mlp2,
     norm_rows,
     resnet_micro,
     train_until,
 )
 from llpf.harness_cli.datasets import gen_blobs
+from llpf.nn_engine.trainer import eval_chunk_rows
 from llpf.param_space import LayoutMismatch, ParamVector, l2_distance, radial_norm_sq
 
 
@@ -144,6 +146,31 @@ def bn_path():
     return g, record, b, train, test
 
 
+@pytest.fixture(scope="module")
+def lenet_points():
+    """Three stored lenet-micro points, a set of 28x28 noise images, and an
+    eval size whose subset runs as a 74-row and a 48-row chunk, so a plan
+    held across evaluations rebinds back and forth between the two."""
+    g = lenet_micro()
+    assert eval_chunk_rows(g, 4) == 74
+    rng = np.random.default_rng(6)
+    train = Dataset(
+        rng.normal(size=(160, 1, 28, 28)).astype(np.float32), rng.integers(0, 10, 160), "train", 10
+    )
+    record = PathRecord(
+        points=[
+            PathPoint(i, 0, 1.0, {}, params=init_params(g, seed))
+            for i, seed in enumerate((4, 5, 6))
+        ]
+    )
+    return g, record, train, 74 + 48
+
+
+def stored_params(record):
+    """What ``interpolation_continuity`` takes: each stored iteration's params."""
+    return {p.iteration: p.params for p in record.stored_points()}
+
+
 def _naive_continuity(path, samples, graph, data, eval_size=2048):
     """Every blend evaluated, the segment ends included: the oracle the
     one-evaluation-per-stored-point check must match bit for bit."""
@@ -165,11 +192,13 @@ def _naive_continuity(path, samples, graph, data, eval_size=2048):
 class TestInterpolationContinuity:
     @pytest.fixture
     def eval_calls(self, monkeypatch):
+        """The bytes of the parameters each evaluation is handed, copied at
+        call time: the check rewrites one buffer between evaluations."""
         calls = []
 
-        def spy(graph, params, data, norm_x=None):
-            calls.append(params)
-            return evaluate(graph, params, data, norm_x)
+        def spy(graph, params, data, norm_x=None, **kwargs):
+            calls.append((params.data if isinstance(params, ParamVector) else params).tobytes())
+            return evaluate(graph, params, data, norm_x, **kwargs)
 
         monkeypatch.setattr(analysis, "evaluate", spy)
         return calls
@@ -182,24 +211,29 @@ class TestInterpolationContinuity:
         g = short_path[0]
         for record in (short_path[1], strided_path):
             eval_calls.clear()
-            report = interpolation_continuity(record, samples, g, train, eval_size=256)
+            report = interpolation_continuity(
+                stored_params(record), samples, g, train, eval_size=256
+            )
             stored = record.stored_points()
             segments = len(stored) - 1
             assert len(report.segment_losses) == segments
             assert len(eval_calls) == len(stored) + (samples - 2) * segments
             if samples == 2:
                 # only the stored points themselves, each once, in order
-                assert [c.data.tobytes() for c in eval_calls] == [
-                    p.params.data.tobytes() for p in stored
-                ]
+                assert eval_calls == [p.params.data.tobytes() for p in stored]
 
     @pytest.mark.parametrize("samples", [2, 4])
-    def test_losses_equal_every_blend_evaluated(self, short_path, strided_path, blobs, samples):
+    def test_losses_equal_every_blend_evaluated(
+        self, short_path, strided_path, lenet_points, blobs, samples
+    ):
         train, _ = blobs
         g = short_path[0]
-        for record in (short_path[1], strided_path):
-            report = interpolation_continuity(record, samples, g, train, eval_size=256)
-            naive = _naive_continuity(record, samples, g, train, eval_size=256)
+        cases = [(g, short_path[1], train, 256), (g, strided_path, train, 256), lenet_points]
+        for graph, record, data, size in cases:
+            report = interpolation_continuity(
+                stored_params(record), samples, graph, data, eval_size=size
+            )
+            naive = _naive_continuity(record, samples, graph, data, eval_size=size)
             assert [[v.hex() for v in seg] for seg in report.segment_losses] == [
                 [v.hex() for v in seg] for seg in naive
             ]
@@ -213,14 +247,14 @@ class TestInterpolationContinuity:
             PathPoint(1, 0, 1.0, {}, params=params),
         ]
         record = PathRecord(points=points)
-        report = interpolation_continuity(record, 7, g, train)
+        report = interpolation_continuity(stored_params(record), 7, g, train)
         assert len(report.segment_losses) == 1
         assert len(set(report.segment_losses[0])) == 1
 
     def test_two_samples_are_endpoints(self, short_path, blobs):
         train, _ = blobs
         g, record, _, _ = short_path
-        report = interpolation_continuity(record, 2, g, train)
+        report = interpolation_continuity(stored_params(record), 2, g, train)
         stored = record.stored_points()
         # alpha=1 of segment k equals alpha=0 of segment k+1: same parameters
         for k in range(len(stored) - 2):
@@ -231,19 +265,29 @@ class TestInterpolationContinuity:
         g = mlp2(20, 8, 3)
         record = PathRecord(points=[PathPoint(0, 0, 1.0, {}, params=init_params(g, 0))])
         with pytest.raises(ValueError, match="two stored"):
-            interpolation_continuity(record, 5, g, train)
+            interpolation_continuity(stored_params(record), 5, g, train)
+
+    def test_points_out_of_order_or_of_two_dtypes_rejected(self, blobs):
+        train, _ = blobs
+        g = mlp2(20, 8, 3)
+        a, b = init_params(g, 0), init_params(g, 1)
+        with pytest.raises(ValueError, match="increasing"):
+            interpolation_continuity({4: a, 2: b}, 3, g, train)
+        # one held buffer would cast the float64 point down to float32
+        with pytest.raises(ValueError, match="dtype"):
+            interpolation_continuity({0: a, 1: init_params(g, 1, np.float64)}, 3, g, train)
 
     def test_sample_count_validated(self, short_path, blobs):
         train, _ = blobs
         g, record, _, _ = short_path
         with pytest.raises(ValueError, match="samples"):
-            interpolation_continuity(record, 1, g, train)
+            interpolation_continuity(stored_params(record), 1, g, train)
 
     def test_deterministic(self, short_path, blobs):
         train, _ = blobs
         g, record, _, _ = short_path
-        r1 = interpolation_continuity(record, 5, g, train, eval_size=256)
-        r2 = interpolation_continuity(record, 5, g, train, eval_size=256)
+        r1 = interpolation_continuity(stored_params(record), 5, g, train, eval_size=256)
+        r2 = interpolation_continuity(stored_params(record), 5, g, train, eval_size=256)
         assert r1.segment_losses == r2.segment_losses
 
 
@@ -368,7 +412,7 @@ class TestContinuityFullSet:
             for a, b in zip(stored, stored[1:])
         ]
         for size in (len(train), len(train) + 1):
-            full = interpolation_continuity(record, 2, g, train, eval_size=size)
+            full = interpolation_continuity(stored_params(record), 2, g, train, eval_size=size)
             assert full.segment_losses == endpoints
-        small = interpolation_continuity(record, 2, g, train, eval_size=64)
+        small = interpolation_continuity(stored_params(record), 2, g, train, eval_size=64)
         assert small.segment_losses != endpoints

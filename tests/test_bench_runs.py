@@ -18,8 +18,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 # per-layer metrics that only read 0 when their traced function is never
-# called: the walk's stages, a round's steps, and the kernels every workload's
-# rounds call through ``layers``
+# called: the walk's stages, a round's steps, the kernels every workload's
+# rounds call through ``layers``, and the continuity check's blends, which
+# are counted by its calls to ``analysis.evaluate``
 TRACED = (
     tuple(
         f"llpf_core.{stage}.ms_per_iter"
@@ -30,6 +31,7 @@ TRACED = (
         f"layers.{kernel}.us_per_call"
         for kernel in ("dense_forward", "dense_backward", "softmax_cross_entropy")
     )
+    + ("analysis.evaluate.us_per_blend", "analysis.interpolation_continuity.self_us_per_blend")
 )
 
 

@@ -93,6 +93,36 @@ class TestTrainModes:
         assert "code_version = llpf" in manifest
         assert "started = " in manifest and "finished = " in manifest
 
+    @staticmethod
+    def mode_facts(out_dir, seed):
+        """(rounds, train loss, train acc, status) from the manifest."""
+        for line in (out_dir / "manifest.txt").read_text().splitlines():
+            if line.startswith(f"mode_{seed} = "):
+                m = re.fullmatch(
+                    r"rounds=(\d+) train_loss=(\S+) train_acc=(\S+) status=(.+)",
+                    line.split(" = ", 1)[1],
+                )
+                return int(m[1]), float(m[2]), float(m[3]), m[4]
+        raise AssertionError(f"manifest has no mode_{seed} line")
+
+    def test_manifest_names_a_mode_that_misses_its_bar(self, modes_dir, tmp_path, capsys):
+        for seed in (1, 2):
+            rounds, loss, acc, status = self.mode_facts(modes_dir / "out", seed)
+            assert (rounds, status) == (800, "ok") and loss < 0.1 and 0 <= acc <= 1
+        # two rounds leave the mode far above the 0.1 bar; the exit code stays 0
+        cfg = write_cfg(
+            tmp_path,
+            BASE
+            + MODES.replace("seeds = 1, 2", "seeds = 3").replace("max_rounds = 800", "max_rounds = 2")
+            + "\n[output]\ndir = out\n",
+        )
+        capsys.readouterr()
+        assert main(["train-modes", "--config", str(cfg)]) == 0
+        rounds, loss, acc, status = self.mode_facts(tmp_path / "out", 3)
+        assert (rounds, status) == (2, "FAILS acceptance") and loss >= 0.1
+        printed = capsys.readouterr().out
+        assert f"train_loss={loss:.4g} train_acc={acc:.4g} [FAILS acceptance]" in printed
+
     def test_checkpoints_load(self, modes_dir):
         g = mlp2(10, 8, 3)
         params = load_checkpoint(g, modes_dir / "out" / "mode_1.ckpt")
@@ -287,6 +317,21 @@ dir = cont_out
         calls = record_calls(monkeypatch, "interpolation_continuity")
         out = self.run(modes_dir, tmp_path)
         assert len(calls) == 1 and manifest_started(out) <= calls[0]
+
+    def test_reads_only_record_json_and_points(self, modes_dir, tmp_path, capsys):
+        out = self.run(modes_dir, tmp_path)
+        first = (out / "continuity.csv").read_bytes()
+        (tmp_path / "path_out" / "metrics.csv").unlink()
+        assert main(["continuity", "--config", str(tmp_path / "cont.cfg")]) == 0
+        assert (out / "continuity.csv").read_bytes() == first
+        # every stored checkpoint is still verified before use
+        point = tmp_path / "path_out" / "points" / "point_00000002.ckpt"
+        blob = bytearray(point.read_bytes())
+        blob[-9] ^= 1  # the last payload byte
+        point.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["continuity", "--config", str(tmp_path / "cont.cfg")]) == 1
+        assert "checksum mismatch" in capsys.readouterr().err
 
 
 class TestSeedStudyCommand:

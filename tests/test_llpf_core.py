@@ -552,10 +552,10 @@ class TestCrossVarianceTestMetrics:
         g, mode = quick_mode
         calls = []
 
-        def spy(graph, params, data, norm_x=None):
+        def spy(graph, params, data, norm_x=None, **kwargs):
             if data is test:
                 calls.append(params.data.tobytes())
-            return evaluate(graph, params, data, norm_x)
+            return evaluate(graph, params, data, norm_x, **kwargs)
 
         monkeypatch.setattr(llpf_core, "evaluate", spy)
         bigger = mode.with_slices({n: mode.get(n) * 1.1 for n in ("fc1.weight", "fc2.weight")})

@@ -629,14 +629,14 @@ class TestTrainAndEvaluate:
         rule = StopRule(loss_threshold=0.05, max_rounds=2000, window=10)
         result = train_until(g, p, train, cfg, rule, rng)
         assert result.hit_threshold and result.rolling_loss < 0.05
-        loss, acc = evaluate(g, g.wrap(p), test)
+        loss, acc = evaluate(g, g.wrap(p), test, accuracy=True)
         assert acc > 0.95
 
     def test_uniform_logits_evaluation(self, blobs):
         train, _ = blobs
         g = mlp2(20, 8, 3)
         params = g.wrap(np.zeros(g.num_params, dtype=np.float32))
-        loss, acc = evaluate(g, params, train)
+        loss, acc = evaluate(g, params, train, accuracy=True)
         assert loss == pytest.approx(np.log(3.0), rel=1e-5)
         assert acc == pytest.approx(1.0 / 3.0, abs=0.05)
 
@@ -650,7 +650,7 @@ class TestTrainAndEvaluate:
             split="test",
             num_classes=2,
         )
-        loss, acc = evaluate(g, params, data)
+        loss, acc = evaluate(g, params, data, accuracy=True)
         assert acc == 1.0
 
     def test_empty_dataset_rejected(self):
@@ -778,12 +778,12 @@ class TestEvalChunks:
         data = Dataset(x, y, "test", int(g.shapes[g.sink][0]))
         params = init_params(g, 3)
         norm_x = norm_rows(data)
-        loss, acc = evaluate(g, params, data, norm_x)
+        loss, acc = evaluate(g, params, data, norm_x, accuracy=True)
         assert chunk_sizes[0] == min(trainer.eval_chunk_rows(g, 4), n) and sum(chunk_sizes) == n
         for rows in (64, 512, n):
             monkeypatch.setattr(trainer, "EVAL_CHUNK_BYTES", rows * self.WIDEST[name] * 4)
             chunk_sizes.clear()
-            other_loss, other_acc = evaluate(g, params, data, norm_x)
+            other_loss, other_acc = evaluate(g, params, data, norm_x, accuracy=True)
             assert chunk_sizes[0] == rows and sum(chunk_sizes) == n
             assert other_loss == pytest.approx(loss, rel=self.REL[name], abs=0)
             assert other_acc == acc
@@ -868,7 +868,7 @@ class TestConvNetTraining:
         cfg = TrainerConfig(lr=0.05, momentum=0.9, batch_size=16)
         result = train_until(g, p, data, cfg, StopRule(0.05, 600, 10), rng)
         assert result.rolling_loss < 0.2
-        _, acc = evaluate(g, g.wrap(p), data)
+        _, acc = evaluate(g, g.wrap(p), data, accuracy=True)
         assert acc > 0.9
 
     def test_resnet_micro_trains_above_chance(self):
@@ -882,7 +882,7 @@ class TestConvNetTraining:
         result = train_until(g, p, data, cfg, StopRule(0.0, 200, 10), np.random.default_rng(0))
         assert result.rolling_loss < np.log(2.0)  # beats chance
         # statistics fitted at the trained point make evaluation usable
-        loss, acc = evaluate(g, g.wrap(p), data, norm_rows(data))
+        loss, acc = evaluate(g, g.wrap(p), data, norm_rows(data), accuracy=True)
         assert loss < np.log(2.0) and acc > 0.6
 
 
@@ -1235,7 +1235,7 @@ class TestPlanMatchesTheFrozenEngine:
         data = Dataset(x, y, "test", int(g.shapes[g.sink][0]))
         norm_x = norm_rows(data) if g.has_norm_layers() else None
         monkeypatch.setattr(trainer, "eval_chunk_rows", lambda graph, itemsize: rows)
-        loss, acc = evaluate(g, g.wrap(p), data, norm_x)
+        loss, acc = evaluate(g, g.wrap(p), data, norm_x, accuracy=True)
         ref_loss, ref_acc = _ref_evaluate(g, p, x, y, norm_x, rows)
         assert loss.hex() == ref_loss.hex() and acc == ref_acc
 
@@ -1275,3 +1275,80 @@ class TestRoundsReuseThePlansBuffers:
             tracemalloc.stop()
         assert peak < self.CONV_ACTIVATION
         assert peak <= 1.5 * self.PEAK
+
+
+class TestHeldEvaluationPlan:
+    """One plan held across evaluations, each point written into its array
+    in place, as the continuity check holds it."""
+
+    # 300 rows run as one mlp2 chunk; 122 run lenet-micro as a 74-row and a
+    # 48-row chunk; resnet-micro fits its statistics on all 40 rows, then
+    # runs four 9-row chunks and a 4-row one
+    ROWS = {"mlp2": 300, "lenet-micro": 122, "resnet-micro": 40}
+
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_matches_a_plan_per_call(self, name):
+        g = TestEvalChunks.MODELS[name]()
+        n = self.ROWS[name]
+        rng = np.random.default_rng(2)
+        classes = int(g.shapes[g.sink][0])
+        data = Dataset(
+            rng.normal(size=(n,) + g.input_shape).astype(np.float32),
+            rng.integers(0, classes, n), "train", classes,
+        )
+        norm_x = norm_rows(data) if g.has_norm_layers() else None
+        held = np.empty(g.num_params, np.float32)
+        plan = Plan(g, held)
+        for seed in (1, 2, 1, 3):
+            params = init_params(g, seed)
+            np.copyto(held, params.data)
+            loss, acc = evaluate(plan, held, data, norm_x, accuracy=True)
+            ref_loss, ref_acc = evaluate(g, params, data, norm_x, accuracy=True)
+            assert loss.hex() == ref_loss.hex() and acc == ref_acc
+            assert evaluate(plan, held, data, norm_x)[0].hex() == ref_loss.hex()
+
+    def test_plan_runs_on_the_array_it_was_bound_to(self):
+        g = mlp2()
+        params = init_params(g, 0)
+        data = Dataset(np.zeros((4,) + g.input_shape, np.float32), np.zeros(4, int), "train", 3)
+        with pytest.raises(ValueError, match="bound to"):
+            evaluate(Plan(g, params.copy_data()), params, data)
+
+    def test_switching_row_counts_peaks_at_the_larger_binding(self):
+        """Rebinding reuses the memory of the buffers it replaces: a plan
+        switching between 74 and 48 rows peaks where one 74-row binding
+        does, and once its buffers fit 74 rows it allocates none."""
+        import tracemalloc
+
+        g = lenet_micro()
+        rng = np.random.default_rng(0)
+        big, small = (rng.normal(size=(n, 1, 28, 28)).astype(np.float32) for n in (74, 48))
+        held = init_params(g, 0).copy_data()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            Plan(g, held).forward(big)
+            larger = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            plan = Plan(g, held)
+            for x in (big, small) * 3:
+                plan.forward(x)
+            switching = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            plan.forward(small)  # binds nothing: the plan is bound for 48 rows
+            unbound = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            for x in (big, small) * 2:
+                plan.forward(x)
+            settled = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # a 48-row binding holds about 4.3 MB, and a run's own temporaries
+        # about 33 KB; the margin covers the Python objects of the steps,
+        # which each binding builds anew
+        assert switching <= larger + 16_384
+        assert settled <= unbound + 16_384
+

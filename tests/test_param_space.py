@@ -134,22 +134,29 @@ class TestLayerStats:
         assert s.variance < 1e-18
 
 
+def corrected(w, v):
+    """A corrected copy of ``w``."""
+    out = np.array(w, copy=True)
+    assert variance_correction(out, v) is None
+    return out
+
+
 class TestVarianceCorrection:
     def test_hand_case_doubling(self):
-        out = variance_correction(np.array([1.0, -1.0]), 4.0)
+        out = corrected(np.array([1.0, -1.0]), 4.0)
         assert out == pytest.approx([2.0, -2.0])
 
     def test_hand_case_offset(self):
-        out = variance_correction(np.array([0.5, 1.5]), 1.0)
+        out = corrected(np.array([0.5, 1.5]), 1.0)
         assert out == pytest.approx([0.0, 2.0])
 
     def test_already_on_target_unchanged(self):
         w = np.array([0.5, 1.5, 2.5, -0.5])
         v = layer_stats(w).variance
-        assert np.array_equal(variance_correction(w, v), w)
+        assert np.array_equal(corrected(w, v), w)
 
     def test_zero_target_collapses_to_mean(self):
-        out = variance_correction(np.array([1.0, 2.0, 3.0]), 0.0)
+        out = corrected(np.array([1.0, 2.0, 3.0]), 0.0)
         assert out == pytest.approx([2.0, 2.0, 2.0])
 
     def test_degenerate_variance(self):
@@ -160,11 +167,32 @@ class TestVarianceCorrection:
         with pytest.raises(ValueError):
             variance_correction(np.array([1.0, -1.0]), -1.0)
 
-    def test_input_never_mutated(self):
-        w = np.array([1.0, -1.0, 0.5])
+    def test_failed_correction_leaves_the_slice_untouched(self):
+        w = np.array([1.0, 1.0 + 1e-9, 1.0])
         before = w.copy()
-        variance_correction(w, 2.0)
+        with pytest.raises(DegenerateVariance):
+            variance_correction(w, 2.0)
         assert np.array_equal(w, before)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("v", [0.0, 0.37])
+    def test_in_place_matches_the_allocating_reference(self, dtype, v):
+        """Rescaling a slice of a larger array in place gives the bits of
+        the earlier allocating form and leaves the rest of the array as it
+        was."""
+        rng = np.random.default_rng(4)
+        data = rng.normal(0.2, 0.6, size=300).astype(dtype)
+        view = data[50:250]
+        wide = view.astype(np.float64)
+        mean = np.add.reduce(wide) / wide.size
+        dev = wide - mean
+        dev -= np.add.reduce(dev) / wide.size
+        var = float(np.add.reduce(dev * dev) / wide.size)
+        ref = np.full_like(wide, mean) if v == 0.0 else mean + math.sqrt(v / var) * dev
+        expect = data.copy()
+        expect[50:250] = ref.astype(dtype)
+        variance_correction(view, v)
+        assert data.tobytes() == expect.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -180,19 +208,19 @@ class TestVarianceCorrection:
         if layer_stats(w).variance <= EPS_VAR:
             return
         v = layer_stats(w).variance * scale
-        out = variance_correction(w, v)
+        out = corrected(w, v)
         stats = layer_stats(out)
         eps = np.finfo(np.float64).eps
         assert abs(stats.mean - layer_stats(w).mean) <= 8 * eps * (1 + abs(mean))
         assert abs(stats.variance - v) / max(v, EPS_VAR) <= 1e-10
-        again = variance_correction(out, v)
+        again = corrected(out, v)
         assert np.allclose(again, out, rtol=1e-12, atol=1e-13 * std)
 
     def test_storage_precision_tolerance(self):
         rng = np.random.default_rng(3)
         w = rng.normal(0.3, 0.7, size=500).astype(np.float32)
         v = 0.9
-        out = variance_correction(w, v)
+        out = corrected(w, v)
         assert out.dtype == np.float32
         assert abs(layer_stats(out).variance - v) / v <= 1e-5
 
