@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .llpf_core import PathRecord
-from .nn_engine.engine import Plan, init_params
+from .nn_engine.engine import Plan
 from .nn_engine.graph import ModelGraph
 from .nn_engine.trainer import (
     Dataset,
@@ -19,7 +19,7 @@ from .nn_engine.trainer import (
     evaluate,
     fixed_subset,
     norm_rows,
-    train_until,
+    train_modes,
 )
 from .param_space import ParamVector, l2_distance, layer_stats, radial_norm_sq
 
@@ -199,30 +199,25 @@ def seed_variance_study(
 ) -> SeedStudyTable:
     """Train modes from independent seeds and tabulate per-layer statistics.
 
-    Each of ``seeds`` (at least two) initializes and trains one mode under
-    ``rule`` with the dataset's augmentation, if it has any.  With an
-    ``acceptance_loss``, every mode is scored on one fixed ``eval_size``
-    training subset, and seeds whose loss misses the bar are excluded from
-    the table and reported in ``failed_seeds``.
+    Each of ``seeds`` (at least two) trains one mode through
+    :func:`train_modes`, under ``rule`` with the dataset's augmentation, if
+    it has any, and is scored on one fixed ``eval_size`` training subset.
+    With an ``acceptance_loss``, seeds whose loss misses the bar are
+    excluded from the table and reported in ``failed_seeds``.
     """
     if len(seeds) < 2:
         raise ValueError("need at least two seeds")
     per_layer: dict[str, list[tuple[int, float, float]]] = {
         name: [] for name in graph.slice_names()
     }
-    subset = fixed_subset(data, eval_size)
-    norm_x = norm_rows(data)
     failed = []
-    for seed in seeds:
-        p = init_params(graph, seed).copy_data()
-        train_until(graph, p, data, trainer, rule, np.random.default_rng(seed))
-        params = graph.wrap(p)
-        if acceptance_loss is not None:
-            loss, _ = evaluate(graph, params, subset, norm_x)
-            if loss >= acceptance_loss:
-                log.warning("seed %d failed mode acceptance (loss %.4g)", seed, loss)
-                failed.append(seed)
-                continue
+    for seed, params, _, loss, _, accepted in train_modes(
+        graph, seeds, trainer, rule, data, eval_size, acceptance_loss
+    ):
+        if not accepted:
+            log.warning("seed %d failed mode acceptance (loss %.4g)", seed, loss)
+            failed.append(seed)
+            continue
         for name in graph.slice_names():
             stats = layer_stats(params.get(name))
             per_layer[name].append((seed, stats.variance, stats.mean))

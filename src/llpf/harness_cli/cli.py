@@ -14,12 +14,9 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from ..analysis import interpolation_continuity, seed_variance_study
 from ..llpf_core import connect_cross_variance, llpf_m2m, llpf_m2o
-from ..nn_engine.engine import init_params
-from ..nn_engine.trainer import evaluate, fixed_subset, norm_rows, train_until
+from ..nn_engine.trainer import train_modes
 from ..param_space import LayoutMismatch
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, parse_config
@@ -96,6 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_common(args):
     cfg = parse_config(args.config)
+    rc.check_sections(cfg)
     graph = rc.build_graph(cfg)
     train_data, test_data = rc.build_datasets(cfg)
     out = rc.build_output(cfg)
@@ -109,31 +107,19 @@ def _load_common(args):
 def cmd_train_modes(args) -> int:
     cfg, graph, train_data, test_data, out = _load_common(args)
     modes = rc.build_modes(cfg)
-    seeds = modes.seeds
-    if args.seed_override is not None:
-        seeds = [args.seed_override]
+    seeds = modes.seeds if args.seed_override is None else [args.seed_override]
     out.out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc)
-
-    subset = fixed_subset(train_data, out.eval_subset)
-    norm_x = norm_rows(train_data)
     facts = {}
-    for seed in seeds:
-        p = init_params(graph, seed).copy_data()
-        result = train_until(
-            graph, p, train_data, modes.trainer, modes.rule, np.random.default_rng(seed)
-        )
-        params = graph.wrap(p)
-        loss, acc = evaluate(graph, params, subset, norm_x, accuracy=True)
+    for seed, params, result, loss, acc, accepted in train_modes(
+        graph, seeds, modes.trainer, modes.rule, train_data, out.eval_subset,
+        modes.acceptance_loss,
+    ):
         ckpt = out.out_dir / f"mode_{seed}.ckpt"
         save_checkpoint(params, graph, ckpt)
-        rows = [
-            {"round": i + 1, "loss": v}
-            for i, v in enumerate(result.losses)
-        ]
+        rows = [{"round": i + 1, "loss": v} for i, v in enumerate(result.losses)]
         emit_csv(["round", "loss"], rows, out.out_dir / f"mode_{seed}_train.csv")
-        bar = modes.acceptance_loss
-        status = "ok" if bar is None or loss < bar else "FAILS acceptance"
+        status = "ok" if accepted else "FAILS acceptance"
         print(
             f"mode seed={seed}: rounds={result.rounds} rolling={result.rolling_loss:.4g} "
             f"train_loss={loss:.4g} train_acc={acc:.4g} [{status}] -> {ckpt.name}"
@@ -246,44 +232,33 @@ def cmd_continuity(args) -> int:
 def cmd_seed_study(args) -> int:
     cfg, graph, train_data, _test_data, out = _load_common(args)
     modes = rc.build_modes(cfg)
-    block = rc.build_seed_study(cfg)
-    seeds = block.seeds
+    seeds = modes.seeds
     if args.seed_override is not None:
         seeds = [args.seed_override + i for i in range(len(seeds))]
     started = datetime.now(timezone.utc)
     table = seed_variance_study(
         graph, modes.trainer, seeds, train_data, modes.rule,
-        acceptance_loss=block.acceptance_loss,
+        acceptance_loss=modes.acceptance_loss,
         eval_size=out.eval_subset,
     )
     layer_names = list(table.per_layer)
-    rows = []
-    used_seeds = [s for s in seeds if s not in table.failed_seeds]
-    for i, seed in enumerate(used_seeds):
-        row = {"seed": seed}
-        for name in layer_names:
-            _, variance, mean = table.per_layer[name][i]
-            row[f"var:{name}"] = variance
-            row[f"mean:{name}"] = mean
-        rows.append(row)
-    fields = ["seed"]
-    fields += [f"var:{n}" for n in layer_names]
-    fields += [f"mean:{n}" for n in layer_names]
+    rows = [{"seed": seed} for seed, _, _ in table.per_layer[layer_names[0]]]
+    if not rows:
+        raise RuntimeError(
+            f"no mode passed [modes] acceptance_loss = {modes.acceptance_loss!r};"
+            f" failed seeds {table.failed_seeds}"
+        )
+    for name, stats in table.per_layer.items():
+        for row, (_, variance, mean) in zip(rows, stats):
+            row[f"var:{name}"], row[f"mean:{name}"] = variance, mean
+    fields = ["seed", *(f"var:{n}" for n in layer_names), *(f"mean:{n}" for n in layer_names)]
     out.out_dir.mkdir(parents=True, exist_ok=True)
     emit_csv(fields, rows, out.out_dir / "seed_study.csv")
-    summary_rows = [
-        {
-            "layer": name,
-            "variance_cov": stats["variance_cov"],
-            "max_abs_mean_over_std": stats["max_abs_mean_over_std"],
-        }
-        for name, stats in table.summary.items()
-    ]
-    if summary_rows:
-        emit_csv(
-            ["layer", "variance_cov", "max_abs_mean_over_std"],
-            summary_rows, out.out_dir / "seed_study_summary.csv",
-        )
+    summary_rows = [{"layer": name, **stats} for name, stats in table.summary.items()]
+    emit_csv(
+        ["layer", "variance_cov", "max_abs_mean_over_std"],
+        summary_rows, out.out_dir / "seed_study_summary.csv",
+    )
     write_manifest(
         out.out_dir, "seed-study", cfg.digest, seeds, started,
         {"failed_seeds": table.failed_seeds},

@@ -2,13 +2,15 @@
 
 Each ``build_*`` helper validates one section and its phase or stage sections
 (unknown keys are rejected with their line number) and returns ready-to-use
-engine objects.  The four walk sections share one reader, ``_walk_section``.
+engine objects; :func:`check_sections` rejects a section no builder reads.
+The four walk sections share one reader, ``_walk_section``.
 """
 
 from __future__ import annotations
 
 import fnmatch
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +29,16 @@ from .config import ConfigError, ConfigFile, Section, resolve_path
 from .datasets import gen_blobs, load_mnist
 
 DATA_DIR_ENV = "LLPF_DATA_DIR"
+# Every section some builder reads; phase sections are [m2m.phase.N].
+SECTIONS = ("model", "dataset", "modes", "output", "m2m", "m2o", "avs", "avs.m2o", "avs.m2m",
+            "continuity")
+
+
+def check_sections(cfg: ConfigFile) -> None:
+    """Reject a section no command reads, at its line."""
+    for name, line in cfg.section_lines.items():
+        if name not in SECTIONS and not re.fullmatch(r"m2m\.phase\.\d+", name):
+            raise cfg.error(line, f"unknown section [{name}]")
 
 
 def build_graph(cfg: ConfigFile) -> ModelGraph:
@@ -99,7 +111,9 @@ def build_modes(cfg: ConfigFile) -> ModesBlock:
     seeds = sec.get_int_list("seeds")
     if not seeds:
         raise cfg.error(sec.line, "[modes] needs a 'seeds' list")
-    trainer = TrainerConfig(
+    trainer = _checked(
+        sec,
+        TrainerConfig,
         lr=sec.require_float("lr"),
         momentum=sec.get_float("momentum", 0.0),
         weight_decay=sec.get_float("weight_decay", 0.0),
@@ -113,6 +127,11 @@ def build_modes(cfg: ConfigFile) -> ModesBlock:
         window=sec.positive_int("window", 10),
     )
     acceptance = sec.get_float("acceptance_loss")
+    if acceptance is not None and not acceptance > 0:
+        raise cfg.error(
+            sec.values["acceptance_loss"].line,
+            f"acceptance_loss must be positive, got {acceptance!r}",
+        )
     sec.finish()
     return ModesBlock(seeds, trainer, rule, acceptance)
 
@@ -251,14 +270,11 @@ class M2MBlock:
 
 
 def _phase_sections(cfg: ConfigFile, prefix: str) -> list[str]:
-    found = []
-    for name in cfg.sections:
-        if name.startswith(prefix + "."):
-            suffix = name[len(prefix) + 1 :]
-            if not suffix.isdigit():
-                raise cfg.error(cfg.section_lines[name], f"phase sections must be [{prefix}.N]")
-            found.append((int(suffix), name))
-    found.sort()
+    # check_sections has rejected a phase section whose N is not a number
+    found = sorted(
+        (int(name[len(prefix) + 1 :]), name) for name in cfg.sections
+        if name.startswith(prefix + ".")
+    )
     if found and [i for i, _ in found] != list(range(1, len(found) + 1)):
         raise cfg.error(
             cfg.section_lines[found[0][1]], f"[{prefix}.N] sections must be numbered 1..K"
@@ -359,28 +375,6 @@ def build_continuity(cfg: ConfigFile) -> ContinuityBlock:
     if samples < 2:
         raise ConfigError(f"{cfg.path}: continuity samples must be >= 2")
     return ContinuityBlock(record_dir, samples, eval_subset)
-
-
-@dataclass
-class SeedStudyBlock:
-    seeds: list[int]
-    acceptance_loss: float | None
-
-
-def build_seed_study(cfg: ConfigFile) -> SeedStudyBlock:
-    """The studied seeds: the ``seeds`` list, or ``0..n_seeds-1``; a section
-    may set one of the two keys, not both."""
-    sec = _required_section(cfg, "seed_study")
-    seeds = sec.get_int_list("seeds")
-    if seeds and "n_seeds" in sec.values:
-        raise cfg.error(
-            sec.values["n_seeds"].line, "[seed_study] takes 'seeds' or 'n_seeds', not both"
-        )
-    if not seeds:
-        seeds = list(range(sec.positive_int("n_seeds", 10)))
-    acceptance = sec.get_float("acceptance_loss")
-    sec.finish()
-    return SeedStudyBlock(seeds, acceptance)
 
 
 def search_settings(out: OutputBlock, cfg_digest: str, endpoints: tuple[str, str],

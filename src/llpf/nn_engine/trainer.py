@@ -1,4 +1,4 @@
-"""Datasets, SGD, the rolling-average stop rule, and evaluation.
+"""Datasets, SGD, the rolling-average stop rule, mode training, and evaluation.
 
 Batch sampling draws uniformly with replacement from a seeded generator, so a
 run is bit-reproducible from (seed, config, data) on a single thread.
@@ -10,6 +10,9 @@ buffer it owns, each round's ``loss_and_grad`` runs that plan, and
 :func:`evaluate` likewise runs all its chunks through one plan, its own or
 one its caller holds.  A caller holding a :class:`ParamVector` trains
 ``params.copy_data()`` and wraps the result with ``graph.wrap``.
+
+:func:`train_modes` is the one place a mode is trained from its seed, scored
+and accepted; ``train-modes`` and ``seed_variance_study`` both iterate it.
 
 Evaluation runs the dataset through the model in chunks sized from the
 model: as many rows as keep the widest array one sample makes in a forward
@@ -25,12 +28,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..param_space import LayoutMismatch, ParamVector
-from .engine import Plan, forward, loss_and_grad, norm_stats
+from .engine import Plan, forward, init_params, loss_and_grad, norm_stats
 from .layers import cross_entropy_loss
 from .graph import ModelGraph
 
@@ -254,6 +258,35 @@ def train_until(
             break
     rolling = float(np.mean(recent)) if recent else float("nan")
     return TrainResult(rounds, rolling, hit, losses)
+
+
+def train_modes(
+    graph: ModelGraph,
+    seeds: Iterable[int],
+    cfg: TrainerConfig,
+    rule: StopRule,
+    data: Dataset,
+    eval_size: int,
+    acceptance_loss: float | None = None,
+) -> Iterator[tuple[int, ParamVector, TrainResult, float, float, bool]]:
+    """Train, score and accept one mode per seed, in seed order.
+
+    Each mode starts from ``init_params(graph, seed)`` and trains under
+    ``rule`` on batches drawn by a generator seeded with ``seed``.  Its loss
+    and accuracy are then taken on the fixed ``eval_size``-row subset of
+    ``data``, and it is accepted when there is no ``acceptance_loss`` or its
+    loss is below it.  Yields (seed, params, result, loss, accuracy,
+    accepted) as each mode finishes, so a caller can store it before the
+    next one trains.
+    """
+    subset = fixed_subset(data, eval_size)
+    norm_x = norm_rows(data)
+    for seed in seeds:
+        p = init_params(graph, seed).copy_data()
+        result = train_until(graph, p, data, cfg, rule, np.random.default_rng(seed))
+        params = graph.wrap(p)
+        loss, acc = evaluate(graph, params, subset, norm_x, accuracy=True)
+        yield seed, params, result, loss, acc, acceptance_loss is None or loss < acceptance_loss
 
 
 def eval_chunk_rows(graph: ModelGraph, itemsize: int) -> int:

@@ -335,20 +335,20 @@ dir = cont_out
 
 
 class TestSeedStudyCommand:
-    @staticmethod
-    def run(tmp_path):
-        cfg = write_cfg(
-            tmp_path,
-            BASE + MODES + """
-[seed_study]
-seeds = 1, 2, 3
+    MODES3 = MODES.replace("seeds = 1, 2", "seeds = 1, 2, 3")
 
-[output]
-dir = study
-""",
-        )
+    @staticmethod
+    def run(tmp_path, modes=MODES3):
+        cfg = write_cfg(tmp_path, BASE + modes + "\n[output]\ndir = study\n")
         assert main(["seed-study", "--config", str(cfg)]) == 0
         return tmp_path / "study"
+
+    @staticmethod
+    def failed_seeds(out_dir):
+        for line in (out_dir / "manifest.txt").read_text().splitlines():
+            if line.startswith("failed_seeds = "):
+                return line.split(" = ", 1)[1]
+        raise AssertionError("manifest has no failed_seeds line")
 
     def test_tables_written(self, modes_dir, tmp_path):
         out = self.run(tmp_path)
@@ -358,24 +358,70 @@ dir = study
         assert s_header == ["layer", "variance_cov", "max_abs_mean_over_std"]
         assert {r["layer"] for r in s_rows} == {"fc1.weight", "fc2.weight"}
 
+    def test_cells_are_layer_stats_of_train_modes_checkpoints(self, tmp_path):
+        """One [modes] section: seed-study's table holds the statistics of
+        exactly the modes train-modes writes."""
+        from llpf.param_space import layer_stats
+
+        out = self.run(tmp_path)
+        assert main(["train-modes", "--config", str(tmp_path / "run.cfg"),
+                     "--out", str(tmp_path / "modes")]) == 0
+        g = mlp2(10, 8, 3)
+        _, rows = read_csv(out / "seed_study.csv")
+        assert [row["seed"] for row in rows] == [1, 2, 3]
+        for row in rows:
+            params = load_checkpoint(g, tmp_path / "modes" / f"mode_{row['seed']}.ckpt")
+            for name in g.slice_names():
+                stats = layer_stats(params.get(name))
+                assert (row[f"var:{name}"], row[f"mean:{name}"]) == (stats.variance, stats.mean)
+
+    def test_honours_modes_acceptance_loss(self, tmp_path):
+        """A bar between train-modes' second and third best losses leaves
+        exactly the worst seed out of the table."""
+        short = self.MODES3.replace("max_rounds = 800", "max_rounds = 30")
+        unbarred = short.replace("acceptance_loss = 0.1\n", "")
+        cfg = write_cfg(tmp_path, BASE + unbarred + "\n[output]\ndir = modes\n", "modes.cfg")
+        assert main(["train-modes", "--config", str(cfg)]) == 0
+        losses = {s: TestTrainModes.mode_facts(tmp_path / "modes", s)[1] for s in (1, 2, 3)}
+        ranked = sorted(losses, key=losses.get)
+        bar = (losses[ranked[1]] + losses[ranked[2]]) / 2
+        out = self.run(tmp_path, short.replace("acceptance_loss = 0.1", f"acceptance_loss = {bar!r}"))
+        _, rows = read_csv(out / "seed_study.csv")
+        assert [row["seed"] for row in rows] == sorted(ranked[:2])
+        assert self.failed_seeds(out) == f"[{ranked[2]}]"
+
+    def test_no_passing_seed_names_the_seeds_and_writes_no_table(self, tmp_path, caplog):
+        modes = MODES.replace("acceptance_loss = 0.1", "acceptance_loss = 1e-9")
+        cfg = write_cfg(tmp_path, BASE + modes + "\n[output]\ndir = study\n")
+        assert main(["seed-study", "--config", str(cfg)]) == 2
+        assert "failed seeds [1, 2]" in caplog.text
+        assert "no rows to write" not in caplog.text
+        assert not (tmp_path / "study" / "seed_study.csv").exists()
+
+    def test_seed_override_shifts_every_seed(self, tmp_path):
+        cfg = write_cfg(tmp_path, BASE + self.MODES3.replace("acceptance_loss = 0.1\n", "")
+                        + "\n[output]\ndir = study\n")
+        assert main(["seed-study", "--config", str(cfg), "--seed-override", "7"]) == 0
+        _, rows = read_csv(tmp_path / "study" / "seed_study.csv")
+        assert [row["seed"] for row in rows] == [7, 8, 9]
+
     def test_manifest_started_precedes_work(self, tmp_path, monkeypatch):
         calls = record_calls(monkeypatch, "seed_variance_study")
         out = self.run(tmp_path)
         assert len(calls) == 1 and manifest_started(out) <= calls[0]
 
-    def test_seeds_and_n_seeds_together_rejected(self, tmp_path, capsys):
+    def test_seed_study_section_rejected_as_unknown(self, tmp_path, capsys):
         text = BASE + MODES + """
 [seed_study]
 seeds = 1, 2, 3
-n_seeds = 5
 
 [output]
 dir = study
 """
         cfg = write_cfg(tmp_path, text)
-        line = text.splitlines().index("n_seeds = 5") + 1
+        line = text.splitlines().index("[seed_study]") + 1
         assert main(["seed-study", "--config", str(cfg)]) == 1
-        assert f"{cfg}:{line}: [seed_study] takes 'seeds' or 'n_seeds'" in capsys.readouterr().err
+        assert f"{cfg}:{line}: unknown section [seed_study]" in capsys.readouterr().err
         assert not (tmp_path / "study").exists()
 
 
@@ -432,7 +478,7 @@ class TestExitCodes:
             ("connect-avs", "avs.m2o", "augment_path_steps"),
             ("connect-avs", "avs.m2o", "mode_acceptance_loss"),
             ("continuity", "continuity", "use_full_set"),
-            ("seed-study", "seed_study", "init_only"),
+            ("seed-study", "modes", "init_only"),
         ],
         ids=lambda value: value,
     )
@@ -456,9 +502,6 @@ step_a = 1e-3
 
 [continuity]
 record_dir = path
-
-[seed_study]
-n_seeds = 2
 
 [output]
 dir = out
@@ -494,6 +537,34 @@ dir = out
         err = capsys.readouterr().err
         assert f"{cfg}:{line}: [{section}] at least one step coefficient must be positive" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section", ["ouptut", "m2m.phase.x", "m2m.phase"])
+    def test_unknown_section_rejected_with_line(self, tmp_path, capsys, section):
+        text = BASE + MODES + f"\n[{section}]\ndir = elsewhere\n"
+        cfg = write_cfg(tmp_path, text)
+        line = text.splitlines().index(f"[{section}]") + 1
+        assert main(["train-modes", "--config", str(cfg)]) == 1
+        assert f"{cfg}:{line}: unknown section [{section}]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "elsewhere").exists()
+
+    @pytest.mark.parametrize("command", ["train-modes", "seed-study"])
+    @pytest.mark.parametrize("bar", ["0", "-0.5", "nan"])
+    def test_non_positive_acceptance_loss_rejected_with_line(self, tmp_path, capsys, command, bar):
+        text = BASE + MODES.replace("acceptance_loss = 0.1", f"acceptance_loss = {bar}")
+        cfg = write_cfg(tmp_path, text + "\n[output]\ndir = out\n")
+        line = text.splitlines().index(f"acceptance_loss = {bar}") + 1
+        assert main([command, "--config", str(cfg)]) == 1
+        assert f"{cfg}:{line}: acceptance_loss must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_modes_trainer_value_rejected_with_line(self, tmp_path, capsys):
+        text = BASE + MODES.replace("lr = 0.1", "lr = 0") + "\n[output]\ndir = out\n"
+        cfg = write_cfg(tmp_path, text)
+        line = text.splitlines().index("[modes]") + 1
+        assert main(["train-modes", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:{line}: [modes] learning rate must be positive" in err
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path):
@@ -539,7 +610,6 @@ class TestShippedConfigs:
             "output": rc.build_output,
             "modes": rc.build_modes,
             "continuity": rc.build_continuity,
-            "seed_study": rc.build_seed_study,
         }
         graph_builders = {"m2m": rc.build_m2m, "m2o": rc.build_m2o, "avs": rc.build_avs}
         checkpoints = (("m2m", "start"), ("m2m", "dest"), ("m2o", "start"),
@@ -550,6 +620,7 @@ class TestShippedConfigs:
             copy = tmp_path / path.name
             shutil.copy(path, copy)
             cfg = parse_config(copy)
+            rc.check_sections(cfg)
             graph = rc.build_graph(cfg)
             assert graph.num_params > 0
             for section, key in checkpoints:
