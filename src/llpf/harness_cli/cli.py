@@ -231,7 +231,7 @@ def cmd_continuity(args) -> int:
 
 def cmd_seed_study(args) -> int:
     cfg, graph, train_data, _test_data, out = _load_common(args)
-    modes = rc.build_modes(cfg)
+    modes = rc.build_modes(cfg, min_seeds=2)
     seeds = modes.seeds
     if args.seed_override is not None:
         seeds = [args.seed_override + i for i in range(len(seeds))]

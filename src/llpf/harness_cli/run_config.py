@@ -106,11 +106,16 @@ class ModesBlock:
     acceptance_loss: float | None
 
 
-def build_modes(cfg: ConfigFile) -> ModesBlock:
+def build_modes(cfg: ConfigFile, min_seeds: int = 1) -> ModesBlock:
+    """The ``[modes]`` section; a command that compares modes asks for
+    ``min_seeds`` of them."""
     sec = Section(cfg, "modes")
     seeds = sec.get_int_list("seeds")
     if not seeds:
         raise cfg.error(sec.line, "[modes] needs a 'seeds' list")
+    if len(seeds) < min_seeds:
+        line = sec.values["seeds"].line
+        raise cfg.error(line, f"[modes] needs at least {min_seeds} seeds here, got {len(seeds)}")
     trainer = _checked(
         sec,
         TrainerConfig,

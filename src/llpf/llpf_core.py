@@ -10,7 +10,10 @@ repair policy they hand the walk.  Every step of the walk acts on its one
 flat working array: :func:`move_toward`, the variance correction,
 ``train_until``, :func:`angle_conformal` and ``l2_distance`` read or write it
 in place, and a :class:`ParamVector` is built only for the points the walk
-keeps.
+keeps.  The walk binds one engine training plan to that array and a
+gradient buffer and hands it to every repair, so the repair rounds of a
+walk stage bind the engine once; the walk releases the plan before it
+evaluates its kept points on the test set.
 
 The model-to-model search (``llpf_m2m``) walks one mode toward another along
 their shared per-layer variance spheres: it projects the moved point back
@@ -33,6 +36,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .nn_engine.engine import Plan
 from .nn_engine.graph import ModelGraph
 from .nn_engine.trainer import (
     Dataset,
@@ -332,7 +336,7 @@ def _walk(
     phases: Sequence[Phase],
     layers: Sequence[str],
     start_loss: float,
-    repair: Callable[[np.ndarray, Phase, np.random.Generator], TrainResult],
+    repair: Callable[[Plan, Phase, np.random.Generator], TrainResult],
     *,
     train_data: Dataset,
     test_data: Dataset | None,
@@ -343,21 +347,23 @@ def _walk(
 
     The walk holds its current point in one private, writable flat array,
     laid out like ``start`` and checked against ``dest`` once, here, and
-    reads ``dest`` through one float64 copy, made here too.  Each
-    iteration moves the phase's active layers of that array in place, hands
-    it to ``repair`` together with the walk's one generator (seeded from
-    ``settings.seed``), which repairs it in place and returns its
-    :class:`TrainResult`, and records the repaired point: its repair loss and
-    its per-layer distance to ``dest`` over ``layers``.  Arc anchors toward
-    ``dest`` are captured at each phase start.  The walk ends early, before
-    moving, once ``stop_when`` holds for the current array.
+    reads ``dest`` through one float64 copy, made here too.  It binds one
+    engine training plan to that array and one gradient buffer.  Each
+    iteration moves the phase's active layers of the array in place, hands
+    the plan (the array is its ``params``) to ``repair`` together with the
+    walk's one generator (seeded from ``settings.seed``), which repairs the
+    array in place and returns its :class:`TrainResult`, and records the
+    repaired point: its repair loss and its per-layer distance to ``dest``
+    over ``layers``.  Arc anchors toward ``dest`` are captured at each phase
+    start.  The walk ends early, before moving, once ``stop_when`` holds for
+    the current array.
 
     Params are kept for the start (``start`` itself), and as ParamVector
     copies for every ``checkpoint_stride``-th iteration, the scheduled last
     iteration, and the point the walk ends on.  Exactly those points get
     test metrics (batch-norm statistics fitted on :func:`norm_rows` of
-    ``train_data``); every other point records NaN.  The record is labelled
-    with ``settings.endpoint_ids``.
+    ``train_data``), taken once the training plan is released; every other
+    point records NaN.  The record is labelled with ``settings.endpoint_ids``.
     """
     start.require_compatible(dest)
     dest = ParamVector(dest.data.astype(np.float64), dest.layout)
@@ -365,6 +371,7 @@ def _walk(
     total = sum(p.iterations for p in phases)
     points: list[PathPoint] = []
     current = start.copy_data()
+    engine_plan = Plan(graph, current, np.empty_like(current))
 
     def record(iteration, phase_idx, loss, exhausted):
         point = PathPoint(
@@ -389,11 +396,12 @@ def _walk(
         if k != arc_phase:
             arc_phase, arc0 = k, _phase_arcs(current, dest, phase)
         move_toward(current, dest, arc0, phase.step, phase.active_layers)
-        result = repair(current, phase, rng)
+        result = repair(engine_plan, phase, rng)
         exhausted = phase.stop.loss_threshold > 0 and not result.hit_threshold
         record(iteration, k, result.rolling_loss, exhausted)
     if points[-1].params is None:
         points[-1].params = ParamVector(current.copy(), start.layout)
+    del engine_plan  # its buffers go before the test evaluations bind theirs
     _test_metrics(graph, points, test_data, train_data)
     return PathRecord(
         points=points, config_hash=settings.config_hash, endpoints=settings.endpoint_ids
@@ -448,11 +456,11 @@ def llpf_m2m(
     repair_data = replace(train_data, augment=None)
     layout = start.layout
 
-    def repair(current, phase, rng):
+    def repair(engine_plan, phase, rng):
         names = [n for n in phase.active_layers if n in correctable]
-        _correct(current, layout, names, targets)
-        result = train_until(graph, current, repair_data, trainer, phase.stop, rng)
-        _correct(current, layout, names, targets)
+        _correct(engine_plan.params, layout, names, targets)
+        result = train_until(engine_plan, repair_data, trainer, phase.stop, rng)
+        _correct(engine_plan.params, layout, names, targets)
         return result
 
     return _walk(
@@ -515,11 +523,11 @@ def llpf_m2o(
     layout = start.layout
     lr = np.empty(start.size, dtype=start.dtype)
 
-    def repair(current, phase, rng):
-        rates = angle_conformal(current, layout, v_base, cfg.eta_base, excluded)
+    def repair(engine_plan, phase, rng):
+        rates = angle_conformal(engine_plan.params, layout, v_base, cfg.eta_base, excluded)
         for name, rate in rates.items():
             lr[layout.spans[name]] = rate  # casts to the params dtype
-        return train_until(graph, current, repair_data, trainer, phase.stop, rng, lr=lr)
+        return train_until(engine_plan, repair_data, trainer, phase.stop, rng, lr=lr)
 
     stop_when = None
     if var_stop is not None:

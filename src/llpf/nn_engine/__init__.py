@@ -1,6 +1,6 @@
 """Minimal numpy training engine: graphs, init, autodiff, SGD, datasets."""
 
-from .engine import forward, init_params, loss_and_grad, norm_stats
+from .engine import Plan, forward, init_params, loss_and_grad, norm_stats
 from .graph import GraphError, GraphNode, ModelGraph, build_model, lenet_micro, mlp2, resnet_micro
 from .trainer import (
     AugmentSpec,
@@ -22,6 +22,7 @@ __all__ = [
     "GraphError",
     "GraphNode",
     "ModelGraph",
+    "Plan",
     "StopRule",
     "TrainerConfig",
     "TrainResult",

@@ -9,9 +9,17 @@ its output and input-gradient buffers, sized for the batch.  A run only
 calls the steps, and the kernels write into those buffers with ``out=``; a
 batch of another row count or dtype binds the steps anew, into the memory of
 the buffers they replace wherever it is large enough.  The buffers live as
-long as the plan.  A training or evaluation call builds one plan for
-itself, and a caller that evaluates many points in one array (the
-continuity check) holds one plan for all of them.
+long as the plan.  The constructor is the one place the arrays are checked.
+
+A caller that trains one array many times holds one training plan for all
+of it: a path walk binds one to its working array and gradient buffer and
+hands it to every repair, and ``train_modes`` binds one per seed.  A caller
+that evaluates many points in one array (the continuity check) likewise
+holds one evaluation plan; any other evaluation builds one for itself.  A
+held training plan is released before its caller evaluates, so that the
+evaluation plan's buffers can take its memory: the lenet-micro walks of
+``bench/run.py --workload m2m_lenet`` peaked 6 MB (8%) higher in resident
+memory when the walk kept its plan alive through the test evaluations.
 
 Image activations run batch-last, (C, H, W, N): the (N, C, H, W) input batch
 is copied once on entry into the buffer the first layer reads (a padded
@@ -35,7 +43,7 @@ import math
 
 import numpy as np
 
-from ..param_space import ParamVector
+from ..param_space import LayoutMismatch, ParamVector
 from . import layers as L
 from .graph import ModelGraph
 
@@ -66,12 +74,24 @@ class Plan:
     graph's parameters.
 
     The steps hold views of ``params``, so each run reads what the array
-    holds then, and a caller may rewrite it in place between runs.
-    :meth:`forward` returns the logits in a buffer of the plan that its next
-    run overwrites; :meth:`loss_and_grad` writes every slice of ``grad``.
+    holds then, and a caller may rewrite it in place between runs, as a
+    trainer does.  :meth:`forward` returns the logits in a buffer of the plan
+    that its next run overwrites; :meth:`loss_and_grad` writes every slice
+    of ``grad``.
+
+    ``params`` must be a 1-D float array of ``graph.num_params`` entries,
+    and with ``grad``, a writable one, with ``grad`` a float array of the
+    same length; anything else raises :class:`LayoutMismatch`.
     """
 
     def __init__(self, graph: ModelGraph, params: np.ndarray, grad: np.ndarray | None = None):
+        if not _float_vector(params, graph.num_params):
+            raise LayoutMismatch(f"a plan binds a 1-D float array of {graph.num_params} entries")
+        if grad is not None and not (params.flags.writeable and _float_vector(grad, graph.num_params)):
+            raise LayoutMismatch(
+                "a training plan binds a writable parameter array and a float gradient"
+                f" buffer, each of {graph.num_params} entries"
+            )
         self.graph = graph
         self.params = params
         self.grad = grad
@@ -203,6 +223,15 @@ class Plan:
             if dx is not None:  # an input that does not train never collects it
                 for src in node.inputs:
                     parts.setdefault(src, []).append(dx)
+
+
+def _float_vector(a, size) -> bool:
+    return (
+        isinstance(a, np.ndarray)
+        and a.ndim == 1
+        and a.shape[0] == size
+        and np.issubdtype(a.dtype, np.floating)
+    )
 
 
 def _ignore(x):
@@ -495,13 +524,12 @@ def loss_and_grad(
 ) -> tuple[float, ParamVector | np.ndarray]:
     """Mean cross-entropy over the batch and its gradient.
 
-    ``params`` is a ParamVector, or a flat array in the graph's layout that
-    its caller has already checked (a trainer's working buffer).  Given
-    ``out``, a flat buffer the caller owns, the gradient is written there,
-    every slice of it, and ``out`` is returned; ``graph`` may then be a
-    :class:`Plan` bound to ``params`` and ``out``, which a trainer builds
-    once for all its rounds.  Without ``out`` the gradient comes back as a
-    new ParamVector in the dtype of ``params``.  Every batch_norm normalizes
+    ``params`` is a ParamVector or a flat array in the graph's layout.
+    Given ``out``, a flat buffer the caller owns, the gradient is written
+    there, every slice of it, and ``out`` is returned; ``graph`` may then be
+    a :class:`Plan` bound to ``params`` and ``out``, which a trainer holds
+    for all its rounds.  Without ``out`` the gradient comes back as a new
+    ParamVector in the dtype of ``params``.  Every batch_norm normalizes
     with the batch's statistics; ``mode`` names that and accepts nothing but
     ``"train"``.
     """
@@ -509,6 +537,8 @@ def loss_and_grad(
         raise ValueError(f"loss_and_grad runs in train mode only, not {mode!r}")
     data = _flat(params)
     gdata = np.empty(data.shape[0], dtype=data.dtype) if out is None else out
+    if not isinstance(graph, Plan) and not data.flags.writeable:
+        data = data.copy()  # a ParamVector's: a plan with a gradient binds writable parameters
     plan = _bound_plan(graph, data, gdata)
     loss = plan.loss_and_grad(batch_x, batch_y)
     return loss, (plan.graph.wrap(gdata) if out is None else gdata)

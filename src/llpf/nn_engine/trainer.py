@@ -3,13 +3,16 @@
 Batch sampling draws uniformly with replacement from a seeded generator, so a
 run is bit-reproducible from (seed, config, data) on a single thread.
 
-``train_until`` trains the caller's writable flat parameter array in place:
-it binds one engine :class:`~.engine.Plan` to the array and to a gradient
-buffer it owns, each round's ``loss_and_grad`` runs that plan, and
-:func:`sgd_step` updates the parameters and the velocity in place.
-:func:`evaluate` likewise runs all its chunks through one plan, its own or
-one its caller holds.  A caller holding a :class:`ParamVector` trains
-``params.copy_data()`` and wraps the result with ``graph.wrap``.
+``train_until`` trains the parameter array of a training
+:class:`~.engine.Plan` in place: the caller binds the plan once, to its
+writable flat array and a gradient buffer, and may hand it to any number of
+calls (a path walk passes one plan to every repair).  Each round's
+``loss_and_grad`` runs that plan, and :func:`sgd_step` updates the
+parameters and the velocity in place.  :func:`evaluate` runs all its chunks
+through one plan, its own or one its caller holds; a caller holding a
+training plan releases it before it evaluates (see :mod:`.engine`).  A
+caller holding a :class:`ParamVector` trains ``params.copy_data()`` and
+wraps the result with ``graph.wrap``.
 
 :func:`train_modes` is the one place a mode is trained from its seed, scored
 and accepted; ``train-modes`` and ``seed_variance_study`` both iterate it.
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..param_space import LayoutMismatch, ParamVector
+from ..param_space import ParamVector
 from .engine import Plan, forward, init_params, loss_and_grad, norm_stats
 from .layers import cross_entropy_loss
 from .graph import ModelGraph
@@ -175,10 +178,10 @@ def sample_batch(
     """A uniform batch drawn with replacement, augmented when the dataset
     has an augmentation spec."""
     idx = rng.integers(0, len(data), size=batch_size)
-    x = data.inputs[idx]
+    x = data.inputs.take(idx, axis=0)
     if data.augment is not None:
         x = _augment_batch(x, data.augment, rng)
-    return x, data.labels[idx]
+    return x, data.labels.take(idx, axis=0)
 
 
 def sgd_step(
@@ -209,8 +212,7 @@ def sgd_step(
 
 
 def train_until(
-    graph: ModelGraph,
-    p: np.ndarray,
+    plan: Plan,
     data: Dataset,
     cfg: TrainerConfig,
     rule: StopRule,
@@ -220,24 +222,16 @@ def train_until(
     """SGD on random batches until the rolling loss beats the threshold or the
     round cap is reached (the latter is a normal outcome, not an error).
 
-    The rounds train the caller's writable flat array ``p``, laid out like
-    the graph's parameters, in place, with one gradient buffer, one plan
-    bound to both and, under momentum, one velocity buffer; the array is
-    checked once, here.  ``lr`` is the learning rate of :func:`sgd_step`: a
-    per-coordinate array, or by default the config's scalar.
+    The rounds train ``plan.params`` in place; each round's gradient lands
+    in ``plan.grad``, and under momentum one velocity buffer lives for the
+    call.  The plan's constructor has checked both arrays; a plan without a
+    gradient buffer raises ``ValueError``.  ``lr`` is the learning rate of
+    :func:`sgd_step`: a per-coordinate array, or by default the config's
+    scalar.
     """
-    if not (
-        isinstance(p, np.ndarray)
-        and p.ndim == 1
-        and np.issubdtype(p.dtype, np.floating)
-        and p.shape[0] == graph.num_params
-        and p.flags.writeable
-    ):
-        raise LayoutMismatch(
-            f"train_until trains a writable 1-D float array of {graph.num_params} entries"
-        )
-    grad = np.empty_like(p)
-    plan = Plan(graph, p, grad)
+    p, grad = plan.params, plan.grad
+    if grad is None:
+        raise ValueError("train_until needs a training plan, bound to a gradient buffer")
     velocity = np.zeros_like(p) if cfg.momentum else None
     recent: deque[float] = deque(maxlen=rule.window)
     losses: list[float] = []
@@ -283,7 +277,8 @@ def train_modes(
     norm_x = norm_rows(data)
     for seed in seeds:
         p = init_params(graph, seed).copy_data()
-        result = train_until(graph, p, data, cfg, rule, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        result = train_until(Plan(graph, p, np.empty_like(p)), data, cfg, rule, rng)
         params = graph.wrap(p)
         loss, acc = evaluate(graph, params, subset, norm_x, accuracy=True)
         yield seed, params, result, loss, acc, acceptance_loss is None or loss < acceptance_loss

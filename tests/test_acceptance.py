@@ -34,6 +34,7 @@ from llpf.llpf_core import (
 from llpf.nn_engine import (
     GraphNode,
     ModelGraph,
+    Plan,
     StopRule,
     TrainerConfig,
     evaluate,
@@ -76,7 +77,7 @@ def desk_modes():
         modes = []
         for seed in (1, 2):
             p = init_params(g, seed).copy_data()
-            train_until(g, p, train, cfg, rule, np.random.default_rng(seed))
+            train_until(Plan(g, p, np.empty_like(p)), train, cfg, rule, np.random.default_rng(seed))
             modes.append(g.wrap(p))
         _cache["modes"] = tuple(modes)
     return _cache["modes"]
@@ -361,7 +362,7 @@ def test_cross_sphere_connection():
         p = init_params(g, seed).copy_data()
         cfg = TrainerConfig(lr=0.1, momentum=0.9, weight_decay=wd, batch_size=32)
         rule = StopRule(loss_threshold=0.0, max_rounds=rounds, window=10)
-        train_until(g, p, train, cfg, rule, np.random.default_rng(seed))
+        train_until(Plan(g, p, np.empty_like(p)), train, cfg, rule, np.random.default_rng(seed))
         return g.wrap(p)
 
     outer = make(3, 0.0, 300)        # no decay: stays on the large init sphere

@@ -22,6 +22,7 @@ from llpf.llpf_core import (
 )
 from llpf.nn_engine import (
     Dataset,
+    Plan,
     StopRule,
     TrainerConfig,
     evaluate,
@@ -84,7 +85,7 @@ def short_path(blobs):
         p = init_params(g, seed).copy_data()
         rng = np.random.default_rng(seed)
         cfg = TrainerConfig(lr=0.1, momentum=0.9, weight_decay=1e-3, batch_size=32)
-        train_until(g, p, train, cfg, StopRule(0.0, 3000, 10), rng)
+        train_until(Plan(g, p, np.empty_like(p)), train, cfg, StopRule(0.0, 3000, 10), rng)
         return g.wrap(p)
 
     a, b = make(1), make(2)

@@ -424,6 +424,15 @@ dir = study
         assert f"{cfg}:{line}: unknown section [seed_study]" in capsys.readouterr().err
         assert not (tmp_path / "study").exists()
 
+    def test_one_seed_rejected_at_its_line(self, tmp_path, capsys, monkeypatch):
+        calls = record_calls(monkeypatch, "seed_variance_study")
+        text = BASE + MODES.replace("seeds = 1, 2", "seeds = 3") + "\n[output]\ndir = study\n"
+        cfg = write_cfg(tmp_path, text)
+        line = text.splitlines().index("seeds = 3") + 1
+        assert main(["seed-study", "--config", str(cfg)]) == 1
+        assert f"{cfg}:{line}: [modes] needs at least 2 seeds here, got 1" in capsys.readouterr().err
+        assert not calls and not (tmp_path / "study").exists()
+
 
 class TestPlot:
     def test_plot_from_metrics(self, modes_dir, tmp_path):
@@ -920,9 +929,9 @@ dir = out_avs
         batch_sizes = []
         real = llpf_core.train_until
 
-        def spy(graph, p, data, trainer, *args, **kwargs):
+        def spy(engine_plan, data, trainer, *args, **kwargs):
             batch_sizes.append(trainer.batch_size)
-            return real(graph, p, data, trainer, *args, **kwargs)
+            return real(engine_plan, data, trainer, *args, **kwargs)
 
         monkeypatch.setattr(llpf_core, "train_until", spy)
         assert main(["connect-avs", "--config", str(cfg)]) == 0

@@ -1,5 +1,6 @@
 import hashlib
 import logging
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from llpf.llpf_core import (
 from llpf.nn_engine import (
     GraphNode,
     ModelGraph,
+    Plan,
     StopRule,
     TrainerConfig,
     evaluate,
@@ -62,7 +64,7 @@ def moved(p, dest, arc0, step, layers):
 def trained(g, params, data, cfg, rule, rng):
     """A copy of ``params`` trained by :func:`train_until`."""
     p = params.copy_data()
-    train_until(g, p, data, cfg, rule, rng)
+    train_until(Plan(g, p, np.empty_like(p)), data, cfg, rule, rng)
     return g.wrap(p)
 
 
@@ -499,9 +501,10 @@ class TestStoredPointsOwnTheirParams:
 
 
 class TestRepairTrainsTheWorkingArray:
-    """Every repair round trains the walk's own working array, and a walk
-    builds a ParamVector only for the points it keeps, plus a fixed number
-    per walk that does not grow with its length."""
+    """Every repair round trains the walk's own working array through the
+    one training plan the walk holds, and a walk builds a ParamVector only
+    for the points it keeps, plus a fixed number per walk that does not grow
+    with its length."""
 
     @pytest.mark.parametrize("search", ["m2m", "m2o"])
     def test_one_buffer_and_vectors_only_for_kept_points(
@@ -522,12 +525,12 @@ class TestRepairTrainsTheWorkingArray:
             cfg = M2OConfig(iterations=iterations, step=step, stop=stop, eta_base=1e-3)
             return llpf_m2o(mode, cfg, train, settings=settings, graph=g)
 
-        buffers, built = [], []
+        plans, built = [], []
         real_train, real_init = llpf_core.train_until, ParamVector.__init__
 
-        def spy(graph, p, *args, **kw):
-            buffers.append(p)
-            return real_train(graph, p, *args, **kw)
+        def spy(engine_plan, *args, **kw):
+            plans.append(engine_plan)
+            return real_train(engine_plan, *args, **kw)
 
         def counting_init(self, *args, **kw):
             built.append(1)
@@ -537,11 +540,13 @@ class TestRepairTrainsTheWorkingArray:
         monkeypatch.setattr(ParamVector, "__init__", counting_init)
         extra = []
         for iterations in (4, 12):
-            buffers.clear()
+            plans.clear()
             built.clear()
             record = walk(iterations)
-            assert len(buffers) == iterations
-            assert all(np.shares_memory(b, buffers[0]) for b in buffers)
+            assert len(plans) == iterations
+            assert all(p is plans[0] for p in plans)
+            assert plans[0].params.flags.writeable and plans[0].grad is not None
+            assert not np.shares_memory(plans[0].params, record.points[0].params.data)
             extra.append(len(built) - len(record.stored_points()))
         assert extra[0] == extra[1]
 
@@ -811,9 +816,9 @@ def spy_generators(monkeypatch):
     seen = []
     real = llpf_core.train_until
 
-    def spy(graph, params, data, trainer, stop, rng, **kw):
+    def spy(engine_plan, data, trainer, stop, rng, **kw):
         seen.append((rng, rng.bit_generator.state))
-        return real(graph, params, data, trainer, stop, rng, **kw)
+        return real(engine_plan, data, trainer, stop, rng, **kw)
 
     monkeypatch.setattr(llpf_core, "train_until", spy)
     return seen
@@ -825,6 +830,73 @@ def assert_one_fresh_generator_each(walks, seed):
         assert all(rng is walk[0][0] for rng, _ in walk)
         assert walk[0][1] == fresh
     assert walks[0][0][0] is not walks[1][0][0]
+
+
+class TestHeldTrainingPlan:
+    def test_each_walk_stage_binds_its_plan_once(self, blobs, quick_mode, monkeypatch):
+        """The m2o stage binds one training plan for its 16-row batches and
+        the two-phase m2m stage another for its 32-row batches, each once,
+        however many repairs run."""
+        train, _ = blobs
+        g, mode = quick_mode
+        bigger = mode.with_slices({n: mode.get(n) * 1.1 for n in ("fc1.weight", "fc2.weight")})
+        stop, step = StopRule(0.0, 2, 1), StepParams(step_f=1e-3)
+        cfg = CrossVarianceConfig(
+            m2o=M2OConfig(iterations=5000, step=StepParams(step_a=5e-3), stop=stop, eta_base=1e-3,
+                          batch_size=16),
+            m2m_plan=PhasePlan((
+                Phase(("fc1.weight", "fc1.bias"), 2, step, stop),
+                Phase(tuple(g.slice_names()), 2, step, stop),
+            )),
+        )
+        binds, repairs = [], []
+        real_bind, real_train = Plan._bind, llpf_core.train_until
+
+        def bind_spy(plan, n, xdtype):
+            if plan.grad is not None:
+                binds.append((plan, n))
+            real_bind(plan, n, xdtype)
+
+        def train_spy(engine_plan, *args, **kw):
+            repairs.append(engine_plan)
+            return real_train(engine_plan, *args, **kw)
+
+        monkeypatch.setattr(Plan, "_bind", bind_spy)
+        monkeypatch.setattr(llpf_core, "train_until", train_spy)
+        record = connect_cross_variance(
+            bigger, mode, cfg, TrainerConfig(lr=1e-3, batch_size=32), train, None,
+            settings=SearchSettings(seed=3, mode_acceptance_loss=0.5), graph=g,
+        )
+        split = record.stage_boundary
+        assert split > 1 and len(repairs) == split + 4
+        assert [n for _, n in binds] == [16, 32]
+        assert [plan for plan, _ in binds] == [repairs[0], repairs[split]]
+        assert all(p is repairs[0] for p in repairs[:split])
+        assert all(p is repairs[split] for p in repairs[split:])
+
+    def test_walk_releases_its_plan_before_the_test_evaluations(
+        self, blobs, quick_mode, monkeypatch
+    ):
+        train, test = blobs
+        g, mode = quick_mode
+        partner = mode.with_slices({"fc1.weight": mode.get("fc1.weight")[::-1]})
+        plan = single_phase_plan(g, 3, StepParams(step_f=1e-3), StopRule(0.0, 1, 1))
+        held, alive = [], []
+        real_train, real_metrics = llpf_core.train_until, llpf_core._test_metrics
+
+        def train_spy(engine_plan, *args, **kw):
+            held.append(weakref.ref(engine_plan))
+            return real_train(engine_plan, *args, **kw)
+
+        def metrics_spy(*args):
+            alive.extend(ref() is not None for ref in held)
+            return real_metrics(*args)
+
+        monkeypatch.setattr(llpf_core, "train_until", train_spy)
+        monkeypatch.setattr(llpf_core, "_test_metrics", metrics_spy)
+        settings = SearchSettings(seed=2, mode_acceptance_loss=0.0)
+        llpf_m2m(mode, partner, plan, TrainerConfig(lr=1e-3), train, test, settings=settings, graph=g)
+        assert alive == [False] * 3
 
 
 class TestWalkGenerator:

@@ -9,6 +9,7 @@ from llpf.nn_engine import (
     GraphError,
     GraphNode,
     ModelGraph,
+    Plan,
     StopRule,
     TrainerConfig,
     build_model,
@@ -25,10 +26,14 @@ from llpf.nn_engine import (
     train_until,
 )
 from llpf.nn_engine import trainer
-from llpf.nn_engine.engine import Plan
 from llpf.nn_engine.graph import MODEL_BUILDERS
 from llpf.harness_cli.datasets import gen_blobs
 from llpf.param_space import LayoutMismatch, layer_stats
+
+
+def training_plan(g, p):
+    """A plan bound to the flat array ``p`` and a fresh gradient buffer."""
+    return Plan(g, p, np.empty_like(p))
 
 
 def finite_difference_check(graph, seed=0, batch=3, h=1e-5, jitter=0.05):
@@ -582,7 +587,7 @@ class TestTrainAndEvaluate:
         p = init_params(g, 0).copy_data()
         rule = StopRule(loss_threshold=1e9, max_rounds=500, window=10)
         rng = np.random.default_rng(0)
-        result = train_until(g, p, train, TrainerConfig(lr=1e-4), rule, rng)
+        result = train_until(training_plan(g, p), train, TrainerConfig(lr=1e-4), rule, rng)
         assert result.rounds == 10 and result.hit_threshold
 
     def test_round_cap_is_normal_outcome(self, blobs):
@@ -591,7 +596,7 @@ class TestTrainAndEvaluate:
         p = init_params(g, 0).copy_data()
         rule = StopRule(loss_threshold=0.0, max_rounds=25, window=10)
         rng = np.random.default_rng(0)
-        result = train_until(g, p, train, TrainerConfig(lr=1e-3), rule, rng)
+        result = train_until(training_plan(g, p), train, TrainerConfig(lr=1e-3), rule, rng)
         assert result.rounds == 25 and not result.hit_threshold
 
     def test_training_is_deterministic(self, blobs):
@@ -602,7 +607,8 @@ class TestTrainAndEvaluate:
         for _ in range(2):
             p = init_params(g, 3).copy_data()
             rng = np.random.default_rng(3)
-            losses.append(train_until(g, p, train, TrainerConfig(lr=0.05), rule, rng).losses)
+            result = train_until(training_plan(g, p), train, TrainerConfig(lr=0.05), rule, rng)
+            losses.append(result.losses)
             finals.append(p)
         assert np.array_equal(*finals)
         assert losses[0] == losses[1]
@@ -613,12 +619,31 @@ class TestTrainAndEvaluate:
         start = init_params(g, 3)
         p = start.copy_data()
         rule = StopRule(loss_threshold=0.0, max_rounds=5, window=10)
-        train_until(g, p, train, TrainerConfig(lr=0.05), rule, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        train_until(training_plan(g, p), train, TrainerConfig(lr=0.05), rule, rng)
         assert not np.array_equal(p, start.data)
-        # a vector, a read-only array or one of another length is refused
+        with pytest.raises(ValueError, match="gradient buffer"):
+            train_until(Plan(g, p), train, TrainerConfig(lr=0.05), rule, np.random.default_rng(3))
+
+    def test_plan_refuses_arrays_out_of_layout(self):
+        g = mlp2(20, 8, 3)
+        start = init_params(g, 3)
+        p = start.copy_data()
+        grad = np.empty_like(p)
+        # a vector, a read-only array, one of another length or an int array
         for bad in (start, start.data, p[:-1], p.astype(np.int64)):
             with pytest.raises(LayoutMismatch):
-                train_until(g, bad, train, TrainerConfig(lr=0.05), rule, np.random.default_rng(3))
+                Plan(g, bad, grad)
+        for bad in (start, p[:-1], p.astype(np.int64)):
+            with pytest.raises(LayoutMismatch):
+                Plan(g, bad)
+        for bad in (grad[:-1], grad.astype(np.int64), [0.0] * g.num_params):
+            with pytest.raises(LayoutMismatch):
+                Plan(g, p, bad)
+        Plan(g, start.data)  # evaluating reads a read-only array
+        data = Dataset(np.zeros((4, 20), np.float32), np.zeros(4, np.int64), "train", 3)
+        with pytest.raises(LayoutMismatch):  # not ln 3 from truncated parameters
+            evaluate(g, p.astype(np.int64), data)
 
     def test_desk_training_reaches_low_loss(self, blobs):
         train, test = blobs
@@ -627,7 +652,7 @@ class TestTrainAndEvaluate:
         rng = np.random.default_rng(1)
         cfg = TrainerConfig(lr=0.1, momentum=0.9, weight_decay=1e-3, batch_size=32)
         rule = StopRule(loss_threshold=0.05, max_rounds=2000, window=10)
-        result = train_until(g, p, train, cfg, rule, rng)
+        result = train_until(training_plan(g, p), train, cfg, rule, rng)
         assert result.hit_threshold and result.rolling_loss < 0.05
         loss, acc = evaluate(g, g.wrap(p), test, accuracy=True)
         assert acc > 0.95
@@ -844,7 +869,8 @@ class TestConvNetTraining:
         finals, losses = [], []
         for _ in range(2):
             p = init_params(g, 6).copy_data()
-            result = train_until(g, p, data, cfg, StopRule(0.0, 12, 4), np.random.default_rng(6))
+            rng = np.random.default_rng(6)
+            result = train_until(training_plan(g, p), data, cfg, StopRule(0.0, 12, 4), rng)
             losses.append([v.hex() for v in result.losses])
             finals.append(p.tobytes())
         assert finals[0] == finals[1]
@@ -866,7 +892,7 @@ class TestConvNetTraining:
         p = init_params(g, 1).copy_data()
         rng = np.random.default_rng(1)
         cfg = TrainerConfig(lr=0.05, momentum=0.9, batch_size=16)
-        result = train_until(g, p, data, cfg, StopRule(0.05, 600, 10), rng)
+        result = train_until(training_plan(g, p), data, cfg, StopRule(0.05, 600, 10), rng)
         assert result.rolling_loss < 0.2
         _, acc = evaluate(g, g.wrap(p), data, accuracy=True)
         assert acc > 0.9
@@ -879,7 +905,8 @@ class TestConvNetTraining:
         g = resnet_micro(1, 8, 2, width=4)
         p = init_params(g, 0).copy_data()
         cfg = TrainerConfig(lr=0.05, momentum=0.9, batch_size=16)
-        result = train_until(g, p, data, cfg, StopRule(0.0, 200, 10), np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        result = train_until(training_plan(g, p), data, cfg, StopRule(0.0, 200, 10), rng)
         assert result.rolling_loss < np.log(2.0)  # beats chance
         # statistics fitted at the trained point make evaluation usable
         loss, acc = evaluate(g, g.wrap(p), data, norm_rows(data), accuracy=True)
@@ -1268,8 +1295,8 @@ class TestRoundsReuseThePlansBuffers:
         monkeypatch.setattr(trainer, "sgd_step", spy)
         tracemalloc.start()
         try:
-            train_until(g, p, data, TrainerConfig(lr=1e-3, batch_size=64), StopRule(0.0, 4, 1),
-                        np.random.default_rng(1))
+            train_until(training_plan(g, p), data, TrainerConfig(lr=1e-3, batch_size=64),
+                        StopRule(0.0, 4, 1), np.random.default_rng(1))
             peak = tracemalloc.get_traced_memory()[1] - after_first[0]
         finally:
             tracemalloc.stop()

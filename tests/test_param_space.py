@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from llpf.harness_cli.checkpoint import load_checkpoint, save_checkpoint
 from llpf.llpf_core import StepParams, move_toward
-from llpf.nn_engine import Dataset, StopRule, TrainerConfig, init_params, mlp2, train_until
+from llpf.nn_engine import Dataset, Plan, StopRule, TrainerConfig, init_params, mlp2, train_until
 from llpf.param_space import (
     EPS_VAR,
     DegenerateVariance,
@@ -93,7 +93,8 @@ class TestLayout:
         # train_until and move_toward update flat arrays; the graph wraps them
         data = Dataset(np.ones((4, 4), dtype=np.float32), np.zeros(4, dtype=np.int64), "train", 2)
         p = a.copy_data()
-        train_until(g, p, data, TrainerConfig(lr=0.1), StopRule(0.0, 1), np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        train_until(Plan(g, p, np.empty_like(p)), data, TrainerConfig(lr=0.1), StopRule(0.0, 1), rng)
         stepped = g.wrap(p)
         replaced = a.with_slices({"fc2.bias": np.ones(2)})
         p = a.copy_data()
