@@ -91,6 +91,11 @@ class Section:
         self.line = cfg.section_lines.get(name, 0)
         self._seen: set[str] = set()
 
+    def line_of(self, key: str) -> int:
+        """The line of ``key``, or the section's when the key is absent."""
+        raw = self.values.get(key)
+        return raw.line if raw else self.line
+
     def _raw(self, key: str) -> RawValue | None:
         self._seen.add(key)
         return self.values.get(key)
@@ -175,9 +180,7 @@ class Section:
     def positive_int(self, key: str, default: int | None = None) -> int | None:
         value = self.get_int(key, default)
         if value is not None and value < 1:
-            raw = self.values.get(key)
-            line = raw.line if raw else self.line
-            raise self.cfg.error(line, f"{key} must be >= 1, got {value}")
+            raise self.cfg.error(self.line_of(key), f"{key} must be >= 1, got {value}")
         return value
 
 

@@ -210,10 +210,11 @@ def _required_section(cfg: ConfigFile, name: str) -> Section:
 
 
 def _check_checkpoints(sec: Section, paths: dict[str, Path]) -> None:
-    for label, path in paths.items():
+    """Reject a checkpoint path that names no file, at its key's line."""
+    for key, path in paths.items():
         if not path.is_file():
-            message = f"[{sec.name}] {label} checkpoint {path} does not exist"
-            raise ConfigError(f"{sec.cfg.path}: {message}")
+            message = f"[{sec.name}] {key} checkpoint {path} does not exist"
+            raise sec.cfg.error(sec.line_of(key), message)
 
 
 @dataclass
@@ -376,9 +377,10 @@ def build_continuity(cfg: ConfigFile) -> ContinuityBlock:
     eval_subset = sec.positive_int("eval_subset", 2048)
     sec.finish()
     if not record_dir.is_dir():
-        raise ConfigError(f"{cfg.path}: record_dir {record_dir} does not exist")
+        message = f"[continuity] record_dir {record_dir} does not exist"
+        raise cfg.error(sec.line_of("record_dir"), message)
     if samples < 2:
-        raise ConfigError(f"{cfg.path}: continuity samples must be >= 2")
+        raise cfg.error(sec.line_of("samples"), f"[continuity] samples must be >= 2, got {samples}")
     return ContinuityBlock(record_dir, samples, eval_subset)
 
 

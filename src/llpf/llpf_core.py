@@ -708,6 +708,9 @@ def _segment_nodes(graph: ModelGraph) -> dict[str, list[str]]:
 
 
 def _order_segments(graph: ModelGraph, segments: dict[str, list[str]]) -> list[list[str]]:
+    """The segments in topological order.  ``ModelGraph`` rejects cycles, and
+    a segment joins another only from its tail to the other's head, so the
+    segments form a DAG as well."""
     seg_of = {node: head for head, chain in segments.items() for node in chain}
     deps: dict[str, set[str]] = {head: set() for head in segments}
     succ: dict[str, set[str]] = {head: set() for head in segments}
@@ -728,6 +731,4 @@ def _order_segments(graph: ModelGraph, segments: dict[str, list[str]]) -> list[l
             remaining[nxt] -= 1
             if remaining[nxt] == 0:
                 heapq.heappush(ready, nxt)
-    if len(ordered) != len(segments):
-        raise ValueError("graph contains a cycle")
     return ordered

@@ -5,11 +5,13 @@ a bound plan.
 to one flat parameter array and, to train, one flat gradient buffer: every
 step holds its parameter views into the array, its gradient views into the
 buffer, its :mod:`.layers` kernel (looked up when the steps are bound) and
-its output and input-gradient buffers, sized for the batch.  A run only
-calls the steps, and the kernels write into those buffers with ``out=``; a
-batch of another row count or dtype binds the steps anew, into the memory of
-the buffers they replace wherever it is large enough.  The buffers live as
-long as the plan.  The constructor is the one place the arrays are checked.
+its output, input-gradient and scratch buffers, sized for the batch.  A run
+only calls the steps, and the kernels write into those buffers; they
+allocate none themselves.  Every buffer, the loss workspace included, comes
+from one allocator over the plan's slots (:func:`_reusing`), so a batch of
+another row count or dtype binds the steps anew into the memory of the
+buffers they replace wherever it is large enough.  The buffers live as long
+as the plan.  The constructor is the one place the arrays are checked.
 
 A caller that trains one array many times holds one training plan for all
 of it: a path walk binds one to its working array and gradient buffer and
@@ -76,8 +78,8 @@ class Plan:
     The steps hold views of ``params``, so each run reads what the array
     holds then, and a caller may rewrite it in place between runs, as a
     trainer does.  :meth:`forward` returns the logits in a buffer of the plan
-    that its next run overwrites; :meth:`loss_and_grad` writes every slice
-    of ``grad``.
+    that its next run overwrites, and :meth:`loss` scores them;
+    :meth:`loss_and_grad` writes every slice of ``grad``.
 
     ``params`` must be a 1-D float array of ``graph.num_params`` entries,
     and with ``grad``, a writable one, with ``grad`` a float array of the
@@ -99,19 +101,24 @@ class Plan:
         # the steps hold, so that they hold no reference to the plan
         self._stats = [None]
         self._batch = None  # (rows, dtype) of the batch the steps are bound for
-        self._slots = []  # the memory rebindings take their buffers from
+        self._slots = []  # the memory every binding takes its buffers from
 
     def forward(self, x, stats=None) -> np.ndarray:
         """Logits of the batch ``x``; ``stats`` as :func:`forward` takes it."""
         self._run(self._enter(x), stats)
         return self._logits
 
+    def loss(self, y) -> float:
+        """Mean cross-entropy of the last :meth:`forward`'s logits against
+        the labels ``y``, in the binding's loss workspace."""
+        return L.cross_entropy_loss(self._logits, y, self._work)
+
     def loss_and_grad(self, x, y) -> float:
         """Mean cross-entropy of the batch, normalized with its own
         statistics; the gradient lands in ``grad``."""
         x = self._enter(x)
         self._run(x, None)
-        loss = self._loss(y)
+        loss = self._train_loss(y)
         for step in self._backward:
             step()
         self._tail(x)
@@ -140,18 +147,16 @@ class Plan:
         that trains computes in the parameters' and batch's common dtype;
         one before every parameter keeps the batch's.
 
-        The first binding allocates its buffers with ``np.empty``, so a plan
-        bound once, as a training plan is, pays nothing for reuse.  A
-        rebinding first drops the steps it replaces, then takes each buffer
-        from the plan's slots (:func:`_reusing`), so a plan that switches
+        Every buffer comes from the plan's slots (:func:`_reusing`), in the
+        same order at every binding: the forward buffers, then for a
+        training plan the logits gradient, the loss workspace and the
+        backward buffers, and for an evaluation plan the loss workspace.  A
+        rebinding first drops the steps it replaces, so a plan that switches
         between row counts allocates nothing once its slots fit the
         largest."""
-        if self._batch is None:
-            self._empty, self._zeros = np.empty, np.zeros
-        else:
-            self._head = self._forward = self._logits = None
-            self._loss = self._backward = self._tail = self._casts = None
-            self._empty, self._zeros = _reusing(self._slots)
+        self._head = self._forward = self._logits = self._work = None
+        self._train_loss = self._backward = self._tail = self._casts = None
+        self._empty, self._zeros = _reusing(self._slots)
         graph, params = self.graph, self.params
         wide = np.promote_types(xdtype, params.dtype)
         source = graph.plan[0]
@@ -193,6 +198,8 @@ class Plan:
         self._logits = outs[graph.sink]
         if self.grad is not None:
             self._bind_backward(n, backward[::-1], entry is None)
+        else:
+            self._work = L.loss_work(n, self._logits.shape[1], self._empty)
         self._batch = (n, xdtype)
 
     def _bind_backward(self, n, nodes, flat) -> None:
@@ -201,9 +208,9 @@ class Plan:
         their input gradients in the order the consumers' steps run."""
         grad, logits, empty = self.grad, self._logits, self._empty
         dlogits = empty(logits.shape, logits.dtype)
-        work = L.loss_work(n, logits.shape[1])
+        self._work = work = L.loss_work(n, logits.shape[1], empty)
         kernel = L.softmax_cross_entropy
-        self._loss = lambda y: kernel(logits, y, out=dlogits, work=work)[0]
+        self._train_loss = lambda y: kernel(logits, y, out=dlogits, work=work)[0]
         self._backward = steps = []
         self._tail = _ignore
         self._casts = casts = []
@@ -249,23 +256,27 @@ def _zero_padded(plan, shape, pad, dtype):
 
 
 def _reusing(slots):
-    """``np.empty`` and ``np.zeros`` for a rebinding: its k-th buffer takes
+    """``np.empty`` and ``np.zeros`` for a binding: its k-th buffer takes
     the memory of ``slots[k]`` when that is large enough.  A binding asks
     for its buffers in the same order whatever the row count, so each slot
     serves the same buffer in every binding; a zeroed buffer is zeroed
     again here.  A slot too small is released with every later one, and
     the rest of the binding allocates anew in request order, the layout a
-    fresh binding has: lenet-micro's conv1 GEMM ran its evaluations up to
-    8% slower when slots were replaced one by one between older ones."""
+    first binding has: lenet-micro's conv1 GEMM ran its evaluations up to
+    8% slower when slots were replaced one by one between older ones.  A
+    new slot is the buffer itself, as ``np.empty`` returns it, so a plan
+    bound once, as a training plan is, pays nothing for reuse."""
     taken = itertools.count()
 
     def empty(shape, dtype):
         k = next(taken)
-        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-        if k == len(slots) or slots[k].nbytes < nbytes:
+        if k < len(slots):
+            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+            if slots[k].nbytes >= nbytes:
+                return slots[k].reshape(-1).view(np.uint8)[:nbytes].view(dtype).reshape(shape)
             del slots[k:]  # released before the new slot is allocated
-            slots.append(np.empty(nbytes, np.uint8))
-        return slots[k][:nbytes].view(dtype).reshape(shape)
+        slots.append(np.empty(shape, dtype))
+        return slots[k]
 
     def zeros(shape, dtype):
         out = empty(shape, dtype)
@@ -324,7 +335,7 @@ def _dense(plan, node, a, p, shape, dtype):
         dw, db = dp
         grad_kernel = L.dense_backward
         if not need_dx:
-            return (lambda x=x: grad_kernel(g, x, w, need_dx=False, dw=dw, db=db)), None
+            return (lambda x=x: grad_kernel(g, x, w, need_dx=False, dx=None, dw=dw, db=db)), None
         dx = plan._empty((shape[0], w.shape[0]), dtype)
         if a.ndim == 2:
             return (lambda: grad_kernel(g, x, w, dx=dx, dw=dw, db=db)), dx
@@ -353,18 +364,19 @@ def _conv2d(plan, node, a, p, shape, dtype, padded=None):
     if copy_in:
         padded = _zero_padded(plan, a.shape, pad, a.dtype)
         inner = _interior(padded, pad, a.shape)
+    xp = padded if pad else a
     kernel = L.conv2d_forward
 
     def forward():
         if copy_in:
             inner[...] = a
-        kernel(a, w, b, stride, pad, xp=padded, cols=cols, out=y_rows)
+        kernel(a, w, b, stride, pad, xp=xp, cols=cols, out=y_rows)
 
     def backward(g, need_dx, dp):
         dw, db = dp[0], (dp[1] if len(dp) > 1 else None)
         # the patch gradient overwrites the patch matrix, which it has the
         # dtype of whenever it is needed, once the weight gradient has read it
-        work = L.conv_work(a.shape, w.shape, (oh, ow), pad, dtype, need_dx, cols)
+        work = L.conv_work(a.shape, w.shape, (oh, ow), pad, dtype, need_dx, cols, plan._empty)
         grad_kernel = L.conv2d_backward
 
         def step():

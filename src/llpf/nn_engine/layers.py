@@ -26,10 +26,12 @@ the bits of the batch-first form.  The gradient goes back as a C-ordered (N, cla
 an F-ordered one holds the same values, but the GEMMs of ``dense_backward``
 round differently on it.
 
-Every kernel also takes buffers for its results and scratch arrays (``out``,
-``dw``, ``work`` and the like), which the engine binds once per training or
-evaluation call; without them it allocates its own.  Either way it does the
-same arithmetic in the same order, so the results have the same bits.
+Every kernel takes buffers for its results and scratch arrays (``out``,
+``dw``, ``work`` and the like) as required arguments, and the engine's plan
+allocates them all when it binds its steps; a kernel allocates none of them.
+:func:`conv_work` and :func:`loss_work` size a kernel's scratch arrays and
+take them from the allocator they are given.  Only batch norm, and the class
+sum above 128 classes, make temporaries of their own.
 """
 
 from __future__ import annotations
@@ -39,13 +41,13 @@ import numpy as np
 BN_EPS = 1e-5
 
 
-def dense_forward(x, w, b, out=None):
+def dense_forward(x, w, b, out):
     y = np.matmul(x, w, out=out)
     y += b
     return y
 
 
-def dense_backward(g, x, w, need_dx=True, *, dx=None, dw=None, db=None):
+def dense_backward(g, x, w, need_dx=True, *, dx, dw, db):
     """Returns (dx, dw, db); ``need_dx=False`` skips the input gradient and
     returns ``dx=None`` (for a dense layer that reads the model input)."""
     dw = np.matmul(x.T, g, out=dw)
@@ -58,33 +60,20 @@ def dense_backward(g, x, w, need_dx=True, *, dx=None, dw=None, db=None):
 # -- convolution -------------------------------------------------------------
 
 
-def _pad_input(x, pad):
-    if pad == 0:
-        return x
-    c, h, w, n = x.shape
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
-    xp[:, pad : pad + h, pad : pad + w] = x
-    return xp
-
-
 def _tap(stride, oh, ow, i, j):
     """Index of the (i, j) tap's strided view over a (C, H, W, N) input."""
     return (slice(None), slice(i, i + stride * oh, stride), slice(j, j + stride * ow, stride))
 
 
-def im2col(x, kernel, stride, pad, *, xp=None, out=None):
+def im2col(x, kernel, stride, pad, *, xp, out):
     """(C,H,W,N) -> (C*k*k, OH*OW*N) patch matrix, one copy per kernel tap.
 
-    ``xp``, when given, already holds ``x`` padded by ``pad`` (a caller's
-    buffer); ``out`` receives the patch matrix.
+    ``xp`` holds ``x`` padded by ``pad`` (``x`` itself when ``pad`` is 0);
+    ``out`` receives the patch matrix.
     """
     c, h, w, n = x.shape
     oh = (h + 2 * pad - kernel) // stride + 1
     ow = (w + 2 * pad - kernel) // stride + 1
-    if xp is None:
-        xp = _pad_input(x, pad)
-    if out is None:
-        out = np.empty((c * kernel * kernel, oh * ow * n), dtype=x.dtype)
     cols = out.reshape(c, kernel, kernel, oh, ow, n)
     for i in range(kernel):
         for j in range(kernel):
@@ -92,15 +81,12 @@ def im2col(x, kernel, stride, pad, *, xp=None, out=None):
     return out, (oh, ow)
 
 
-def col2im(cols, x_shape, kernel, stride, pad, out_hw, xp=None):
-    """Scatter-add the inverse of :func:`im2col`, into the padded buffer
-    ``xp`` when given (zeroed here first)."""
+def col2im(cols, x_shape, kernel, stride, pad, out_hw, xp):
+    """Scatter-add the inverse of :func:`im2col` into the padded buffer
+    ``xp`` (zeroed here first)."""
     c, h, w, n = x_shape
     oh, ow = out_hw
-    if xp is None:
-        xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=cols.dtype)
-    else:
-        xp.fill(0)
+    xp.fill(0)
     cols6 = cols.reshape(c, kernel, kernel, oh, ow, n)
     for i in range(kernel):
         for j in range(kernel):
@@ -110,10 +96,10 @@ def col2im(cols, x_shape, kernel, stride, pad, out_hw, xp=None):
     return xp[:, pad : pad + h, pad : pad + w]
 
 
-def conv2d_forward(x, w, b, stride, pad, *, xp=None, cols=None, out=None):
+def conv2d_forward(x, w, b, stride, pad, *, xp, cols, out):
     """Returns (y, cols); ``b=None`` is a bias-less convolution.  ``xp`` and
     ``cols`` are :func:`im2col`'s padded input and patch matrix, ``out`` an
-    (out_c, OH*OW*N) buffer for y, each allocated here when not given."""
+    (out_c, OH*OW*N) buffer for y."""
     n = x.shape[-1]
     out_c = w.shape[0]
     cols, (oh, ow) = im2col(x, w.shape[2], stride, pad, xp=xp, out=cols)
@@ -123,9 +109,10 @@ def conv2d_forward(x, w, b, stride, pad, *, xp=None, cols=None, out=None):
     return y.reshape(out_c, oh, ow, n), cols
 
 
-def conv2d_backward(g, x_shape, w, cols, stride, pad, need_dx=True, *, dw=None, db=None, work=None):
+def conv2d_backward(g, x_shape, w, cols, stride, pad, need_dx=True, *, dw, db, work):
     """Returns (dx, dw, db); ``need_dx=False`` skips the input gradient and
-    returns ``dx=None`` (for a convolution that reads the model input).
+    returns ``dx=None`` (for a convolution that reads the model input), and
+    ``db=None`` skips the bias gradient (for a bias-less convolution).
 
     The weight gradient sums one (C*k*k, OW*N) x (OW*N, out) product per
     output row: one product over all OH*OW*N columns measured up to 4x
@@ -135,18 +122,15 @@ def conv2d_backward(g, x_shape, w, cols, stride, pad, need_dx=True, *, dw=None, 
     """
     out_c, oh, ow, n = g.shape
     ckk = cols.shape[0]
-    if work is None:
-        work = conv_work(x_shape, w.shape, (oh, ow), pad, np.result_type(cols, g), need_dx)
     rows, summed, dcols, xp = work
     gm = g.reshape(out_c, -1)
     cols_rows = cols.reshape(ckk, oh, ow * n).transpose(1, 0, 2)
     g_rows = gm.reshape(out_c, oh, ow * n).transpose(1, 2, 0)
     np.matmul(cols_rows, g_rows, out=rows)
     rows.sum(axis=0, out=summed)
-    if dw is None:
-        dw = np.empty(w.shape, dtype=summed.dtype)
     dw.reshape(out_c, ckk)[...] = summed.T
-    db = np.add.reduce(gm, 1, None, db)
+    if db is not None:
+        np.add.reduce(gm, 1, None, db)
     if not need_dx:
         return None, dw, db
     dcols = np.matmul(w.reshape(out_c, ckk).T, gm, out=dcols)
@@ -154,23 +138,21 @@ def conv2d_backward(g, x_shape, w, cols, stride, pad, need_dx=True, *, dw=None, 
     return dx, dw, db
 
 
-def conv_work(x_shape, w_shape, out_hw, pad, dtype, need_dx=True, dcols=None):
-    """The buffers of one :func:`conv2d_backward`: the per-row weight
-    products, their sum, and, when the input gradient is needed, the patch
-    gradient (``dcols`` when given: it may be the patch matrix itself, which
-    the weight gradient has read by then) and the padded buffer it is
-    scattered into."""
+def conv_work(x_shape, w_shape, out_hw, pad, dtype, need_dx, dcols, empty):
+    """The buffers of one :func:`conv2d_backward`, taken from ``empty(shape,
+    dtype)``: the per-row weight products, their sum, and, when the input
+    gradient is needed, the patch gradient ``dcols`` (it may be the patch
+    matrix itself, which the weight gradient has read by then) and the
+    padded buffer it is scattered into."""
     c, h, w, n = x_shape
     out_c, _, k, _ = w_shape
     oh, ow = out_hw
     ckk = c * k * k
-    rows = np.empty((oh, ckk, out_c), dtype=dtype)
-    summed = np.empty((ckk, out_c), dtype=dtype)
+    rows = empty((oh, ckk, out_c), dtype)
+    summed = empty((ckk, out_c), dtype)
     if not need_dx:
         return rows, summed, None, None
-    if dcols is None:
-        dcols = np.empty((ckk, oh * ow * n), dtype=dtype)
-    xp = np.empty((c, h + 2 * pad, w + 2 * pad, n), dtype=dtype)
+    xp = empty((c, h + 2 * pad, w + 2 * pad, n), dtype)
     return rows, summed, dcols, xp
 
 
@@ -186,7 +168,7 @@ def _bn_shape(x):
     return (1, -1) if x.ndim == 2 else (-1, 1, 1, 1)
 
 
-def batchnorm_forward(x, scale, shift, stats=None, out=None):
+def batchnorm_forward(x, scale, shift, stats, out):
     """Returns (y, cache).  Normalizes with ``stats`` = (mean, var) when the
     caller fixes them, otherwise with the batch's own mean and population
     variance; the cache ends with the (mean, var) pair that was used."""
@@ -202,7 +184,7 @@ def batchnorm_forward(x, scale, shift, stats=None, out=None):
     return y, (xhat, inv_std, stats)
 
 
-def batchnorm_backward(g, x, scale, cache, *, dx=None, dscale=None, dshift=None):
+def batchnorm_backward(g, x, scale, cache, *, dx, dscale, dshift):
     """Gradient of a batch-statistics forward: the statistics depend on x."""
     xhat, inv_std, _ = cache
     axes = _bn_axes(x)
@@ -226,19 +208,15 @@ def _pool_windows(kernel):
     return [(i, j) for i in range(kernel) for j in range(kernel)]
 
 
-def maxpool_forward(x, kernel, out=None):
+def maxpool_forward(x, kernel, out):
     """Returns (y, cache); the cache is (x, y), from which backward picks winners."""
-    if out is None:
-        y = x[:, ::kernel, ::kernel].copy()
-    else:
-        y = out
-        np.copyto(y, x[:, ::kernel, ::kernel])
+    np.copyto(out, x[:, ::kernel, ::kernel])
     for i, j in _pool_windows(kernel)[1:]:
-        np.maximum(y, x[:, i::kernel, j::kernel], out=y)
-    return y, (x, y)
+        np.maximum(out, x[:, i::kernel, j::kernel], out=out)
+    return out, (x, out)
 
 
-def maxpool_backward(g, x_shape, kernel, cache, *, out=None, masks=None):
+def maxpool_backward(g, x_shape, kernel, cache, *, out, masks):
     """Route each output gradient to the first window input equal to the max.
 
     The gradient is copied as raw bits (multiplied by the 0/1 winner mask as
@@ -250,10 +228,7 @@ def maxpool_backward(g, x_shape, kernel, cache, *, out=None, masks=None):
     """
     x, y = cache
     bits = f"u{g.itemsize}"
-    dx = np.empty(x_shape, dtype=g.dtype) if out is None else out
-    g_bits, dx_bits = g.view(bits), dx.view(bits)
-    if masks is None:
-        masks = np.empty(y.shape, dtype=bool), np.empty(y.shape, dtype=bool)
+    g_bits, dx_bits = g.view(bits), out.view(bits)
     free, hit = masks
     free.fill(True)  # outputs whose winner is not yet found
     for i, j in _pool_windows(kernel):
@@ -261,10 +236,11 @@ def maxpool_backward(g, x_shape, kernel, cache, *, out=None, masks=None):
         hit &= free
         np.multiply(g_bits, hit, out=dx_bits[:, i::kernel, j::kernel])
         free ^= hit
-    return dx
+    return out
 
 
-def avgpool_forward(x, kernel=None, out=None):
+def avgpool_forward(x, kernel, out):
+    """``kernel=None`` pools each channel's whole image."""
     c, h, w, n = x.shape
     if kernel is None:  # global
         return x.mean(axis=(1, 2), keepdims=True, out=out)
@@ -272,12 +248,10 @@ def avgpool_forward(x, kernel=None, out=None):
     return xr.mean(axis=(2, 4), out=out)
 
 
-def avgpool_backward(g, x_shape, kernel=None, out=None):
+def avgpool_backward(g, x_shape, kernel, out):
     """Spread each output gradient evenly over its window; every entry of
     ``out`` is written."""
     c, h, w, n = x_shape
-    if out is None:
-        out = np.empty(x_shape, dtype=g.dtype)
     if kernel is None:
         np.divide(g, h * w, out=out)  # g broadcasts over the whole image
     else:
@@ -290,8 +264,8 @@ def avgpool_backward(g, x_shape, kernel=None, out=None):
 # -- loss ----------------------------------------------------------------------
 
 
-def class_sum(z, out=None):
-    """Sum over the rows of a (C, N) array, adding in the order that
+def class_sum(z, out):
+    """Sum over the rows of a (C, N) array into ``out``, adding in the order that
     ``np.add.reduce`` uses for one contiguous row of C values, so the result
     equals ``z.T.sum(axis=1)`` of the batch-first layout bit for bit.
 
@@ -301,8 +275,6 @@ def class_sum(z, out=None):
     """
     c = z.shape[0]
     if c == 1:
-        if out is None:
-            return z[0].copy()
         np.copyto(out, z[0])
         return out
     if c < 8:
@@ -312,7 +284,7 @@ def class_sum(z, out=None):
         return total
     if c > 128:
         half = c // 2 - (c // 2) % 8
-        return np.add(class_sum(z[:half]), class_sum(z[half:]), out=out)
+        return np.add(class_sum(z[:half], out), class_sum(z[half:], np.empty_like(out)), out=out)
     full = c - c % 8
     acc = z[:8]
     if full > 8:
@@ -327,14 +299,15 @@ def class_sum(z, out=None):
     return total
 
 
-def loss_work(n, classes):
-    """The float64 workspaces of one loss kernel over ``n`` rows: the
-    class-major log-probabilities and their exponentials, a per-row scratch,
-    the row numbers, the labels' flat indices and the picked entries."""
-    return (
-        np.empty((classes, n)), np.empty((classes, n)), np.empty(n),
-        np.arange(n), np.empty(n, dtype=np.intp), np.empty(n),
-    )
+def loss_work(n, classes, empty):
+    """The workspaces of one loss kernel over ``n`` rows, taken from
+    ``empty(shape, dtype)``: the float64 class-major log-probabilities and
+    their exponentials, a per-row scratch, the row numbers, the labels' flat
+    indices and the picked entries."""
+    z, e = empty((classes, n), np.float64), empty((classes, n), np.float64)
+    row, rows = empty((n,), np.float64), empty((n,), np.intp)
+    np.copyto(rows, np.arange(n))
+    return z, e, row, rows, empty((n,), np.intp), empty((n,), np.float64)
 
 
 def _log_softmax(logits, labels, work):
@@ -351,28 +324,24 @@ def _log_softmax(logits, labels, work):
     return z, at, np.add.reduce(z.take(at, out=picked))
 
 
-def cross_entropy_loss(logits, labels):
-    """Mean cross-entropy over the batch, accumulated in float64.
+def cross_entropy_loss(logits, labels, work):
+    """Mean cross-entropy over the batch, accumulated in float64; ``work`` is
+    a :func:`loss_work` for the batch.
 
     The same loss, bit for bit, as :func:`softmax_cross_entropy`, without
     building the gradient that evaluation would throw away.
     """
-    n = logits.shape[0]
-    return float(-_log_softmax(logits, labels, loss_work(n, logits.shape[1]))[2] / n)
+    return float(-_log_softmax(logits, labels, work)[2] / logits.shape[0])
 
 
-def softmax_cross_entropy(logits, labels, *, out=None, work=None):
+def softmax_cross_entropy(logits, labels, *, out, work):
     """Mean cross-entropy over the batch plus the gradient w.r.t. logits.
 
     The loss accumulates in float64; the gradient is a C-ordered (N, classes)
-    array in the logits dtype, written to ``out`` when given.  ``work`` is a
-    :func:`loss_work` for the batch, allocated here when not given.
+    array in the logits dtype, written to ``out``.  ``work`` is a
+    :func:`loss_work` for the batch.
     """
     n = logits.shape[0]
-    if work is None:
-        work = loss_work(n, logits.shape[1])
-    if out is None:
-        out = np.empty(logits.shape, dtype=logits.dtype)
     probs, at, picked = _log_softmax(logits, labels, work)
     loss = float(-picked / n)
     np.exp(probs, out=probs)

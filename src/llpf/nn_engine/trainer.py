@@ -9,10 +9,12 @@ writable flat array and a gradient buffer, and may hand it to any number of
 calls (a path walk passes one plan to every repair).  Each round's
 ``loss_and_grad`` runs that plan, and :func:`sgd_step` updates the
 parameters and the velocity in place.  :func:`evaluate` runs all its chunks
-through one plan, its own or one its caller holds; a caller holding a
-training plan releases it before it evaluates (see :mod:`.engine`).  A
-caller holding a :class:`ParamVector` trains ``params.copy_data()`` and
-wraps the result with ``graph.wrap``.
+through one plan, its own or one its caller holds, and scores each chunk's
+logits with :meth:`~.engine.Plan.loss`, in the loss workspace the plan bound
+for that row count, so a held plan allocates no workspace per call.  A
+caller holding a training plan releases it before it evaluates (see
+:mod:`.engine`).  A caller holding a :class:`ParamVector` trains
+``params.copy_data()`` and wraps the result with ``graph.wrap``.
 
 :func:`train_modes` is the one place a mode is trained from its seed, scored
 and accepted; ``train-modes`` and ``seed_variance_study`` both iterate it.
@@ -38,7 +40,6 @@ import numpy as np
 
 from ..param_space import ParamVector
 from .engine import Plan, forward, init_params, loss_and_grad, norm_stats
-from .layers import cross_entropy_loss
 from .graph import ModelGraph
 
 # Byte budget for the widest per-sample array of one evaluation chunk.  In a
@@ -337,7 +338,7 @@ def evaluate(
         x = data.inputs[start : start + rows]
         y = data.labels[start : start + rows]
         logits = forward(plan, params, x, stats)
-        total_loss += cross_entropy_loss(logits, y) * len(y)
+        total_loss += plan.loss(y) * len(y)
         if accuracy:
             correct += int((logits.argmax(axis=1) == y).sum())
     return total_loss / len(data), (correct / len(data) if accuracy else float("nan"))

@@ -576,6 +576,47 @@ dir = out
         assert f"{cfg}:{line}: [modes] learning rate must be positive" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, body, key",
+        [
+            ("connect-m2m", "[m2m]\nstart = a.ckpt\ndest = b.ckpt\nstep_f = 1e-3\n", "start"),
+            ("connect-m2m", "[m2m]\nstart = b.ckpt\ndest = a.ckpt\nstep_f = 1e-3\n", "dest"),
+            ("collapse-m2o", "[m2o]\nstart = a.ckpt\nstep_a = 1e-3\n", "start"),
+            ("connect-avs", "[avs]\nstart = b.ckpt\ndest = a.ckpt\n[avs.m2o]\nstep_a = 1e-3\n"
+                            "[avs.m2m]\nstep_f = 1e-3\n", "dest"),
+        ],
+        ids=["m2m-start", "m2m-dest", "m2o-start", "avs-dest"],
+    )
+    def test_missing_checkpoint_rejected_at_its_line(self, tmp_path, capsys, command, body, key):
+        (tmp_path / "b.ckpt").write_bytes(b"")  # a.ckpt is the missing one
+        text = BASE + body + "\n[output]\ndir = out\n"
+        cfg = write_cfg(tmp_path, text)
+        line = text.splitlines().index(f"{key} = a.ckpt") + 1
+        section = body[1 : body.index("]")]
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        missing = tmp_path / "a.ckpt"
+        assert f"{cfg}:{line}: [{section}] {key} checkpoint {missing} does not exist" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_record_dir_rejected_at_its_line(self, tmp_path, capsys):
+        text = BASE + "\n[continuity]\nrecord_dir = path\n\n[output]\ndir = out\n"
+        cfg = write_cfg(tmp_path, text)
+        line = text.splitlines().index("record_dir = path") + 1
+        assert main(["continuity", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:{line}: [continuity] record_dir {tmp_path / 'path'} does not exist" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_one_continuity_sample_rejected_at_its_line(self, tmp_path, capsys):
+        (tmp_path / "path").mkdir()
+        text = BASE + "\n[continuity]\nrecord_dir = path\nsamples = 1\n\n[output]\ndir = out\n"
+        cfg = write_cfg(tmp_path, text)
+        line = text.splitlines().index("samples = 1") + 1
+        assert main(["continuity", "--config", str(cfg)]) == 1
+        assert f"{cfg}:{line}: [continuity] samples must be >= 2, got 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert main(["train-modes", "--config", str(tmp_path / "none.cfg")]) == 1
 

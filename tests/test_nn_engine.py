@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -245,7 +246,7 @@ class TestNormStats:
         x = np.random.default_rng(1).normal(size=(16, 1, 8, 8)).astype(np.float32)
         conv = next(node for node in g.plan if node.name == "stem.conv")
         o, n, shape = conv.slices[0]
-        y, _ = L.conv2d_forward(
+        y, _ = conv2d_forward(
             x.transpose(1, 2, 3, 0), params.data[o : o + n].reshape(shape), None,
             conv.stride, conv.pad,
         )
@@ -396,6 +397,38 @@ def to_batch_first(a):
     return a.transpose(3, 0, 1, 2)
 
 
+def conv2d_forward(x, w, b, stride, pad):
+    """``L.conv2d_forward`` on fresh buffers: ``x`` padded into zeros, the
+    patch matrix and the output."""
+    c, h, wd, n = x.shape
+    out_c, _, k, _ = w.shape
+    oh, ow = (h + 2 * pad - k) // stride + 1, (wd + 2 * pad - k) // stride + 1
+    xp = np.zeros((c, h + 2 * pad, wd + 2 * pad, n), x.dtype)
+    xp[:, pad : pad + h, pad : pad + wd] = x
+    cols = np.empty((c * k * k, oh * ow * n), x.dtype)
+    out = np.empty((out_c, oh * ow * n), x.dtype)
+    return L.conv2d_forward(x, w, b, stride, pad, xp=xp, cols=cols, out=out)
+
+
+def conv2d_backward(g, x_shape, w, cols, stride, pad, need_dx=True):
+    """``L.conv2d_backward`` on fresh buffers; the patch gradient gets its
+    own, so ``cols`` survives the call."""
+    work = L.conv_work(x_shape, w.shape, g.shape[1:3], pad, g.dtype, need_dx,
+                       np.empty_like(cols), np.empty)
+    return L.conv2d_backward(g, x_shape, w, cols, stride, pad, need_dx=need_dx,
+                             dw=np.empty_like(w), db=np.empty(w.shape[0], g.dtype), work=work)
+
+
+def maxpool_forward(x, kernel):
+    c, h, w, n = x.shape
+    return L.maxpool_forward(x, kernel, np.empty((c, h // kernel, w // kernel, n), x.dtype))
+
+
+def maxpool_backward(g, x_shape, kernel, cache):
+    out, masks = np.empty(x_shape, g.dtype), (np.empty(g.shape, bool), np.empty(g.shape, bool))
+    return L.maxpool_backward(g, x_shape, kernel, cache, out=out, masks=masks)
+
+
 class TestKernelReference:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("pad", [0, 1])
@@ -406,7 +439,7 @@ class TestKernelReference:
         x = rng.normal(size=(2, 3, 7, 7)).astype(np.float32)
         w = rng.normal(size=(4, 3, kernel, kernel)).astype(np.float32)
         b = rng.normal(size=4).astype(np.float32) if bias else None
-        y, cols = L.conv2d_forward(to_batch_last(x), w, b, stride, pad)
+        y, cols = conv2d_forward(to_batch_last(x), w, b, stride, pad)
         y = to_batch_first(y)
         ref = conv2d_reference(x.astype(np.float64), w.astype(np.float64),
                                None if b is None else b.astype(np.float64), stride, pad)
@@ -415,7 +448,7 @@ class TestKernelReference:
 
         g = rng.normal(size=y.shape).astype(np.float32)
         x_shape, g_last = to_batch_last(x).shape, to_batch_last(g)
-        dx, dw, db = L.conv2d_backward(g_last, x_shape, w, cols, stride, pad)
+        dx, dw, db = conv2d_backward(g_last, x_shape, w, cols, stride, pad)
         dx = to_batch_first(dx)
         rdx, rdw, rdb = conv2d_backward_reference(
             g.astype(np.float64), x.astype(np.float64), w.astype(np.float64), stride, pad
@@ -424,11 +457,20 @@ class TestKernelReference:
             assert got.dtype == np.float32 and got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
-        no_dx, dw2, db2 = L.conv2d_backward(g_last, x_shape, w, cols, stride, pad, need_dx=False)
+        no_dx, dw2, db2 = conv2d_backward(g_last, x_shape, w, cols, stride, pad, need_dx=False)
         assert no_dx is None
         assert np.array_equal(dw2, dw) and np.array_equal(db2, db)
 
     def test_input_conv_skips_dx_without_changing_grads(self, monkeypatch):
+        def dx_buffers(kernel, g, *args):
+            # the engine binds no input-gradient buffers for a call that skips dx
+            if kernel == "dense_backward":
+                _, w = args
+                return {"dx": np.empty((g.shape[0], w.shape[0]), g.dtype)}
+            x_shape, w, cols, _, pad = args
+            return {"work": L.conv_work(x_shape, w.shape, g.shape[1:3], pad, g.dtype, True,
+                                        np.empty_like(cols), np.empty)}
+
         # the layer that reads the batch, a conv or a dense one, is the last
         # whose backward runs, and the only one asked for no dx
         for g, kernel in ((lenet_micro(), "conv2d_backward"), (mlp2(), "dense_backward")):
@@ -442,6 +484,8 @@ class TestKernelReference:
 
             def always_dx(*args, need_dx=True, **buffers):
                 asked.append(need_dx)
+                if not need_dx:
+                    buffers.update(dx_buffers(kernel, *args))
                 return full(*args, **buffers)
 
             with monkeypatch.context() as patch:
@@ -454,10 +498,10 @@ class TestKernelReference:
     def test_maxpool_matches_window_argmax(self, kernel):
         rng = np.random.default_rng(kernel)
         x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
-        y, cache = L.maxpool_forward(to_batch_last(x), kernel)
+        y, cache = maxpool_forward(to_batch_last(x), kernel)
         y = to_batch_first(y)
         g = rng.normal(size=y.shape).astype(np.float32)
-        dx = to_batch_first(L.maxpool_backward(to_batch_last(g), to_batch_last(x).shape, kernel, cache))
+        dx = to_batch_first(maxpool_backward(to_batch_last(g), to_batch_last(x).shape, kernel, cache))
         ref_y, ref_dx = maxpool_reference(x, g, kernel)
         assert np.array_equal(y, ref_y)
         assert np.array_equal(dx, ref_dx)
@@ -467,18 +511,18 @@ class TestKernelReference:
         # ReLU output: most windows hold several zeros and nothing larger
         rng = np.random.default_rng(10 + kernel)
         x = np.maximum(rng.normal(size=(3, 2, 12, 12)) - 1.5, 0).astype(np.float32)
-        y, cache = L.maxpool_forward(to_batch_last(x), kernel)
+        y, cache = maxpool_forward(to_batch_last(x), kernel)
         y = to_batch_first(y)
         assert (y == 0).mean() > 0.3
         g = rng.choice([-1.5, -0.0, 0.25, 2.0], size=y.shape).astype(np.float32)
         x_shape = to_batch_last(x).shape
-        dx = to_batch_first(L.maxpool_backward(to_batch_last(g), x_shape, kernel, cache))
+        dx = to_batch_first(maxpool_backward(to_batch_last(g), x_shape, kernel, cache))
         _, ref_dx = maxpool_reference(x, g, kernel)
         assert np.array_equal(dx.view(np.uint32), ref_dx.view(np.uint32))
         # exactly one input of each window receives its output's gradient
         n, c, h, w = x.shape
         ones = np.ones_like(g)
-        routed = to_batch_first(L.maxpool_backward(to_batch_last(ones), x_shape, kernel, cache))
+        routed = to_batch_first(maxpool_backward(to_batch_last(ones), x_shape, kernel, cache))
         per_window = routed.reshape(n, c, h // kernel, kernel, w // kernel, kernel).sum(axis=(3, 5))
         assert np.array_equal(per_window, ones)
 
@@ -728,11 +772,21 @@ def _logit_cases():
 LOGIT_CASES = list(_logit_cases())
 
 
+def softmax_cross_entropy(logits, labels):
+    n, classes = logits.shape
+    return L.softmax_cross_entropy(logits, labels, out=np.empty_like(logits),
+                                   work=L.loss_work(n, classes, np.empty))
+
+
+def cross_entropy_loss(logits, labels):
+    return L.cross_entropy_loss(logits, labels, L.loss_work(*logits.shape, np.empty))
+
+
 class TestLossKernels:
     @pytest.mark.parametrize("case", range(len(LOGIT_CASES)))
     def test_training_kernel_matches_frozen_reference(self, case):
         logits, labels = LOGIT_CASES[case]
-        loss, dlogits = L.softmax_cross_entropy(logits, labels)
+        loss, dlogits = softmax_cross_entropy(logits, labels)
         ref_loss, ref_dlogits = _softmax_cross_entropy_reference(logits, labels)
         assert loss.hex() == ref_loss.hex()
         assert dlogits.dtype == ref_dlogits.dtype == logits.dtype
@@ -744,14 +798,33 @@ class TestLossKernels:
     @pytest.mark.parametrize("case", range(len(LOGIT_CASES)))
     def test_loss_only_kernel_is_the_training_loss(self, case):
         logits, labels = LOGIT_CASES[case]
-        assert L.cross_entropy_loss(logits, labels).hex() == L.softmax_cross_entropy(logits, labels)[0].hex()
+        loss = cross_entropy_loss(logits, labels)
+        assert loss.hex() == softmax_cross_entropy(logits, labels)[0].hex()
 
     @pytest.mark.parametrize("classes", [1, 2, 3, 7, 8, 9, 10, 16, 17, 33, 128, 129, 300])
     def test_class_sum_is_numpys_row_sum(self, classes):
         # the class-major kernels rely on numpy's summation order for one
         # row; a numpy release that changes it fails here first
         x = np.random.default_rng(classes).normal(0, 10, size=(50, classes))
-        assert L.class_sum(np.ascontiguousarray(x.T)).tobytes() == x.sum(axis=1).tobytes()
+        total = L.class_sum(np.ascontiguousarray(x.T), np.empty(50))
+        assert total.tobytes() == x.sum(axis=1).tobytes()
+
+
+class TestKernelBuffers:
+    BUFFERS = {"out", "work", "xp", "cols", "masks", "dw", "db", "dx", "dscale", "dshift"}
+
+    def test_no_kernel_buffer_has_a_default(self):
+        # a kernel never allocates its result or scratch buffers: the plan
+        # binds every one of them, so a caller must pass them all
+        kernels = [fn for fn in vars(L).values()
+                   if inspect.isfunction(fn) and fn.__module__ == L.__name__]
+        assert len(kernels) > 15
+        defaults = [
+            f"{fn.__name__}({p.name}=...)" for fn in kernels
+            for p in inspect.signature(fn).parameters.values()
+            if p.name in self.BUFFERS and p.default is not p.empty
+        ]
+        assert defaults == []
 
 
 class TestEvalChunks:
@@ -917,7 +990,11 @@ class TestConvNetTraining:
 #
 # The graph walk, its backward loop and every kernel they call, as they were
 # before the engine bound its steps into a plan: each call allocates its
-# arrays.  The plan must match them bit for bit.
+# arrays.  The plan must match them bit for bit.  Every array the walks pass
+# on is C-ordered, as every buffer of a plan is, except flatten's view:
+# numpy's reductions and GEMMs can round differently on another memory order
+# of the same values, which graphs that pool the batch directly, or that
+# normalize, add or reach a dense layer through a flatten, would show.
 
 
 def _ref_pad(x, pad):
@@ -1081,7 +1158,7 @@ def _ref_batch_first(a):
 def _ref_execute(graph, data, x, stats, want_caches):
     x = np.asarray(x)
     if x.ndim == 4:
-        x = x.transpose(1, 2, 3, 0)
+        x = np.ascontiguousarray(x.transpose(1, 2, 3, 0))
     values, caches = {}, {}
     for node in graph.plan:
         name = node.name
@@ -1113,6 +1190,8 @@ def _ref_execute(graph, data, x, stats, want_caches):
             y, cache = _ref_batch_first(a), a.shape
         elif node.kind == "residual_add":
             y = ins[0] + ins[1]
+        if node.kind != "flatten":
+            y = np.ascontiguousarray(y)
         values[name] = y
         if want_caches:
             caches[name] = cache
@@ -1163,6 +1242,8 @@ def _ref_loss_and_grad(graph, data, batch_x, batch_y):
             dx = g
         for (o, n, _), arr in zip(node.slices, pgrads):
             gdata[o : o + n] = arr.reshape(-1)
+        if node.inputs:
+            dx = np.ascontiguousarray(dx)
         for src in node.inputs:
             grads[src] = grads[src] + dx if src in grads else dx
     return loss, gdata
@@ -1333,6 +1414,27 @@ class TestHeldEvaluationPlan:
             ref_loss, ref_acc = evaluate(g, params, data, norm_x, accuracy=True)
             assert loss.hex() == ref_loss.hex() and acc == ref_acc
             assert evaluate(plan, held, data, norm_x)[0].hex() == ref_loss.hex()
+
+    def test_a_bound_plan_scores_in_its_own_loss_workspace(self):
+        import tracemalloc
+
+        g = mlp2()
+        rng = np.random.default_rng(0)
+        data = Dataset(rng.normal(size=(2048, 20)).astype(np.float32), rng.integers(0, 3, 2048),
+                       "test", 3)
+        held = init_params(g, 0).copy_data()
+        plan = Plan(g, held)
+        first, _ = evaluate(plan, held, data)  # binds the plan for 2048 rows
+        tracemalloc.start()
+        try:
+            again, _ = evaluate(plan, held, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again.hex() == first.hex()
+        # a workspace for 2048 rows of 3 classes is 160 KiB; the call's own
+        # temporaries came to 51 KB with numpy 2.4
+        assert peak < 96 * 1024
 
     def test_plan_runs_on_the_array_it_was_bound_to(self):
         g = mlp2()
