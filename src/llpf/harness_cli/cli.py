@@ -2,7 +2,9 @@
 
 Subcommands: train-modes, connect-m2m, collapse-m2o, connect-avs, continuity,
 seed-study, plot.  All but plot take ``--config``; every random draw derives
-from seeds declared there (or ``--seed-override``).  Exit codes: 0 success,
+from seeds declared there (or ``--seed-override``).  The three walk commands
+share one handler, :func:`cmd_walk`, which differs between them only in the
+section builder and the search driver it calls.  Exit codes: 0 success,
 1 config/validation error, 2 runtime failure.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -74,9 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("train-modes", cmd_train_modes)
-    add("connect-m2m", cmd_connect_m2m)
-    add("collapse-m2o", cmd_collapse_m2o)
-    add("connect-avs", cmd_connect_avs)
+    for walk in ("connect-m2m", "collapse-m2o", "connect-avs"):
+        add(walk, cmd_walk)
     add("continuity", cmd_continuity)
     add("seed-study", cmd_seed_study)
 
@@ -133,63 +135,39 @@ def cmd_train_modes(args) -> int:
     return 0
 
 
-def _finish_record(record, graph, cfg, out, command, seeds, started):
+def cmd_walk(args) -> int:
+    """connect-m2m, collapse-m2o and connect-avs: run the command's search
+    from its section's endpoint checkpoints and write the path record."""
+    # built per call: tracing and tests replace these module names
+    builder, driver = {
+        "connect-m2m": (rc.build_m2m, llpf_m2m),
+        "collapse-m2o": (rc.build_m2o, llpf_m2o),
+        "connect-avs": (rc.build_avs, connect_cross_variance),
+    }[args.command]
+    cfg, graph, train_data, test_data, out = _load_common(args)
+    block = builder(cfg, graph)
+    started = datetime.now(timezone.utc)
+    modes = [load_checkpoint(graph, path) for path in block.checkpoints]
+    names = [path.name for path in block.checkpoints]
+    settings = replace(
+        block.settings,
+        seed=out.seed,
+        checkpoint_stride=out.checkpoint_stride,
+        eval_subset=out.eval_subset,
+        config_hash=cfg.digest,
+        endpoint_ids=(names[0], names[1] if len(names) > 1 else "origin"),
+    )
+    record = driver(*modes, *block.args, train_data, test_data, settings=settings, graph=graph)
     write_path_record(out.out_dir, record, graph)
     extra = {"points": len(record.points)}
     if record.stage_boundary is not None:
         extra["stage_boundary"] = record.stage_boundary
-    write_manifest(out.out_dir, command, cfg.digest, seeds, started, extra)
-    final = record.points[-1]
+    write_manifest(out.out_dir, args.command, cfg.digest, [out.seed], started, extra)
     print(
-        f"{command}: {len(record.points)} points -> {out.out_dir}/metrics.csv "
-        f"(final rolling loss {final.rolling_train_loss:.4g})"
+        f"{args.command}: {len(record.points)} points -> {out.out_dir}/metrics.csv "
+        f"(final rolling loss {record.points[-1].rolling_train_loss:.4g})"
     )
     return 0
-
-
-def cmd_connect_m2m(args) -> int:
-    cfg, graph, train_data, test_data, out = _load_common(args)
-    block = rc.build_m2m(cfg, graph)
-    started = datetime.now(timezone.utc)
-    start = load_checkpoint(graph, block.start)
-    dest = load_checkpoint(graph, block.dest)
-    settings = rc.search_settings(
-        out, cfg.digest, (block.start.name, block.dest.name),
-        block.mode_acceptance_loss, block.variance_ratio_bound,
-    )
-    record = llpf_m2m(
-        start, dest, block.plan, block.trainer, train_data, test_data,
-        settings=settings, graph=graph,
-    )
-    return _finish_record(record, graph, cfg, out, "connect-m2m", [out.seed], started)
-
-
-def cmd_collapse_m2o(args) -> int:
-    cfg, graph, train_data, test_data, out = _load_common(args)
-    block = rc.build_m2o(cfg, graph)
-    started = datetime.now(timezone.utc)
-    start = load_checkpoint(graph, block.start)
-    settings = rc.search_settings(
-        out, cfg.digest, (block.start.name, "origin"), block.mode_acceptance_loss
-    )
-    record = llpf_m2o(start, block.cfg, train_data, test_data, settings=settings, graph=graph)
-    return _finish_record(record, graph, cfg, out, "collapse-m2o", [out.seed], started)
-
-
-def cmd_connect_avs(args) -> int:
-    cfg, graph, train_data, test_data, out = _load_common(args)
-    block = rc.build_avs(cfg, graph)
-    started = datetime.now(timezone.utc)
-    start = load_checkpoint(graph, block.start)
-    dest = load_checkpoint(graph, block.dest)
-    settings = rc.search_settings(
-        out, cfg.digest, (block.start.name, block.dest.name), block.mode_acceptance_loss
-    )
-    record = connect_cross_variance(
-        start, dest, block.cfg, block.trainer, train_data, test_data,
-        settings=settings, graph=graph,
-    )
-    return _finish_record(record, graph, cfg, out, "connect-avs", [out.seed], started)
 
 
 def cmd_continuity(args) -> int:

@@ -3,7 +3,10 @@
 Each ``build_*`` helper validates one section and its phase or stage sections
 (unknown keys are rejected with their line number) and returns ready-to-use
 engine objects; :func:`check_sections` rejects a section no builder reads.
-The four walk sections share one reader, ``_walk_section``.
+The four walk sections share one reader, ``_walk_section``, and the three
+walk commands' builders (``build_m2m``, ``build_m2o``, ``build_avs``) return
+one :class:`WalkBlock`: the endpoint checkpoints, the driver's own
+arguments and the search settings the section sets.
 """
 
 from __future__ import annotations
@@ -266,13 +269,22 @@ def _m2o_config(cfg: ConfigFile, graph: ModelGraph, walk: WalkSection) -> M2OCon
 
 
 @dataclass
-class M2MBlock:
-    start: Path
-    dest: Path
-    plan: PhasePlan
-    trainer: TrainerConfig
-    mode_acceptance_loss: float | None
-    variance_ratio_bound: float
+class WalkBlock:
+    """A walk command's sections, ready for its driver: the endpoint
+    checkpoints (start, then dest when the walk has one), the driver's own
+    positional arguments after the endpoints, and the search settings the
+    sections set; the command fills in ``[output]``'s fields."""
+
+    checkpoints: tuple[Path, ...]
+    args: tuple
+    settings: SearchSettings
+
+
+def _walk_settings(sec: Section, **fields) -> SearchSettings:
+    """The section's ``mode_acceptance_loss`` and ``fields`` as checked
+    search settings."""
+    acceptance = sec.get_float("mode_acceptance_loss")
+    return _checked(sec, SearchSettings, mode_acceptance_loss=acceptance, **fields)
 
 
 def _phase_sections(cfg: ConfigFile, prefix: str) -> list[str]:
@@ -288,13 +300,13 @@ def _phase_sections(cfg: ConfigFile, prefix: str) -> list[str]:
     return [name for _, name in found]
 
 
-def build_m2m(cfg: ConfigFile, graph: ModelGraph) -> M2MBlock:
+def build_m2m(cfg: ConfigFile, graph: ModelGraph) -> WalkBlock:
     walk = _walk_section(cfg, "m2m", "start", "dest")
     sec = walk.sec
     trainer = _m2m_trainer(walk, 1e-3)
     phases_kind = sec.get_str("phases", "all")
-    acceptance = sec.get_float("mode_acceptance_loss")
-    bound = sec.get_float("variance_ratio_bound", 1.5)
+    bound = sec.get_float("variance_ratio_bound", SearchSettings.variance_ratio_bound)
+    settings = _walk_settings(sec, variance_ratio_bound=bound)
     phase_names = _phase_sections(cfg, "m2m.phase")
     if phase_names:
         if phases_kind != "all":
@@ -319,48 +331,35 @@ def build_m2m(cfg: ConfigFile, graph: ModelGraph) -> M2MBlock:
         raise cfg.error(sec.line, f"phases must be 'all' or 'fdf', got {phases_kind!r}")
     sec.finish()
     _check_checkpoints(sec, walk.checkpoints)
-    return M2MBlock(*walk.checkpoints.values(), plan, trainer, acceptance, bound)
+    return WalkBlock(tuple(walk.checkpoints.values()), (plan, trainer), settings)
 
 
-@dataclass
-class M2OBlock:
-    start: Path
-    cfg: M2OConfig
-    mode_acceptance_loss: float | None
-
-
-def build_m2o(cfg: ConfigFile, graph: ModelGraph) -> M2OBlock:
+def build_m2o(cfg: ConfigFile, graph: ModelGraph) -> WalkBlock:
     walk = _walk_section(cfg, "m2o", "start")
-    acceptance = walk.sec.get_float("mode_acceptance_loss")
+    settings = _walk_settings(walk.sec)
     m2o = _m2o_config(cfg, graph, walk)
     _check_checkpoints(walk.sec, walk.checkpoints)
-    return M2OBlock(*walk.checkpoints.values(), m2o, acceptance)
+    return WalkBlock(tuple(walk.checkpoints.values()), (m2o,), settings)
 
 
-@dataclass
-class AvsBlock:
-    start: Path
-    dest: Path
-    cfg: CrossVarianceConfig
-    trainer: TrainerConfig  # stage 2's; stage 1 runs from cfg.m2o
-    mode_acceptance_loss: float | None
-
-
-def build_avs(cfg: ConfigFile, graph: ModelGraph) -> AvsBlock:
+def build_avs(cfg: ConfigFile, graph: ModelGraph) -> WalkBlock:
     """``[avs]``, then the stage sections ``[avs.m2o]`` (an origin walk
-    section) and ``[avs.m2m]`` (the shared walk keys and ``lr``)."""
+    section) and ``[avs.m2m]`` (the shared walk keys and ``lr``).  The
+    driver's arguments are the chain's config and stage 2's trainer; stage 1
+    runs from the config's ``m2o``."""
     sec = _required_section(cfg, "avs")
     checkpoints = {key: resolve_path(cfg, sec.require_str(key)) for key in ("start", "dest")}
-    rtol = sec.get_float("sphere_match_rtol", 1.05)
-    acceptance = sec.get_float("mode_acceptance_loss")
+    rtol = sec.get_float("sphere_match_rtol", CrossVarianceConfig.sphere_match_rtol)
+    settings = _walk_settings(sec)
     sec.finish()
     m2o = _m2o_config(cfg, graph, _walk_section(cfg, "avs.m2o"))
     m2m = _walk_section(cfg, "avs.m2m")
     trainer = _m2m_trainer(m2m, m2o.eta_base)
     m2m.sec.finish()
-    cross = CrossVarianceConfig(m2o, _all_layers_plan(graph, m2m), sphere_match_rtol=rtol)
+    cross = _checked(sec, CrossVarianceConfig, m2o=m2o, m2m_plan=_all_layers_plan(graph, m2m),
+                     sphere_match_rtol=rtol)
     _check_checkpoints(sec, checkpoints)
-    return AvsBlock(*checkpoints.values(), cross, trainer, acceptance)
+    return WalkBlock(tuple(checkpoints.values()), (cross, trainer), settings)
 
 
 @dataclass
@@ -382,16 +381,3 @@ def build_continuity(cfg: ConfigFile) -> ContinuityBlock:
     if samples < 2:
         raise cfg.error(sec.line_of("samples"), f"[continuity] samples must be >= 2, got {samples}")
     return ContinuityBlock(record_dir, samples, eval_subset)
-
-
-def search_settings(out: OutputBlock, cfg_digest: str, endpoints: tuple[str, str],
-                    mode_acceptance: float | None, bound: float = 1.5) -> SearchSettings:
-    return SearchSettings(
-        seed=out.seed,
-        checkpoint_stride=out.checkpoint_stride,
-        eval_subset=out.eval_subset,
-        variance_ratio_bound=bound,
-        mode_acceptance_loss=mode_acceptance,
-        config_hash=cfg_digest,
-        endpoint_ids=endpoints,
-    )

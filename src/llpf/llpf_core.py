@@ -28,7 +28,6 @@ different spheres.
 
 from __future__ import annotations
 
-import heapq
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -37,7 +36,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .nn_engine.engine import Plan
-from .nn_engine.graph import ModelGraph
+from .nn_engine.graph import ModelGraph, topological_order
 from .nn_engine.trainer import (
     Dataset,
     StopRule,
@@ -159,6 +158,10 @@ class SearchSettings:
     config_hash: str = ""
     endpoint_ids: tuple[str, str] = ("start", "dest")
 
+    def __post_init__(self):
+        if not self.variance_ratio_bound > 1:
+            raise ValueError("variance_ratio_bound must exceed 1")
+
 
 @dataclass(frozen=True)
 class M2OConfig:
@@ -262,12 +265,13 @@ def _correct(
         variance_correction(data[layout.spans[name]], targets[name])
 
 
-def _accept_modes(graph, settings, phases, train_data, *modes) -> float:
-    """Score the endpoint modes (start, then dest) on the fixed training
-    subset and return the start's loss.  The threshold is
-    ``settings.mode_acceptance_loss``, by default the first phase's loss
+def _accept_modes(graph, settings, phases, train_data, **modes) -> list[float]:
+    """Score the endpoint modes, given by label (``start``, ``dest``), on the
+    fixed training subset and return their losses in order.  The threshold
+    is ``settings.mode_acceptance_loss``, by default the first phase's loss
     threshold; a mode that does not beat it raises
-    :class:`PrerequisiteError`, and a threshold <= 0 skips the check."""
+    :class:`PrerequisiteError` naming its label, and a threshold <= 0 skips
+    the check."""
     threshold = settings.mode_acceptance_loss
     if threshold is None:
         threshold = phases[0].stop.loss_threshold
@@ -276,14 +280,14 @@ def _accept_modes(graph, settings, phases, train_data, *modes) -> float:
     subset = fixed_subset(train_data, settings.eval_subset)
     norm_x = norm_rows(train_data)
     losses = []
-    for label, params in zip(("start", "dest"), modes):
+    for label, params in modes.items():
         loss, _ = evaluate(graph, params, subset, norm_x)
         if threshold > 0 and loss >= threshold:
             raise PrerequisiteError(
                 f"{label} mode fails low-loss acceptance: loss {loss:.4g} >= {threshold:.4g}"
             )
         losses.append(loss)
-    return losses[0]
+    return losses
 
 
 def _require_plain_sgd(trainer: TrainerConfig) -> None:
@@ -440,8 +444,6 @@ def llpf_m2m(
     correctable = correctable_layers(start, targets)
 
     bound = settings.variance_ratio_bound
-    if bound <= 1:
-        raise ValueError("variance_ratio_bound must exceed 1")
     for name, v_dest in _variances(dest.data, dest.layout, correctable).items():
         if v_dest <= EPS_VAR:
             continue
@@ -452,7 +454,9 @@ def llpf_m2m(
                 " use connect_cross_variance"
             )
 
-    start_loss = _accept_modes(graph, settings, plan.phases, train_data, start, dest)
+    start_loss, _ = _accept_modes(
+        graph, settings, plan.phases, train_data, start=start, dest=dest
+    )
     repair_data = replace(train_data, augment=None)
     layout = start.layout
 
@@ -509,7 +513,7 @@ def llpf_m2o(
             raise ValueError(f"base variance must be positive for layer {name!r}")
 
     phases = [Phase(active, cfg.iterations, cfg.step, cfg.stop)]
-    start_loss = _accept_modes(graph, settings, phases, train_data, start)
+    [start_loss] = _accept_modes(graph, settings, phases, train_data, start=start)
 
     if destination is None:
         dest = start.with_slices({n: np.zeros(start.info(n).length) for n in active})
@@ -551,9 +555,17 @@ def llpf_m2o(
 
 @dataclass(frozen=True)
 class CrossVarianceConfig:
+    """The cross-sphere connection's two stages and the factor within which
+    every correctable layer's variance must match the destination's before
+    stage one hands off."""
+
     m2o: M2OConfig
     m2m_plan: PhasePlan
     sphere_match_rtol: float = 1.05
+
+    def __post_init__(self):
+        if not self.sphere_match_rtol > 1:
+            raise ValueError("sphere_match_rtol must exceed 1")
 
 
 def connect_cross_variance(
@@ -573,13 +585,16 @@ def connect_cross_variance(
     destination's per-layer spheres (the inward walk only shrinks, so the
     start must sit on the larger spheres on average), entirely from
     ``cfg.m2o``.  Stage two runs the same-sphere search from that
-    intermediate point to ``dest`` with ``trainer``, checked before stage
-    one starts, as :func:`llpf_m2m` checks it.  The returned record,
-    labelled with ``settings.endpoint_ids``, is the concatenation, with the
-    hand-off point recorded once at ``stage_boundary``.  Test metrics are
-    filled in on the merged record, once per point that keeps its params.
+    intermediate point to ``dest`` with ``trainer`` and ``cfg.m2m_plan``,
+    both checked before stage one starts, as :func:`llpf_m2m` checks them;
+    ``dest`` is scored then too, against the threshold stage two applies.
+    The returned record, labelled with ``settings.endpoint_ids``, is the
+    concatenation, with the hand-off point recorded once at
+    ``stage_boundary``.  Test metrics are filled in on the merged record,
+    once per point that keeps its params.
     """
     start.require_compatible(dest)
+    cfg.m2m_plan.validate_against(graph)
     _require_plain_sgd(trainer)
 
     dest_targets = _variances(dest.data, dest.layout, dest.names())
@@ -589,6 +604,7 @@ def connect_cross_variance(
     v_start = _variances(start.data, start.layout, correctable)
     if float(np.mean([v_start[name] / dest_targets[name] for name in correctable])) < 1.0:
         raise PrerequisiteError("destination on larger sphere; swap endpoints")
+    _accept_modes(graph, settings, cfg.m2m_plan.phases, train_data, dest=dest)
 
     projection = start.copy_data()
     _correct(projection, start.layout, correctable, dest_targets)
@@ -713,22 +729,9 @@ def _order_segments(graph: ModelGraph, segments: dict[str, list[str]]) -> list[l
     segments form a DAG as well."""
     seg_of = {node: head for head, chain in segments.items() for node in chain}
     deps: dict[str, set[str]] = {head: set() for head in segments}
-    succ: dict[str, set[str]] = {head: set() for head in segments}
     for node in graph.nodes:
         for src in node.inputs:
             a, b = seg_of[src], seg_of[node.name]
             if a != b:
                 deps[b].add(a)
-                succ[a].add(b)
-    remaining = {head: len(d) for head, d in deps.items()}
-    ready = [head for head, k in remaining.items() if k == 0]
-    heapq.heapify(ready)
-    ordered = []
-    while ready:
-        head = heapq.heappop(ready)
-        ordered.append(segments[head])
-        for nxt in sorted(succ[head]):
-            remaining[nxt] -= 1
-            if remaining[nxt] == 0:
-                heapq.heappush(ready, nxt)
-    return ordered
+    return [segments[head] for head in topological_order(deps)]

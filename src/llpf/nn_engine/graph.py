@@ -11,11 +11,12 @@ and a ``ParamVector`` layout is a pure function of the graph.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 import numpy as np
 
@@ -95,6 +96,8 @@ class ModelGraph:
             for src in node.inputs:
                 if src not in self._by_name:
                     raise GraphError(f"{node.name!r} reads unknown node {src!r}")
+                if node.inputs.count(src) > 1:
+                    raise GraphError(f"{node.name!r} reads node {src!r} more than once")
         sources = [n.name for n in self.nodes if not n.inputs]
         if len(sources) != 1:
             raise GraphError(f"expected exactly one input node, found {sources}")
@@ -104,7 +107,7 @@ class ModelGraph:
             raise GraphError(f"expected exactly one output node, found {sinks}")
         self.source = sources[0]
         self.sink = sinks[0]
-        self.topo_order = self._topo_sort()
+        self.topo_order = tuple(topological_order({n.name: n.inputs for n in self.nodes}))
         self._resolve()
         self._digest = self._describe()
 
@@ -115,25 +118,6 @@ class ModelGraph:
 
     def consumers(self, name: str) -> tuple[str, ...]:
         return tuple(n.name for n in self.nodes if name in n.inputs)
-
-    def _topo_sort(self) -> tuple[str, ...]:
-        indeg = {n.name: len(n.inputs) for n in self.nodes}
-        ready = sorted(name for name, d in indeg.items() if d == 0)
-        order = []
-        while ready:
-            name = ready.pop(0)
-            order.append(name)
-            for consumer in self.consumers(name):
-                indeg[consumer] -= 1
-                if indeg[consumer] == 0:
-                    # insertion keeps the ready list sorted for determinism
-                    lo = 0
-                    while lo < len(ready) and ready[lo] < consumer:
-                        lo += 1
-                    ready.insert(lo, consumer)
-        if len(order) != len(self.nodes):
-            raise GraphError("graph contains a cycle")
-        return tuple(order)
 
     # -- shapes and parameters ----------------------------------------------
 
@@ -212,10 +196,37 @@ class ModelGraph:
         return hashlib.sha256(blob).digest()
 
 
+def topological_order(deps: Mapping[str, Collection[str]]) -> list[str]:
+    """The names of ``deps`` (each name's distinct prerequisites) in
+    topological order, the smallest ready name first, so the order is a pure
+    function of ``deps``.  Raises :class:`GraphError` on a cycle."""
+    remaining = {name: len(before) for name, before in deps.items()}
+    after: dict[str, list[str]] = {name: [] for name in deps}
+    for name, before in deps.items():
+        for dep in before:
+            after[dep].append(name)
+    ready = [name for name, k in remaining.items() if k == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        name = heapq.heappop(ready)
+        order.append(name)
+        for nxt in after[name]:
+            remaining[nxt] -= 1
+            if remaining[nxt] == 0:
+                heapq.heappush(ready, nxt)
+    if len(order) != len(deps):
+        raise GraphError("graph contains a cycle")
+    return order
+
+
 def _window(node: GraphNode) -> tuple[int | None, int, int]:
-    """kernel, stride and pad as ints.  kernel is None for a global pool and
-    for kinds without a window; stride and pad apply to conv2d only."""
+    """kernel, stride and pad as ints.  kernel is None for a global average
+    pool and for kinds without a window; stride and pad apply to conv2d only.
+    Max pooling has no global form."""
     a = node.attrs
+    if node.kind == "max_pool" and a.get("mode") == "global":
+        raise GraphError(f"{node.name!r}: max_pool has no global mode")
     if node.kind == "conv2d":
         return int(a["kernel"]), int(a.get("stride", 1)), int(a.get("pad", 0))
     if node.kind in ("max_pool", "avg_pool") and a.get("mode") != "global":

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from llpf.harness_cli import cli
-from llpf.harness_cli.checkpoint import load_checkpoint
+from llpf.harness_cli.checkpoint import load_checkpoint, save_checkpoint
 from llpf.harness_cli.cli import main
+from llpf.harness_cli.config import parse_config
 from llpf.harness_cli.records import read_path_record
 from llpf.harness_cli.reports import read_csv
-from llpf.nn_engine import mlp2
+from llpf.nn_engine import init_params, mlp2
+from llpf.param_space import ParamVector
 
 BASE = """
 [model]
@@ -599,6 +601,37 @@ dir = out
         assert f"{cfg}:{line}: [{section}] {key} checkpoint {missing} does not exist" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, body, section, key, value",
+        [
+            ("connect-m2m", "[m2m]\nstart = a.ckpt\ndest = b.ckpt\nstep_f = 1e-3\n",
+             "m2m", "variance_ratio_bound", "1"),
+            ("connect-avs", "[avs]\nstart = a.ckpt\ndest = b.ckpt\n[avs.m2o]\nstep_a = 1e-3\n"
+                            "[avs.m2m]\nstep_f = 1e-3\n", "avs", "sphere_match_rtol", "0"),
+            ("connect-avs", "[avs]\nstart = a.ckpt\ndest = b.ckpt\n[avs.m2o]\nstep_a = 1e-3\n"
+                            "[avs.m2m]\nstep_f = 1e-3\n", "avs", "sphere_match_rtol", "0.5"),
+        ],
+        ids=["variance_ratio_bound=1", "sphere_match_rtol=0", "sphere_match_rtol=0.5"],
+    )
+    def test_walk_bound_not_above_one_rejected_with_line(
+        self, tmp_path, capsys, monkeypatch, command, body, section, key, value
+    ):
+        """A bound of at most 1 is a config error, found before any
+        checkpoint is read."""
+        calls = record_calls(monkeypatch, "load_checkpoint")
+        g = mlp2(10, 8, 3)
+        for name in ("a.ckpt", "b.ckpt"):
+            save_checkpoint(init_params(g, 0), g, tmp_path / name)
+        body = body.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n", 1)
+        text = BASE + body + "\n[output]\ndir = out\n"
+        cfg = write_cfg(tmp_path, text)
+        line = text.splitlines().index(f"[{section}]") + 1
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:{line}: [{section}] {key} must exceed 1" in err
+        assert "Traceback" not in err
+        assert not calls and not (tmp_path / "out").exists()
+
     def test_missing_record_dir_rejected_at_its_line(self, tmp_path, capsys):
         text = BASE + "\n[continuity]\nrecord_dir = path\n\n[output]\ndir = out\n"
         cfg = write_cfg(tmp_path, text)
@@ -778,15 +811,15 @@ dir = out
 """
         )
         cfg = parse_config(cfg_path)
-        block = rc.build_m2m(cfg, rc.build_graph(cfg))
-        assert len(block.plan.phases) == 1
-        phase = block.plan.phases[0]
+        plan, trainer = rc.build_m2m(cfg, rc.build_graph(cfg)).args
+        assert len(plan.phases) == 1
+        phase = plan.phases[0]
         assert phase.iterations == 30000
         assert phase.step.step_f == 1e-3 and phase.step.step_a == 0.0
         assert phase.stop.max_rounds == 5
         assert set(phase.active_layers) == set(g.slice_names())
-        assert block.trainer.lr == 1e-3 and block.trainer.batch_size == 64
-        assert block.trainer.momentum == 0.0 and block.trainer.weight_decay == 0.0
+        assert trainer.lr == 1e-3 and trainer.batch_size == 64
+        assert trainer.momentum == 0.0 and trainer.weight_decay == 0.0
 
     @pytest.mark.parametrize(
         "section, body",
@@ -860,8 +893,8 @@ step_a = 1e-3
 phases = fdf
 """
         )
-        block = rc.build_m2m(parse_config(fdf_cfg), g)
-        assert len(block.plan.phases) == 6  # stem, block1, two branches, head, all
+        plan, _ = rc.build_m2m(parse_config(fdf_cfg), g).args
+        assert len(plan.phases) == 6  # stem, block1, two branches, head, all
 
         explicit_cfg = tmp_path / "explicit.cfg"
         explicit_cfg.write_text(
@@ -881,9 +914,9 @@ layers = all
 iterations = 3
 """
         )
-        block = rc.build_m2m(parse_config(explicit_cfg), g)
-        assert [p.iterations for p in block.plan.phases] == [7, 3]
-        assert set(block.plan.phases[0].active_layers) == {
+        plan, _ = rc.build_m2m(parse_config(explicit_cfg), g).args
+        assert [p.iterations for p in plan.phases] == [7, 3]
+        assert set(plan.phases[0].active_layers) == {
             "stem.conv.weight", "stem.bn.scale", "stem.bn.shift",
         }
 
@@ -979,6 +1012,144 @@ dir = out_avs
         boundary = read_path_record(tmp_path / "out_avs", g).stage_boundary
         assert 0 < boundary < len(batch_sizes)
         assert batch_sizes == [16] * boundary + [64] * (len(batch_sizes) - boundary)
+
+
+    def test_failing_dest_rejected_before_any_repair(
+        self, modes_dir, tmp_path, monkeypatch, caplog
+    ):
+        """A destination that misses the stage-2 gate stops the chain before
+        stage 1 walks: no repair round runs."""
+        from llpf import llpf_core
+
+        g = mlp2(10, 8, 3)
+        start = load_checkpoint(g, modes_dir / "out" / "mode_1.ckpt")
+        # on smaller spheres, so stage 1 would walk; the flipped head fails the gate
+        inner = ParamVector(start.data * 0.9, start.layout)
+        bad = inner.with_slices({"fc2.weight": -inner.get("fc2.weight")})
+        save_checkpoint(bad, g, tmp_path / "bad.ckpt")
+        cfg = write_cfg(
+            tmp_path,
+            BASE
+            + f"""
+[avs]
+start = {modes_dir}/out/mode_1.ckpt
+dest = bad.ckpt
+mode_acceptance_loss = 0.2
+
+[avs.m2o]
+iterations = 3
+step_a = 0.1
+eta = 1e-4
+train_rounds = 2
+
+[avs.m2m]
+iterations = 2
+step_f = 1e-3
+
+[output]
+dir = out_avs
+""",
+        )
+        calls = []
+        real = llpf_core.train_until
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(llpf_core, "train_until", spy)
+        assert main(["connect-avs", "--config", str(cfg)]) == 2
+        assert "dest mode fails low-loss acceptance" in caplog.text
+        assert calls == []
+        assert not (tmp_path / "out_avs" / "record.json").exists()
+
+
+class TestWalkOutputs:
+    """What the one walk handler writes for each of the three commands: the
+    record's config hash and endpoints, the manifest's command, points and
+    stage boundary, and the printed summary line."""
+
+    SECTIONS = {
+        "connect-m2m": """
+[m2m]
+start = {modes}/mode_1.ckpt
+dest = {modes}/mode_2.ckpt
+iterations = 3
+step_f = 1e-3
+lr = 1e-5
+batch_size = 16
+train_rounds = 1
+mode_acceptance_loss = 0.2
+variance_ratio_bound = 4.0
+""",
+        "collapse-m2o": """
+[m2o]
+start = {modes}/mode_1.ckpt
+iterations = 3
+step_a = 2e-3
+eta = 1e-4
+batch_size = 16
+train_rounds = 1
+mode_acceptance_loss = 0.2
+""",
+        "connect-avs": """
+[avs]
+start = {modes}/mode_1.ckpt
+dest = inner.ckpt
+mode_acceptance_loss = 1.0
+
+[avs.m2o]
+iterations = 3
+step_a = 0.1
+eta = 1e-4
+batch_size = 16
+train_rounds = 1
+
+[avs.m2m]
+iterations = 2
+step_f = 1e-3
+lr = 1e-5
+batch_size = 16
+train_rounds = 1
+""",
+    }
+    ENDPOINTS = {
+        "connect-m2m": ["mode_1.ckpt", "mode_2.ckpt"],
+        "collapse-m2o": ["mode_1.ckpt", "origin"],
+        "connect-avs": ["mode_1.ckpt", "inner.ckpt"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(SECTIONS))
+    def test_record_manifest_and_summary(self, modes_dir, tmp_path, capsys, command):
+        import json
+
+        g = mlp2(10, 8, 3)
+        start = load_checkpoint(g, modes_dir / "out" / "mode_1.ckpt")
+        # the same mode at 0.81x the variance: the chain's stage 1 walks inward
+        save_checkpoint(ParamVector(start.data * 0.9, start.layout), g, tmp_path / "inner.ckpt")
+        section = self.SECTIONS[command].format(modes=modes_dir / "out")
+        cfg = write_cfg(tmp_path, BASE + section + "\n[output]\ndir = walk_out\nseed = 2\n")
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 0
+        out = tmp_path / "walk_out"
+        meta = json.loads((out / "record.json").read_text())
+        assert meta["config_hash"] == parse_config(cfg).digest
+        assert meta["endpoints"] == self.ENDPOINTS[command]
+        record = read_path_record(out, g)
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert f"command = {command}" in manifest
+        assert f"points = {len(record.points)}" in manifest
+        boundary = [line for line in manifest if line.startswith("stage_boundary = ")]
+        if command == "connect-avs":
+            assert 0 < meta["stage_boundary"] < len(record.points) - 1
+            assert boundary == [f"stage_boundary = {meta['stage_boundary']}"]
+        else:
+            assert meta["stage_boundary"] is None and boundary == []
+        final = record.points[-1].rolling_train_loss
+        assert capsys.readouterr().out == (
+            f"{command}: {len(record.points)} points -> {out}/metrics.csv "
+            f"(final rolling loss {final:.4g})\n"
+        )
 
 
 class TestM2OExcludeGlobs:

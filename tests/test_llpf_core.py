@@ -208,6 +208,11 @@ class TestM2M:
                 settings=SearchSettings(mode_acceptance_loss=0.05), graph=g,
             )
 
+    @pytest.mark.parametrize("bound", [1.0, 0.5, float("nan")])
+    def test_variance_ratio_bound_must_exceed_one(self, bound):
+        with pytest.raises(ValueError, match="variance_ratio_bound must exceed 1"):
+            SearchSettings(variance_ratio_bound=bound)
+
     def test_final_phase_must_cover_all(self, quick_mode):
         g, _ = quick_mode
         plan = PhasePlan(
@@ -419,6 +424,14 @@ class TestTestMetricCadence:
 
 
 class TestCrossVariance:
+    @pytest.mark.parametrize("rtol", [1.0, 0.5, 0.0])
+    def test_sphere_match_rtol_must_exceed_one(self, quick_mode, rtol):
+        g, _ = quick_mode
+        m2o = M2OConfig(2, StepParams(step_a=1e-3), StopRule(0.0, 1, 1), eta_base=1e-3)
+        plan = single_phase_plan(g, 2, StepParams(step_f=1e-3), StopRule(0.0, 1, 1))
+        with pytest.raises(ValueError, match="sphere_match_rtol must exceed 1"):
+            CrossVarianceConfig(m2o, plan, sphere_match_rtol=rtol)
+
     def test_direction_constraint(self, blobs, quick_mode):
         train, _ = blobs
         g, mode = quick_mode

@@ -27,7 +27,7 @@ from llpf.nn_engine import (
     train_until,
 )
 from llpf.nn_engine import trainer
-from llpf.nn_engine.graph import MODEL_BUILDERS
+from llpf.nn_engine.graph import MODEL_BUILDERS, topological_order
 from llpf.harness_cli.datasets import gen_blobs
 from llpf.param_space import LayoutMismatch, layer_stats
 
@@ -98,6 +98,29 @@ class TestGraph:
         ]
         with pytest.raises(GraphError, match="shapes differ"):
             ModelGraph(nodes, (2,))
+
+    def test_node_reading_a_producer_twice_rejected_by_name(self):
+        nodes = [
+            GraphNode("fc", "dense", (), {"out": 2}),
+            GraphNode("add", "residual_add", ("fc", "fc")),
+        ]
+        with pytest.raises(GraphError, match="'add' reads node 'fc' more than once"):
+            ModelGraph(nodes, (2,))
+
+    def test_global_max_pool_rejected_by_name(self):
+        nodes = [
+            GraphNode("c", "conv2d", (), {"out_channels": 2, "kernel": 3}),
+            GraphNode("p", "max_pool", ("c",), {"mode": "global"}),
+            GraphNode("flat", "flatten", ("p",)),
+        ]
+        with pytest.raises(GraphError, match="'p': max_pool has no global mode"):
+            ModelGraph(nodes, (1, 6, 6))
+
+    def test_topological_order_pops_the_smallest_ready_name(self):
+        deps = {"z": (), "b": ("z",), "a": ("z",), "c": ("a", "b"), "y": ()}
+        assert topological_order(deps) == ["y", "z", "a", "b", "c"]
+        with pytest.raises(GraphError, match="cycle"):
+            topological_order({"a": ("b",), "b": ("a",), "c": ()})
 
     def test_pool_divisibility(self):
         nodes = [
