@@ -148,14 +148,14 @@ def cmd_walk(args) -> int:
     block = builder(cfg, graph)
     started = datetime.now(timezone.utc)
     modes = [load_checkpoint(graph, path) for path in block.checkpoints]
-    names = [path.name for path in block.checkpoints]
     settings = replace(
         block.settings,
         seed=out.seed,
         checkpoint_stride=out.checkpoint_stride,
         eval_subset=out.eval_subset,
         config_hash=cfg.digest,
-        endpoint_ids=(names[0], names[1] if len(names) > 1 else "origin"),
+        # an origin walk has no dest checkpoint: llpf_m2o labels its "origin"
+        endpoint_ids=(block.checkpoints[0].name, block.checkpoints[-1].name),
     )
     record = driver(*modes, *block.args, train_data, test_data, settings=settings, graph=graph)
     write_path_record(out.out_dir, record, graph)

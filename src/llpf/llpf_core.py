@@ -23,7 +23,9 @@ spheres: it never corrects variance and never touches normalization
 parameters, and instead rescales each layer's learning rate so update angles
 stay comparable as the radius drops.  The cross-sphere connection
 (``connect_cross_variance``) chains the two to join modes that sit on
-different spheres.
+different spheres.  A phase controls only the move, its step and its repair's
+stop rule: repair trains every layer a search does not freeze, and the
+model-to-model search re-projects every correctable layer in every phase.
 """
 
 from __future__ import annotations
@@ -220,22 +222,14 @@ def angle_conformal(
     layout: Layout,
     v_base: Mapping[str, float],
     eta_base: float,
-    excluded: Iterable[str] = (),
 ) -> dict[str, float]:
-    """Per-layer learning rates for the flat array ``current`` laid out by
-    ``layout``, scaled by each layer's current-to-base variance ratio, so
-    update angles stay comparable as a layer's sphere shrinks.  Excluded
-    layers get a zero rate and are therefore never trained."""
-    excluded = set(excluded)
+    """Learning rates for the layers of ``v_base`` in the flat array
+    ``current`` laid out by ``layout``, each scaled by its current-to-base
+    variance ratio, so update angles stay comparable as a layer's sphere
+    shrinks.  A layer not in ``v_base`` gets no rate: the origin walk's zero
+    rate freezes it in every phase."""
     rates = {}
-    for info in layout:
-        name = info.name
-        if name in excluded:
-            rates[name] = 0.0
-            continue
-        if name not in v_base:
-            raise KeyError(f"missing base variance for layer {name!r}")
-        base = v_base[name]
+    for name, base in v_base.items():
         if base <= 0:
             raise ValueError(f"base variance must be positive for layer {name!r}")
         current_var = layer_stats(current[layout.spans[name]]).variance
@@ -255,6 +249,14 @@ def correctable_layers(params: ParamVector, targets: Mapping[str, float]) -> tup
         for info in params.layout
         if info.kind == "weight" and targets[info.name] > EPS_VAR
     )
+
+
+def _off_sphere(variances, targets, factor) -> dict[str, float]:
+    """The layers of ``variances``, in order, whose variance-to-target ratio
+    lies outside [1/factor, factor], each with its ratio.  A target at or
+    below ``EPS_VAR`` has no sphere to match, so its layer is skipped."""
+    ratios = {n: v / targets[n] for n, v in variances.items() if targets[n] > EPS_VAR}
+    return {n: r for n, r in ratios.items() if not (1.0 / factor <= r <= factor)}
 
 
 def _correct(
@@ -428,11 +430,12 @@ def llpf_m2m(
 ) -> PathRecord:
     """Walk ``start`` toward ``dest`` along their shared variance spheres.
 
-    Each iteration moves the active layers a small absolute distance toward
-    the destination, projects them back onto the start mode's captured
-    per-layer variance spheres, retrains briefly, and projects again.  Both
-    endpoints must already be low-loss modes whose correctable layers sit on
-    nearby spheres.  The retraining is plain SGD at ``trainer.lr`` on
+    Each iteration moves the phase's active layers a small absolute distance
+    toward the destination, projects every correctable layer back onto the
+    start mode's captured variance sphere, retrains every layer briefly, and
+    projects again, so a layer the phase does not move stays on its sphere
+    too.  Both endpoints must already be low-loss modes whose correctable
+    layers sit on nearby spheres.  The retraining is plain SGD at ``trainer.lr`` on
     ``trainer.batch_size``-row batches; a ``trainer`` with momentum or
     weight decay raises ``ValueError``.
     """
@@ -443,16 +446,14 @@ def llpf_m2m(
     targets = _variances(start.data, start.layout, start.names())
     correctable = correctable_layers(start, targets)
 
-    bound = settings.variance_ratio_bound
-    for name, v_dest in _variances(dest.data, dest.layout, correctable).items():
-        if v_dest <= EPS_VAR:
-            continue
-        ratio = targets[name] / v_dest
-        if not (1.0 / bound <= ratio <= bound):
-            raise PrerequisiteError(
-                f"modes on distant variance spheres (layer {name!r} ratio {ratio:.3g});"
-                " use connect_cross_variance"
-            )
+    v_dest = _variances(dest.data, dest.layout, correctable)
+    off = _off_sphere({n: targets[n] for n in correctable}, v_dest, settings.variance_ratio_bound)
+    if off:
+        name, ratio = next(iter(off.items()))
+        raise PrerequisiteError(
+            f"modes on distant variance spheres (layer {name!r} ratio {ratio:.3g});"
+            " use connect_cross_variance"
+        )
 
     start_loss, _ = _accept_modes(
         graph, settings, plan.phases, train_data, start=start, dest=dest
@@ -461,10 +462,9 @@ def llpf_m2m(
     layout = start.layout
 
     def repair(engine_plan, phase, rng):
-        names = [n for n in phase.active_layers if n in correctable]
-        _correct(engine_plan.params, layout, names, targets)
+        _correct(engine_plan.params, layout, correctable, targets)
         result = train_until(engine_plan, repair_data, trainer, phase.stop, rng)
-        _correct(engine_plan.params, layout, names, targets)
+        _correct(engine_plan.params, layout, correctable, targets)
         return result
 
     return _walk(
@@ -485,25 +485,23 @@ def llpf_m2o(
     graph: ModelGraph,
     settings: SearchSettings = SearchSettings(),
     destination: ParamVector | None = None,
-    var_stop: tuple[Mapping[str, float], float] | None = None,
+    stop_when: Callable[[np.ndarray], bool] | None = None,
 ) -> PathRecord:
     """Walk a mode inward across shrinking variance spheres.
 
     The destination defaults to the origin restricted to the non-excluded
     layers, and the record then names it ``"origin"``.  There is no variance
     correction; instead each layer's learning rate is rescaled by its
-    current-to-start variance ratio, so excluded layers
-    (``cfg.excluded_layers`` and every normalization parameter) stay
-    bit-identical.  Repair rounds draw ``cfg.batch_size``-row batches and
-    run without momentum or weight decay.  ``var_stop`` optionally ends the
-    walk once every correctable layer's variance is within a factor of the
-    given targets (used by the cross-sphere connection).
+    current-to-start variance ratio; excluded layers
+    (``cfg.excluded_layers`` and every normalization parameter) keep a zero
+    rate and stay bit-identical.  Repair rounds draw ``cfg.batch_size``-row
+    batches and run without momentum or weight decay.  The walk ends early,
+    before moving, once ``stop_when`` holds for its current flat array.
     """
-    excluded = set(cfg.excluded_layers)
-    excluded.update(
-        info.name for info in start.layout if info.kind in ("norm_scale", "norm_shift")
+    active = tuple(
+        info.name for info in graph.layout
+        if info.name not in cfg.excluded_layers and info.kind not in ("norm_scale", "norm_shift")
     )
-    active = tuple(n for n in graph.slice_names() if n not in excluded)
     if not active:
         raise ValueError("every layer is excluded; nothing to move")
 
@@ -525,24 +523,13 @@ def llpf_m2o(
     trainer = TrainerConfig(lr=cfg.eta_base, batch_size=cfg.batch_size)
     repair_data = replace(train_data, augment=None)
     layout = start.layout
-    lr = np.empty(start.size, dtype=start.dtype)
+    lr = np.zeros(start.size, dtype=start.dtype)  # excluded layers keep rate 0
 
     def repair(engine_plan, phase, rng):
-        rates = angle_conformal(engine_plan.params, layout, v_base, cfg.eta_base, excluded)
+        rates = angle_conformal(engine_plan.params, layout, v_base, cfg.eta_base)
         for name, rate in rates.items():
             lr[layout.spans[name]] = rate  # casts to the params dtype
         return train_until(engine_plan, repair_data, trainer, phase.stop, rng, lr=lr)
-
-    stop_when = None
-    if var_stop is not None:
-        stop_targets, rtol = var_stop
-        stop_layers = correctable_layers(start, stop_targets)
-
-        def stop_when(current):
-            return all(
-                1.0 / rtol <= v / stop_targets[name] <= rtol
-                for name, v in _variances(current, layout, stop_layers).items()
-            )
 
     return _walk(
         graph, start, dest, phases, active, start_loss, repair,
@@ -584,14 +571,16 @@ def connect_cross_variance(
     Stage one walks ``start`` inward to the projection of itself onto the
     destination's per-layer spheres (the inward walk only shrinks, so the
     start must sit on the larger spheres on average), entirely from
-    ``cfg.m2o``.  Stage two runs the same-sphere search from that
-    intermediate point to ``dest`` with ``trainer`` and ``cfg.m2m_plan``,
-    both checked before stage one starts, as :func:`llpf_m2m` checks them;
-    ``dest`` is scored then too, against the threshold stage two applies.
-    The returned record, labelled with ``settings.endpoint_ids``, is the
-    concatenation, with the hand-off point recorded once at
-    ``stage_boundary``.  Test metrics are filled in on the merged record,
-    once per point that keeps its params.
+    ``cfg.m2o``, until every correctable layer's variance is within
+    ``cfg.sphere_match_rtol`` of the destination's; a hand-off outside stage
+    two's ``settings.variance_ratio_bound`` raises :class:`PrerequisiteError`.
+    Stage two runs the same-sphere search from there to ``dest`` with
+    ``trainer`` and ``cfg.m2m_plan``, both checked before stage one starts,
+    as :func:`llpf_m2m` checks them; ``dest`` is scored then too, against the
+    threshold stage two applies.  The returned record, labelled with
+    ``settings.endpoint_ids``, is the concatenation, with the hand-off point
+    recorded once at ``stage_boundary``.  Test metrics are filled in on the
+    merged record, once per point that keeps its params.
     """
     start.require_compatible(dest)
     cfg.m2m_plan.validate_against(graph)
@@ -610,12 +599,22 @@ def connect_cross_variance(
     _correct(projection, start.layout, correctable, dest_targets)
     projection = ParamVector(projection, start.layout)
 
+    def off_dest_spheres(current, factor):
+        return _off_sphere(_variances(current, start.layout, correctable), dest_targets, factor)
+
     stage1 = llpf_m2o(
         start, cfg.m2o, train_data, settings=settings, graph=graph, destination=projection,
-        var_stop=(dest_targets, cfg.sphere_match_rtol),
+        stop_when=lambda current: not off_dest_spheres(current, cfg.sphere_match_rtol),
     )
     hand_off = stage1.points[-1]
     assert hand_off.params is not None
+    off = off_dest_spheres(hand_off.params.data, settings.variance_ratio_bound)
+    if off:
+        layers = ", ".join(f"layer {name!r} ratio {ratio:.3g}" for name, ratio in off.items())
+        raise PrerequisiteError(
+            f"stage 1 ended at iteration {hand_off.iteration} off the destination's variance"
+            f" spheres ({layers}); give stage 1 more iterations or a larger step"
+        )
 
     stage2 = llpf_m2m(
         hand_off.params, dest, cfg.m2m_plan, trainer, train_data, settings=settings, graph=graph

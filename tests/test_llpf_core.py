@@ -150,20 +150,10 @@ class TestAngleConformal:
         rates = angle_conformal(n.data, n.layout, {"w": 0.04}, 1e-3)
         assert rates["w"] == pytest.approx(2.5e-4)
 
-    def test_excluded_layers_get_zero(self):
-        n = vector({"w": [1.0, -1.0], "s": [1.0, 1.0]}, kinds={"s": "norm_scale"})
-        rates = angle_conformal(n.data, n.layout, {"w": 1.0}, 1e-3, excluded={"s"})
-        assert rates["s"] == 0.0
-
     def test_nonpositive_base_rejected(self):
         n = vector({"w": [1.0, -1.0]})
         with pytest.raises(ValueError, match="positive"):
             angle_conformal(n.data, n.layout, {"w": 0.0}, 1e-3)
-
-    def test_missing_base_rejected(self):
-        n = vector({"w": [1.0, -1.0]})
-        with pytest.raises(KeyError):
-            angle_conformal(n.data, n.layout, {}, 1e-3)
 
 
 def single_phase_plan(graph, iterations, step, stop):
@@ -407,15 +397,24 @@ class TestTestMetricCadence:
     def test_m2o_stopped_off_stride_keeps_and_evaluates_its_end(self, blobs, quick_mode):
         train, test = blobs
         g, mode = quick_mode
-        bigger = mode.with_slices({n: mode.get(n) * 1.1 for n in ("fc1.weight", "fc2.weight")})
-        targets = {n: layer_stats(mode.get(n)).variance for n in mode.names()}
+        weights = ("fc1.weight", "fc2.weight")
+        bigger = mode.with_slices({n: mode.get(n) * 1.1 for n in weights})
+        targets = {n: layer_stats(mode.get(n)).variance for n in weights}
+        spans = mode.layout.spans
+
+        def on_mode_spheres(current):
+            return all(
+                1 / 1.05 <= layer_stats(current[spans[n]]).variance / targets[n] <= 1.05
+                for n in weights
+            )
+
         cfg = M2OConfig(iterations=500, step=StepParams(step_a=5e-3),
                         stop=StopRule(0.0, 2, 1), eta_base=1e-3)
         stride = 4
         record = llpf_m2o(
             bigger, cfg, train, test,
             settings=SearchSettings(seed=3, checkpoint_stride=stride, mode_acceptance_loss=0.5),
-            graph=g, var_stop=(targets, 1.05),
+            graph=g, stop_when=on_mode_spheres,
         )
         end = record.points[-1]
         assert end.iteration < cfg.iterations and end.iteration % stride != 0
@@ -473,6 +472,38 @@ class TestCrossVariance:
         assert boundary.params is not None
         iters = [p.iteration for p in record.points]
         assert iters == sorted(iters) and len(set(iters)) == len(iters)
+
+    def test_stage_one_short_of_the_spheres_fails_before_stage_two(
+        self, blobs, quick_mode, monkeypatch
+    ):
+        train, _ = blobs
+        g, mode = quick_mode
+        doubled = mode.with_slices({n: mode.get(n) * 2.0 for n in ("fc1.weight", "fc2.weight")})
+        cfg = CrossVarianceConfig(
+            m2o=M2OConfig(iterations=2, step=StepParams(step_a=1e-3),
+                          stop=StopRule(0.0, 1, 1), eta_base=1e-3),
+            m2m_plan=single_phase_plan(g, 2, StepParams(step_f=1e-3), StopRule(0.0, 1, 1)),
+        )
+        repairs = []
+        real_train = llpf_core.train_until
+
+        def spy(engine_plan, *args, **kw):
+            repairs.append("origin walk" if "lr" in kw else "same-sphere walk")
+            return real_train(engine_plan, *args, **kw)
+
+        monkeypatch.setattr(llpf_core, "train_until", spy)
+        with pytest.raises(PrerequisiteError) as err:
+            connect_cross_variance(
+                doubled, mode, cfg, TrainerConfig(lr=1e-3), train, None,
+                settings=SearchSettings(mode_acceptance_loss=0.5), graph=g,
+            )
+        message = str(err.value)
+        assert message.startswith("stage 1 ended at iteration 2 off the destination's")
+        for name in ("fc1.weight", "fc2.weight"):
+            assert f"layer '{name}' ratio 3.9" in message
+        assert "more iterations or a larger step" in message
+        assert "connect_cross_variance" not in message
+        assert repairs == ["origin walk"] * 2
 
 
 class TestStoredPointsOwnTheirParams:
@@ -723,6 +754,34 @@ class TestPathRecord:
 
 
 class TestMultiPhase:
+    def test_every_correctable_layer_stays_on_its_sphere(self, blobs, quick_mode):
+        """A phase moves only its active layers, but repair trains them all;
+        the layers a phase does not move are re-projected too."""
+        train, _ = blobs
+        g, mode = quick_mode
+        partner = mode.with_slices({n: mode.get(n)[::-1] for n in ("fc1.weight", "fc2.weight")})
+        step, stop = StepParams(step_f=1e-2), StopRule(0.0, 5, 1)
+        plan = PhasePlan(
+            (
+                Phase(("fc1.weight", "fc1.bias"), 20, step, stop),
+                Phase(tuple(g.slice_names()), 5, step, stop),
+            )
+        )
+        record = llpf_m2m(
+            mode, partner, plan, TrainerConfig(lr=1e-2, batch_size=32), train, None,
+            settings=SearchSettings(seed=0, checkpoint_stride=1, mode_acceptance_loss=0.0),
+            graph=g,
+        )
+        targets = {n: layer_stats(mode.get(n)).variance for n in g.slice_names()}
+        correctable = llpf_core.correctable_layers(mode, targets)
+        assert correctable == ("fc1.weight", "fc2.weight")
+        stored = record.stored_points()
+        assert len(stored) == 26
+        for point in stored:
+            for name in correctable:
+                variance = layer_stats(point.params.get(name)).variance
+                assert variance == pytest.approx(targets[name], rel=1e-6), (point.iteration, name)
+
     def test_two_phase_plan_runs_and_labels_phases(self, blobs, quick_mode):
         train, _ = blobs
         g, mode = quick_mode
