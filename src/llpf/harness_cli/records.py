@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -97,6 +98,17 @@ def read_path_record(record_dir: str | Path, graph: ModelGraph, dtype=np.float32
     )
 
 
+def numeric_environment() -> dict[str, str]:
+    """The numpy, the BLAS and the BLAS thread settings a run computes with:
+    which BLAS kernels run, and how the BLAS splits a long dot product
+    across threads, can change the last bit of a record."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    env = {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = os.environ.get(var, "unset")
+    return env
+
+
 def write_manifest(
     out_dir: str | Path,
     command: str,
@@ -106,7 +118,8 @@ def write_manifest(
     extra: dict | None = None,
 ) -> None:
     """Everything needed to re-run the artifact: config digest, code version,
-    seeds, wall-clock bounds."""
+    seeds, wall-clock bounds, and the numeric environment
+    (:func:`numeric_environment`)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     finished = datetime.now(timezone.utc)
@@ -118,6 +131,6 @@ def write_manifest(
         f"started = {started.isoformat()}",
         f"finished = {finished.isoformat()}",
     ]
-    for key, value in (extra or {}).items():
+    for key, value in {**numeric_environment(), **(extra or {})}.items():
         lines.append(f"{key} = {value}")
     write_atomic(out_dir / "manifest.txt", ("\n".join(lines) + "\n").encode("utf-8"))

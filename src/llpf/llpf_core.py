@@ -439,6 +439,12 @@ def llpf_m2m(
     ``trainer.batch_size``-row batches; a ``trainer`` with momentum or
     weight decay raises ``ValueError``.
     """
+    return _m2m(start, dest, plan, trainer, train_data, test_data, graph, settings, score_dest=True)
+
+
+def _m2m(start, dest, plan, trainer, train_data, test_data, graph, settings, *, score_dest):
+    """:func:`llpf_m2m`; ``score_dest=False`` skips scoring ``dest``, for a
+    caller that has already accepted it against the same threshold."""
     start.require_compatible(dest)
     plan.validate_against(graph)
     _require_plain_sgd(trainer)
@@ -455,9 +461,8 @@ def llpf_m2m(
             " use connect_cross_variance"
         )
 
-    start_loss, _ = _accept_modes(
-        graph, settings, plan.phases, train_data, start=start, dest=dest
-    )
+    modes = {"start": start, "dest": dest} if score_dest else {"start": start}
+    start_loss = _accept_modes(graph, settings, plan.phases, train_data, **modes)[0]
     repair_data = replace(train_data, augment=None)
     layout = start.layout
 
@@ -577,7 +582,8 @@ def connect_cross_variance(
     Stage two runs the same-sphere search from there to ``dest`` with
     ``trainer`` and ``cfg.m2m_plan``, both checked before stage one starts,
     as :func:`llpf_m2m` checks them; ``dest`` is scored then too, against the
-    threshold stage two applies.  The returned record, labelled with
+    threshold stage two applies, and stage two does not score it again.  The
+    returned record, labelled with
     ``settings.endpoint_ids``, is the concatenation, with the hand-off point
     recorded once at ``stage_boundary``.  Test metrics are filled in on the
     merged record, once per point that keeps its params.
@@ -616,8 +622,9 @@ def connect_cross_variance(
             f" spheres ({layers}); give stage 1 more iterations or a larger step"
         )
 
-    stage2 = llpf_m2m(
-        hand_off.params, dest, cfg.m2m_plan, trainer, train_data, settings=settings, graph=graph
+    stage2 = _m2m(
+        hand_off.params, dest, cfg.m2m_plan, trainer, train_data, None, graph, settings,
+        score_dest=False,
     )
 
     # stage 1 is the single phase 0, so stage 2's phases follow from 1

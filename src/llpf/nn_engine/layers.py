@@ -6,11 +6,27 @@ below moves whole runs of N (or OW*N) floats instead of single image rows.
 Dense layers and their 2-D activations stay batch-first, (N, F).
 
 A convolution is an im2col patch matrix of shape (C*k*k, OH*OW*N), which the
-backward pass reuses, times the weight matrix as one GEMM.  Max-pooling
-forward is an elementwise max over the k*k strided window views; backward
-gives each output's gradient to the first input in row-major window order
-that equals the max, so ties (ReLU zeros) never double-count gradient and
-eval forwards never pay for picking winners.
+backward pass reuses, times the weight matrix.  That product, and the patch
+gradient's, run in column panels (:func:`_panel_matmul`) sized for OpenBLAS's
+small-matrix path: OpenBLAS 0.3.31 (Haswell kernels, one thread) runs a GEMM
+of at most ``SMALL_GEMM`` = 10**6 multiply-adds through an unpacked kernel
+and a larger one through the packed path, at 1.6-4.6x the cost per column.
+Measured in float32 on a 2-vCPU Xeon VM, two runs: (8x36) weights at
+5.9-6.4 ns per column for 999,936 multiply-adds and 9.5-14.4 ns at
+1,004,544; (4x9) weights at 0.76-1.16 ns, then 3.5-3.8 ns.  lenet-micro's batch-64 GEMMs,
+(4x9)@(9x50176) and (8x36)@(36x12544), sit far above the cliff.  A panel is
+the widest multiple of 64 columns under it; panels reproduce one GEMM bit
+for bit when the column count is a multiple of 16, and otherwise the last
+panel stays above the cliff, on the packed path the one GEMM takes, since an
+unpacked ragged tail rounds its last columns differently.  The per-row
+weight gradient of :func:`conv2d_backward` is fast for the same reason: each
+row's product is under the cliff (36*8*896 and 9*4*1792 multiply-adds at
+lenet-micro's batch-64 shapes).
+
+Max-pooling forward is an elementwise max over the k*k strided window
+views; backward gives each output's gradient to the first input in
+row-major window order that equals the max, so ties (ReLU zeros) never
+double-count gradient and eval forwards never pay for picking winners.
 
 Batch norm normalizes with the statistics its caller fixes, or else with the
 batch's own; its backward is the batch-statistics gradient, the only one that
@@ -39,6 +55,9 @@ from __future__ import annotations
 import numpy as np
 
 BN_EPS = 1e-5
+# The most multiply-adds OpenBLAS 0.3.31 runs on its unpacked small-matrix
+# kernel (M*N*K <= 1e6); the measurement is in the module docstring.
+SMALL_GEMM = 10**6
 
 
 def dense_forward(x, w, b, out):
@@ -96,6 +115,29 @@ def col2im(cols, x_shape, kernel, stride, pad, out_hw, xp):
     return xp[:, pad : pad + h, pad : pad + w]
 
 
+def _panels(m, k, n):
+    """Column bounds [(lo, hi), ...] for an (m, k) @ (k, n) product: one
+    panel at or under ``SMALL_GEMM``, else panels of the widest multiple of
+    64 columns under it; when n is not a multiple of 16 the last panel takes
+    enough columns to stay above it."""
+    fits = SMALL_GEMM // (m * k)
+    width = fits // 64 * 64
+    if n <= fits or width == 0:
+        return [(0, n)]
+    end = n if n % 16 == 0 else n - fits
+    bounds = [0, *range(width, end, width), n]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _panel_matmul(a, b, out):
+    """``np.matmul(a, b, out=out)`` for 2-D operands, bit for bit, one
+    column panel of :func:`_panels` at a time."""
+    m, k = a.shape
+    for lo, hi in _panels(m, k, b.shape[1]):
+        np.matmul(a, b[:, lo:hi], out=out[:, lo:hi])
+    return out
+
+
 def conv2d_forward(x, w, b, stride, pad, *, xp, cols, out):
     """Returns (y, cols); ``b=None`` is a bias-less convolution.  ``xp`` and
     ``cols`` are :func:`im2col`'s padded input and patch matrix, ``out`` an
@@ -103,7 +145,7 @@ def conv2d_forward(x, w, b, stride, pad, *, xp, cols, out):
     n = x.shape[-1]
     out_c = w.shape[0]
     cols, (oh, ow) = im2col(x, w.shape[2], stride, pad, xp=xp, out=cols)
-    y = np.matmul(w.reshape(out_c, -1), cols, out=out)
+    y = _panel_matmul(w.reshape(out_c, -1), cols, out)
     if b is not None:
         y += b[:, None]
     return y.reshape(out_c, oh, ow, n), cols
@@ -115,8 +157,9 @@ def conv2d_backward(g, x_shape, w, cols, stride, pad, need_dx=True, *, dw, db, w
     ``db=None`` skips the bias gradient (for a bias-less convolution).
 
     The weight gradient sums one (C*k*k, OW*N) x (OW*N, out) product per
-    output row: one product over all OH*OW*N columns measured up to 4x
-    slower when C*k*k and the output channels are few.  ``dw`` and ``db``
+    output row, each under ``SMALL_GEMM`` at lenet-micro's shapes: one
+    product over all OH*OW*N columns takes the packed path and measured up
+    to 4x slower.  ``dw`` and ``db``
     receive the parameter gradients; ``work`` is a :func:`conv_work` of
     buffers for the rest, dx included, which is then a view into it.
     """
@@ -133,7 +176,7 @@ def conv2d_backward(g, x_shape, w, cols, stride, pad, need_dx=True, *, dw, db, w
         np.add.reduce(gm, 1, None, db)
     if not need_dx:
         return None, dw, db
-    dcols = np.matmul(w.reshape(out_c, ckk).T, gm, out=dcols)
+    dcols = _panel_matmul(w.reshape(out_c, ckk).T, gm, dcols)
     dx = col2im(dcols, x_shape, w.shape[2], stride, pad, (oh, ow), xp)
     return dx, dw, db
 

@@ -1119,19 +1119,25 @@ train_rounds = 1
         "connect-avs": ["mode_1.ckpt", "inner.ckpt"],
     }
 
-    @pytest.mark.parametrize("command", sorted(SECTIONS))
-    def test_record_manifest_and_summary(self, modes_dir, tmp_path, capsys, command):
-        import json
-
+    def walk(self, modes_dir, tmp_path, command):
+        """Run ``command`` on the shared modes; returns its config and output
+        directory."""
         g = mlp2(10, 8, 3)
         start = load_checkpoint(g, modes_dir / "out" / "mode_1.ckpt")
         # the same mode at 0.81x the variance: the chain's stage 1 walks inward
         save_checkpoint(ParamVector(start.data * 0.9, start.layout), g, tmp_path / "inner.ckpt")
         section = self.SECTIONS[command].format(modes=modes_dir / "out")
         cfg = write_cfg(tmp_path, BASE + section + "\n[output]\ndir = walk_out\nseed = 2\n")
-        capsys.readouterr()
         assert main([command, "--config", str(cfg)]) == 0
-        out = tmp_path / "walk_out"
+        return cfg, tmp_path / "walk_out"
+
+    @pytest.mark.parametrize("command", sorted(SECTIONS))
+    def test_record_manifest_and_summary(self, modes_dir, tmp_path, capsys, command):
+        import json
+
+        g = mlp2(10, 8, 3)
+        capsys.readouterr()
+        cfg, out = self.walk(modes_dir, tmp_path, command)
         meta = json.loads((out / "record.json").read_text())
         assert meta["config_hash"] == parse_config(cfg).digest
         assert meta["endpoints"] == self.ENDPOINTS[command]
@@ -1150,6 +1156,24 @@ train_rounds = 1
             f"{command}: {len(record.points)} points -> {out}/metrics.csv "
             f"(final rolling loss {final:.4g})\n"
         )
+
+    def test_manifest_names_the_numeric_environment(self, modes_dir, tmp_path, monkeypatch):
+        """numpy, the BLAS and its thread settings can each change a
+        record's last bits, so the manifest names them."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        _, out = self.walk(modes_dir, tmp_path, "connect-m2m")
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        for line in (
+            f"numpy = {np.__version__}",
+            f"blas = {blas['name']} {blas['version']}",
+            "OPENBLAS_NUM_THREADS = 1",
+            "OMP_NUM_THREADS = 2",
+            "MKL_NUM_THREADS = unset",
+        ):
+            assert line in manifest
 
 
 class TestM2OExcludeGlobs:

@@ -505,6 +505,32 @@ class TestCrossVariance:
         assert "connect_cross_variance" not in message
         assert repairs == ["origin walk"] * 2
 
+    def test_dest_scored_once(self, blobs, quick_mode, monkeypatch):
+        """The chain scores ``dest`` before stage 1, and stage 2 reuses that
+        score (``TestPinnedWalks`` pins the chain's bytes)."""
+        train, _ = blobs
+        g, mode = quick_mode
+        bigger = mode.with_slices({n: mode.get(n) * 1.1 for n in ("fc1.weight", "fc2.weight")})
+        stop = StopRule(0.0, 1, 1)
+        cfg = CrossVarianceConfig(
+            m2o=M2OConfig(iterations=200, step=StepParams(step_a=1e-2), stop=stop, eta_base=1e-3),
+            m2m_plan=single_phase_plan(g, 3, StepParams(step_f=1e-3), stop),
+        )
+        scored = []
+        real_evaluate = llpf_core.evaluate
+
+        def spy(graph, params, *args, **kw):
+            scored.append(params is mode)
+            return real_evaluate(graph, params, *args, **kw)
+
+        monkeypatch.setattr(llpf_core, "evaluate", spy)
+        record = connect_cross_variance(
+            bigger, mode, cfg, TrainerConfig(lr=1e-3, batch_size=32), train, None,
+            settings=SearchSettings(seed=1, mode_acceptance_loss=0.5, checkpoint_stride=1),
+            graph=g,
+        )
+        assert record.stage_boundary > 0 and scored.count(True) == 1
+
 
 class TestStoredPointsOwnTheirParams:
     """A walk updates one working array in place; a stored point that kept a

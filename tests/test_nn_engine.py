@@ -550,6 +550,99 @@ class TestKernelReference:
         assert np.array_equal(per_window, ones)
 
 
+def conv_gemms(graph):
+    """(name, M, K, columns per row) of each conv GEMM ``graph`` runs: the
+    forward ``w @ cols`` and the patch gradient ``w.T @ gm``."""
+    gemms = []
+    for node in graph.plan:
+        if node.kind == "conv2d":
+            out_c, oh, ow = graph.shapes[node.name]
+            ckk = node.in_shape[0] * node.kernel**2
+            gemms += [(f"{node.name} w @ cols", out_c, ckk, oh * ow),
+                      (f"{node.name} w.T @ gm", ckk, out_c, oh * ow)]
+    return gemms
+
+
+class TestSmallGemmPanels:
+    """``L._panel_matmul`` runs a conv GEMM in column panels on OpenBLAS's
+    small-matrix path and must give one ``np.matmul``'s bits."""
+
+    ROWS = (1, 3, 37, 48, 64, 74, 128)
+    MODELS = {
+        "lenet-micro 28x28": lambda: lenet_micro(),
+        "lenet-micro 12x12": lambda: lenet_micro(hw=12),
+        "resnet-micro 28x28": lambda: resnet_micro(),
+    }
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("pdtype, xdtype", [
+        (np.float32, np.float32), (np.float64, np.float64), (np.float64, np.float32)])
+    def test_panels_give_one_matmuls_bits(self, model, pdtype, xdtype):
+        rng = np.random.default_rng(7)
+        for name, m, k, per_row in conv_gemms(self.MODELS[model]()):
+            # the patch matrix has the batch's dtype; the output gradient is
+            # computed in the parameters' and batch's common dtype
+            bdtype = xdtype if name.endswith("cols") else np.promote_types(pdtype, xdtype)
+            for rows in self.ROWS:
+                n = per_row * rows
+                w = rng.normal(size=(k, m) if name.endswith("gm") else (m, k)).astype(pdtype)
+                a = w.T if name.endswith("gm") else w
+                b = rng.normal(size=(k, n)).astype(bdtype)
+                want = np.matmul(a, b, out=np.empty((m, n), pdtype))
+                got = L._panel_matmul(a, b, np.empty((m, n), pdtype))
+                assert got.tobytes() == want.tobytes(), (name, rows, len(L._panels(m, k, n)))
+
+    def test_panel_bounds(self):
+        shapes = {(m, k) for g in (lenet_micro(), lenet_micro(hw=12), resnet_micro())
+                  for _, m, k, _ in conv_gemms(g)}
+        for m, k in sorted(shapes | {(128, 256)}):  # 128*256 fits no 64-column panel
+            for n in [*range(1, 4000, 13), *range(4000, 120000, 997), 14504, 50176]:
+                panels = L._panels(m, k, n)
+                bounds = [lo for lo, _ in panels] + [panels[-1][1]]
+                assert bounds[0] == 0 and bounds[-1] == n and bounds == sorted(set(bounds))
+                if m * k * n <= L.SMALL_GEMM or m * k * 64 > L.SMALL_GEMM:
+                    assert panels == [(0, n)]
+                    continue
+                widths = [hi - lo for lo, hi in panels]
+                for width in widths[:-1]:
+                    assert width % 64 == 0 and m * k * width <= L.SMALL_GEMM
+                if n % 16:  # a ragged last panel stays on the packed path
+                    assert m * k * widths[-1] > L.SMALL_GEMM, (m, k, n)
+                else:
+                    assert widths[-1] % 16 == 0 and m * k * widths[-1] <= L.SMALL_GEMM
+
+    def test_conv_kernels_match_one_matmul_at_lenet_batch_64(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        x1 = rng.normal(size=(1, 28, 28, 64)).astype(np.float32)
+        x2 = rng.normal(size=(4, 14, 14, 64)).astype(np.float32)
+        cases = []
+        for x, w_shape in ((x1, (4, 1, 3, 3)), (x2, (8, 4, 3, 3))):
+            w = rng.normal(size=w_shape).astype(np.float32)
+            b = rng.normal(size=w_shape[0]).astype(np.float32)
+            g = rng.normal(size=(w_shape[0],) + x.shape[1:]).astype(np.float32)
+            cases.append((x, w, b, g))
+
+        def run():
+            outs = []
+            for x, w, b, g in cases:
+                y, cols = conv2d_forward(x, w, b, 1, 1)
+                outs += [y, *conv2d_backward(g, x.shape, w, cols, 1, 1)]
+            return [o.tobytes() for o in outs]
+
+        panelled = run()
+        calls = []
+
+        def one_matmul(a, b, out):
+            calls.append(len(L._panels(a.shape[0], a.shape[1], b.shape[1])))
+            return np.matmul(a, b, out=out)
+
+        monkeypatch.setattr(L, "_panel_matmul", one_matmul)
+        assert run() == panelled
+        # each conv's forward and patch gradient go through the helper, and
+        # every one of them is split at these shapes
+        assert len(calls) == 4 and min(calls) > 1
+
+
 def sgd_step_allocating(params, grad, cfg, velocity, lr=None):
     """The allocating SGD update that the in-place ``sgd_step`` replaced,
     frozen as its reference: it returns new (params, velocity) arrays."""
