@@ -99,9 +99,9 @@ def read_path_record(record_dir: str | Path, graph: ModelGraph, dtype=np.float32
 
 
 def numeric_environment() -> dict[str, str]:
-    """The numpy, the BLAS and the BLAS thread settings a run computes with:
-    which BLAS kernels run, and how the BLAS splits a long dot product
-    across threads, can change the last bit of a record."""
+    """The numpy, the BLAS and the BLAS thread settings a run computes with,
+    kept as provenance: which BLAS kernels run can change a record's last
+    bit.  The thread count does not: no sum of squares is a BLAS ``ddot``."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     env = {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):

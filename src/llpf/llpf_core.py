@@ -56,6 +56,7 @@ from .param_space import (
     arc_length,
     l2_distance,
     layer_stats,
+    radial_norm_sq,
     variance_correction,
 )
 
@@ -161,6 +162,8 @@ class SearchSettings:
     endpoint_ids: tuple[str, str] = ("start", "dest")
 
     def __post_init__(self):
+        if self.checkpoint_stride < 1 or self.eval_subset < 1:
+            raise ValueError("checkpoint_stride and eval_subset must be >= 1")
         if not self.variance_ratio_bound > 1:
             raise ValueError("variance_ratio_bound must exceed 1")
 
@@ -208,7 +211,7 @@ def move_toward(
     for name in active_layers:
         a = current[spans[name]].astype(np.float64)
         gap = dest.get(name).astype(np.float64, copy=False) - a
-        dist = math.sqrt(gap @ gap)  # np.linalg.norm's float64 arithmetic
+        dist = math.sqrt(radial_norm_sq(gap))
         if dist == 0.0:
             continue
         s = step.step_a * dist + step.step_f
@@ -310,11 +313,10 @@ def _phase_arcs(current, dest, phase):
         return None
     arcs = {}
     for name in phase.active_layers:
-        a = current[dest.layout.spans[name]].astype(np.float64)
-        b = dest.get(name)
-        if np.linalg.norm(b) == 0:
-            arcs[name] = float(np.linalg.norm(a))
-        elif np.linalg.norm(a) == 0:
+        a, b = current[dest.layout.spans[name]], dest.get(name)
+        if not b.any():
+            arcs[name] = math.sqrt(radial_norm_sq(a))
+        elif not a.any():
             arcs[name] = 0.0  # arc undefined at the center; contributes nothing
         else:
             arcs[name] = arc_length(a, b)

@@ -78,7 +78,7 @@ class Dataset:
     def __post_init__(self):
         if len(self.inputs) != len(self.labels):
             raise ValueError("inputs and labels differ in length")
-        if len(self.labels) and int(self.labels.max()) >= self.num_classes:
+        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise ValueError("label out of range")
 
     def __len__(self) -> int:

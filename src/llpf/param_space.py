@@ -173,7 +173,7 @@ def layer_stats(values: np.ndarray) -> LayerStats:
     # np.add.reduce(x) / n is what ndarray.mean computes for a full
     # reduction, without its Python-level wrapper
     mean = float(np.add.reduce(wide) / wide.size)
-    variance = float(np.add.reduce((wide - mean) ** 2) / wide.size)
+    variance = radial_norm_sq(wide - mean) / wide.size
     return LayerStats(mean=mean, variance=variance, n=values.size)
 
 
@@ -200,7 +200,7 @@ def variance_correction(values: np.ndarray, v: float) -> None:
     if v == 0.0:
         values[...] = mean
         return
-    var = float(np.add.reduce(dev * dev) / n)
+    var = radial_norm_sq(dev) / n
     if var <= EPS_VAR:
         raise DegenerateVariance("degenerate variance")
     dev *= math.sqrt(v / var)
@@ -218,16 +218,17 @@ def l2_distance(a: np.ndarray, b: ParamVector, layers: Iterable[str]) -> dict[st
     spans = b.layout.spans
     out = {}
     for name in names:
-        db = b.get(name).astype(np.float64, copy=False)
-        d = a[spans[name]].astype(np.float64, copy=False) - db
-        out[name] = math.sqrt(d @ d)  # np.linalg.norm's float64 arithmetic
+        d = np.subtract(a[spans[name]], b.get(name), dtype=np.float64)
+        out[name] = math.sqrt(radial_norm_sq(d))
     return out
 
 
 def radial_norm_sq(values: np.ndarray) -> float:
-    """Squared distance from the origin: sum of squared entries in float64."""
+    """Squared distance from the origin: the sum of squared entries, reduced
+    in float64 by ``np.add.reduce``.  The one sum of squares of the sphere
+    geometry: unlike a BLAS ``ddot``, its bits do not depend on the thread count."""
     wide = np.asarray(values).reshape(-1).astype(np.float64, copy=False)
-    return float(wide @ wide)
+    return float(np.add.reduce(wide * wide))
 
 
 def arc_length(p0: np.ndarray, d: np.ndarray) -> float:
@@ -241,14 +242,11 @@ def arc_length(p0: np.ndarray, d: np.ndarray) -> float:
     d = np.asarray(d).reshape(-1).astype(np.float64, copy=False)
     if p0.shape != d.shape:
         raise ValueError("layer shapes differ")
-    n0 = np.linalg.norm(p0)
-    n1 = np.linalg.norm(d)
+    n0, n1 = math.sqrt(radial_norm_sq(p0)), math.sqrt(radial_norm_sq(d))
     if n0 == 0.0 or n1 == 0.0:
         raise ValueError("arc undefined at center")
     if np.array_equal(p0, d):
         return 0.0
-    u = p0 / n0
-    w = d / n1
-    half_chord = 0.5 * np.linalg.norm(u - w)
+    half_chord = 0.5 * math.sqrt(radial_norm_sq(p0 / n0 - d / n1))
     phi = 2.0 * np.arcsin(min(1.0, half_chord))
     return float(0.5 * (n0 + n1) * phi)

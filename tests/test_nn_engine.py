@@ -850,6 +850,14 @@ class TestTrainAndEvaluate:
         with pytest.raises(ValueError, match="empty"):
             evaluate(g, params, empty)
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_label_out_of_range_rejected(self, bad):
+        # a negative label would index the loss kernel's flat logits from
+        # the previous row: a wrong loss, not an error
+        labels = np.array([0, 1, 2, bad, 0, 1, 2, 0], dtype=np.int64)
+        with pytest.raises(ValueError, match="label out of range"):
+            Dataset(np.zeros((8, 20), np.float32), labels, "test", 3)
+
 
 def _softmax_cross_entropy_reference(logits, labels):
     """softmax_cross_entropy as it was before it shared its log-softmax with
