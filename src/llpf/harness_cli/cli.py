@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_config:
             p.add_argument("--config", required=True, help="experiment config file")
             p.add_argument("--out", help="override the [output] dir")
-            p.add_argument("--seed-override", type=int, dest="seed_override",
+            p.add_argument("--seed-override", type=nonnegative_int, dest="seed_override",
                            help="replace every configured seed")
         p.set_defaults(handler=handler)
         return p
@@ -91,6 +91,14 @@ def build_parser() -> argparse.ArgumentParser:
     plot.add_argument("--title", default="")
     plot.set_defaults(handler=cmd_plot)
     return parser
+
+
+def nonnegative_int(text: str) -> int:
+    """``--seed-override``: numpy's generators take seeds >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a seed must be >= 0, got {value}")
+    return value
 
 
 def _load_common(args):

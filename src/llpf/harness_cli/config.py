@@ -9,6 +9,7 @@ key reference lives in docs/config.md.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,7 +47,12 @@ def parse_config(path: str | Path) -> ConfigFile:
     sections: dict[str, dict[str, RawValue]] = {}
     section_lines: dict[str, int] = {}
     current: dict[str, RawValue] | None = None
-    for lineno, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        byte, lineno = raw[exc.start], raw.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}: not UTF-8 (byte {byte:#04x} on line {lineno})") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -119,14 +125,22 @@ class Section:
         except ValueError:
             raise self.cfg.error(raw.line, f"{key} must be an integer, got {raw.text!r}")
 
-    def get_float(self, key: str, default: float | None = None) -> float | None:
+    def get_float(
+        self, key: str, default: float | None = None, positive: bool = False
+    ) -> float | None:
+        """A finite number; with ``positive``, one above 0."""
         raw = self._raw(key)
         if raw is None:
             return default
         try:
-            return float(raw.text)
+            value = float(raw.text)
         except ValueError:
             raise self.cfg.error(raw.line, f"{key} must be a number, got {raw.text!r}")
+        if positive and not value > 0:
+            raise self.cfg.error(raw.line, f"{key} must be positive, got {raw.text!r}")
+        if not math.isfinite(value):
+            raise self.cfg.error(raw.line, f"{key} must be finite, got {raw.text!r}")
+        return value
 
     def get_bool(self, key: str, default: bool | None = None) -> bool | None:
         raw = self._raw(key)
@@ -181,6 +195,14 @@ class Section:
         value = self.get_int(key, default)
         if value is not None and value < 1:
             raise self.cfg.error(self.line_of(key), f"{key} must be >= 1, got {value}")
+        return value
+
+    def seed(self) -> int:
+        """The section's ``seed`` for numpy's generators: an integer >= 0, 0
+        when absent."""
+        value = self.get_int("seed", 0)
+        if value < 0:
+            raise self.cfg.error(self.line_of("seed"), f"seed must be >= 0, got {value}")
         return value
 
 

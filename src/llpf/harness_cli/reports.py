@@ -107,6 +107,13 @@ _PALETTE = (
 )
 
 
+def _xml_text(text: str) -> str:
+    """``text`` escaped for an SVG text node.  Not ``xml.sax.saxutils.escape``:
+    importing it pulls in ``urllib.request`` and adds about 7 MB to every
+    command's peak memory."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def emit_svg(
     x: Sequence[float],
     series: Sequence[tuple[str, Sequence[float]]],
@@ -188,17 +195,18 @@ def emit_svg(
             f'<rect x="{width - 180}" y="{ly - 9}" width="12" height="12" fill="{color}"/>'
         )
         parts.append(
-            f'<text x="{width - 162}" y="{ly + 2}" font-size="11" font-family="sans-serif">{label}</text>'
+            f'<text x="{width - 162}" y="{ly + 2}" font-size="11" font-family="sans-serif">'
+            f"{_xml_text(label)}</text>"
         )
     if title:
         parts.append(
             f'<text x="{width / 2}" y="22" font-size="14" text-anchor="middle"'
-            f' font-family="sans-serif" font-weight="bold">{title}</text>'
+            f' font-family="sans-serif" font-weight="bold">{_xml_text(title)}</text>'
         )
     if x_label:
         parts.append(
             f'<text x="{width / 2}" y="{height - 12}" font-size="12" text-anchor="middle"'
-            f' font-family="sans-serif">{x_label}</text>'
+            f' font-family="sans-serif">{_xml_text(x_label)}</text>'
         )
     parts.append("</svg>")
     write_atomic(path, ("\n".join(parts) + "\n").encode("utf-8"))

@@ -75,7 +75,7 @@ def build_datasets(cfg: ConfigFile) -> tuple[Dataset, Dataset]:
         classes = sec.require_int("classes")
         dim = sec.require_int("dim")
         n = sec.require_int("n")
-        seed = sec.get_int("seed", 0)
+        seed = sec.seed()
         sec.finish()
         return gen_blobs(classes, dim, n, seed)
     if name in ("mnist", "mnist-subset"):
@@ -92,7 +92,7 @@ def build_datasets(cfg: ConfigFile) -> tuple[Dataset, Dataset]:
         per_class = None
         if name == "mnist-subset":
             per_class = sec.require_int("per_class")
-        subset_seed = sec.get_int("seed", 0)
+        subset_seed = sec.seed()
         augment = sec.get_bool("augment", False)
         sec.finish()
         if not data_dir.is_dir():
@@ -119,6 +119,8 @@ def build_modes(cfg: ConfigFile, min_seeds: int = 1) -> ModesBlock:
     if len(seeds) < min_seeds:
         line = sec.values["seeds"].line
         raise cfg.error(line, f"[modes] needs at least {min_seeds} seeds here, got {len(seeds)}")
+    if min(seeds) < 0:
+        raise cfg.error(sec.values["seeds"].line, f"seeds must be >= 0, got {min(seeds)}")
     trainer = _checked(
         sec,
         TrainerConfig,
@@ -134,12 +136,7 @@ def build_modes(cfg: ConfigFile, min_seeds: int = 1) -> ModesBlock:
         max_rounds=sec.positive_int("max_rounds", 1000),
         window=sec.positive_int("window", 10),
     )
-    acceptance = sec.get_float("acceptance_loss")
-    if acceptance is not None and not acceptance > 0:
-        raise cfg.error(
-            sec.values["acceptance_loss"].line,
-            f"acceptance_loss must be positive, got {acceptance!r}",
-        )
+    acceptance = sec.get_float("acceptance_loss", positive=True)
     sec.finish()
     return ModesBlock(seeds, trainer, rule, acceptance)
 
@@ -159,7 +156,7 @@ def build_output(cfg: ConfigFile) -> OutputBlock:
         out_dir=resolve_path(cfg, dir_text),
         checkpoint_stride=sec.positive_int("checkpoint_stride", 10),
         eval_subset=sec.positive_int("eval_subset", 2048),
-        seed=sec.get_int("seed", 0),
+        seed=sec.seed(),
     )
     sec.finish()
     return block

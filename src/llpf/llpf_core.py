@@ -32,13 +32,15 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .nn_engine.engine import Plan
-from .nn_engine.graph import ModelGraph, topological_order
+from .nn_engine.graph import ModelGraph, ResolvedNode, topological_order
 from .nn_engine.trainer import (
     Dataset,
     StopRule,
@@ -76,7 +78,7 @@ class StepParams:
     step_f: float = 0.0
 
     def __post_init__(self):
-        if min(self.step_a, self.step_c, self.step_f) < 0:
+        if not all(s >= 0 for s in (self.step_a, self.step_c, self.step_f)):
             raise ValueError("step coefficients must be non-negative")
         if self.step_a == 0 and self.step_c == 0 and self.step_f == 0:
             raise ValueError("at least one step coefficient must be positive")
@@ -166,6 +168,8 @@ class SearchSettings:
             raise ValueError("checkpoint_stride and eval_subset must be >= 1")
         if not self.variance_ratio_bound > 1:
             raise ValueError("variance_ratio_bound must exceed 1")
+        if self.mode_acceptance_loss is not None and math.isnan(self.mode_acceptance_loss):
+            raise ValueError("mode_acceptance_loss must be a number, got nan")
 
 
 @dataclass(frozen=True)
@@ -181,7 +185,7 @@ class M2OConfig:
     batch_size: int = 32
 
     def __post_init__(self):
-        if self.eta_base <= 0:
+        if not self.eta_base > 0:
             raise ValueError("eta_base must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -663,83 +667,23 @@ def fdf_phase_plan(
     extends phase k-1 with the next block's layers; a final all-layers phase
     is always appended.
     """
-    segments = _segment_nodes(graph)
-    ordered = _order_segments(graph, segments)
-
-    slice_by_node: dict[str, list[str]] = {}
-    for info in graph.layout:
-        node_name = info.name.rsplit(".", 1)[0]
-        slice_by_node.setdefault(node_name, []).append(info.name)
-
-    layout_order = {name: i for i, name in enumerate(graph.slice_names())}
-    cumulative: list[str] = []
+    readers = Counter(src for node in graph.plan for src in node.inputs)
+    head_of: dict[str, str] = {}
+    chains: dict[str, list[ResolvedNode]] = {}
+    for node in graph.plan:
+        extends = len(node.inputs) == 1 and readers[node.inputs[0]] == 1
+        head_of[node.name] = head_of[node.inputs[0]] if extends else node.name
+        chains.setdefault(head_of[node.name], []).append(node)
+    deps = {head: {head_of[src] for src in chain[0].inputs} for head, chain in chains.items()}
+    name_at = {info.offset: info.name for info in graph.layout}
+    cumulative: list[int] = []
     phases: list[Phase] = []
-    for seg in ordered:
-        for block in _prefix_runs(seg):
-            block_slices = [s for node in block for s in slice_by_node.get(node, [])]
-            if not block_slices:
-                continue
-            cumulative.extend(block_slices)
-            active = tuple(sorted(cumulative, key=layout_order.__getitem__))
-            phases.append(Phase(active, iterations, step, stop))
-    all_layers = tuple(graph.slice_names())
-    phases.append(Phase(all_layers, iterations, step, stop))
+    for head in topological_order(deps):
+        for _, block in groupby(chains[head], key=lambda n: n.name.rsplit(".", 1)[0]):
+            offsets = [offset for node in block for offset, _, _ in node.slices]
+            if offsets:
+                cumulative.extend(offsets)
+                active = tuple(name_at[offset] for offset in sorted(cumulative))
+                phases.append(Phase(active, iterations, step, stop))
+    phases.append(Phase(graph.slice_names(), iterations, step, stop))
     return PhasePlan(tuple(phases))
-
-
-def _block_prefix(name: str) -> str:
-    return name.rsplit(".", 1)[0] if "." in name else name
-
-
-def _prefix_runs(chain: Sequence[str]) -> list[list[str]]:
-    runs: list[list[str]] = []
-    for node in chain:
-        if runs and _block_prefix(runs[-1][-1]) == _block_prefix(node):
-            runs[-1].append(node)
-        else:
-            runs.append([node])
-    return runs
-
-
-def _segment_nodes(graph: ModelGraph) -> dict[str, list[str]]:
-    """Split the node DAG into maximal linear chains, keyed by head node."""
-    in_deg = {n.name: len(n.inputs) for n in graph.nodes}
-    out_deg = {n.name: len(graph.consumers(n.name)) for n in graph.nodes}
-
-    def starts_segment(name: str) -> bool:
-        node = graph.node(name)
-        if len(node.inputs) != 1:
-            return True
-        return out_deg[node.inputs[0]] != 1
-
-    segments = {}
-    for name in graph.topo_order:
-        if not starts_segment(name):
-            continue
-        chain = [name]
-        cur = name
-        while True:
-            consumers = graph.consumers(cur)
-            if len(consumers) != 1:
-                break
-            nxt = consumers[0]
-            if in_deg[nxt] != 1:
-                break
-            chain.append(nxt)
-            cur = nxt
-        segments[name] = chain
-    return segments
-
-
-def _order_segments(graph: ModelGraph, segments: dict[str, list[str]]) -> list[list[str]]:
-    """The segments in topological order.  ``ModelGraph`` rejects cycles, and
-    a segment joins another only from its tail to the other's head, so the
-    segments form a DAG as well."""
-    seg_of = {node: head for head, chain in segments.items() for node in chain}
-    deps: dict[str, set[str]] = {head: set() for head in segments}
-    for node in graph.nodes:
-        for src in node.inputs:
-            a, b = seg_of[src], seg_of[node.name]
-            if a != b:
-                deps[b].add(a)
-    return [segments[head] for head in topological_order(deps)]

@@ -105,19 +105,10 @@ class ModelGraph:
         sinks = [n.name for n in self.nodes if n.name not in consumed]
         if len(sinks) != 1:
             raise GraphError(f"expected exactly one output node, found {sinks}")
-        self.source = sources[0]
         self.sink = sinks[0]
         self.topo_order = tuple(topological_order({n.name: n.inputs for n in self.nodes}))
         self._resolve()
         self._digest = self._describe()
-
-    # -- structure ---------------------------------------------------------
-
-    def node(self, name: str) -> GraphNode:
-        return self._by_name[name]
-
-    def consumers(self, name: str) -> tuple[str, ...]:
-        return tuple(n.name for n in self.nodes if name in n.inputs)
 
     # -- shapes and parameters ----------------------------------------------
 

@@ -93,11 +93,11 @@ class TrainerConfig:
     batch_size: int = 32
 
     def __post_init__(self):
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ValueError("learning rate must be positive")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValueError("weight decay must be non-negative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")

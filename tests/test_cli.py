@@ -458,6 +458,18 @@ class TestPlot:
         assert drawn["rolling_train_loss"] == 5
         assert drawn["test_loss"] == drawn["test_acc"] == 3
 
+    def test_labels_escaped(self, tmp_path):
+        from xml.dom import minidom
+
+        csv_path = tmp_path / "m.csv"
+        csv_path.write_text("step<i>,loss & acc\n0,1.0\n1,0.5\n")
+        out_svg = tmp_path / "chart.svg"
+        title = "loss < 0.1 & falling"
+        assert main(["plot", str(csv_path), "--out", str(out_svg), "--title", title]) == 0
+        svg = minidom.parse(str(out_svg))
+        texts = {node.firstChild.data for node in svg.getElementsByTagName("text")}
+        assert {title, "step<i>", "loss & acc"} <= texts
+
     def test_bad_column_is_validation_error(self, modes_dir, tmp_path):
         csv_path = modes_dir / "out" / "mode_1_train.csv"
         code = main(["plot", str(csv_path), "--out", str(tmp_path / "x.svg"), "--y", "nope"])
@@ -568,6 +580,50 @@ dir = out
         assert main([command, "--config", str(cfg)]) == 1
         assert f"{cfg}:{line}: acceptance_loss must be positive" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["lr", "mode_acceptance_loss"])
+    def test_nan_walk_value_rejected_with_line(self, tmp_path, capsys, key):
+        text = BASE + f"[m2m]\nstart = a.ckpt\ndest = b.ckpt\nstep_f = 1e-3\n{key} = nan\n"
+        cfg = write_cfg(tmp_path, text + "\n[output]\ndir = out\n")
+        line = text.splitlines().index(f"{key} = nan") + 1
+        assert main(["connect-m2m", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:{line}: {key} must be finite, got 'nan'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("seed = 11", "seed = -1"),
+            ("seeds = 1, 2", "seeds = 1, -2"),
+            ("dir = out", "dir = out\nseed = -3"),
+        ],
+        ids=["dataset", "modes", "output"],
+    )
+    def test_negative_seed_rejected_with_line(self, tmp_path, capsys, old, new):
+        text = (BASE + MODES + "\n[output]\ndir = out\n").replace(old, new)
+        cfg = write_cfg(tmp_path, text)
+        line = text.splitlines().index(new.splitlines()[-1]) + 1
+        assert main(["train-modes", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert re.search(rf"{re.escape(str(cfg))}:{line}: seeds? must be >= 0, got -\d", err)
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_override_is_usage_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BASE + MODES + "\n[output]\ndir = out\n")
+        assert main(["train-modes", "--config", str(cfg), "--seed-override", "-1"]) == 1
+        assert "a seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(BASE.replace("mlp2", "mlp\xe9").encode("latin-1"))
+        assert main(["train-modes", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}: not UTF-8 (byte 0xe9 on line 3)" in err
+        assert "Traceback" not in err
 
     def test_bad_modes_trainer_value_rejected_with_line(self, tmp_path, capsys):
         text = BASE + MODES.replace("lr = 0.1", "lr = 0") + "\n[output]\ndir = out\n"

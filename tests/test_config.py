@@ -51,6 +51,12 @@ class TestParser:
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(tmp_path / "nope.cfg")
 
+    def test_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"[model]\nname = caf\xe9\n")
+        with pytest.raises(ConfigError, match=r"run.cfg: not UTF-8 \(byte 0xe9 on line 2\)"):
+            parse_config(path)
+
     def test_digest_changes_with_content(self, tmp_path):
         a = parse_config(write(tmp_path, "[model]\nname = a\n"))
         (tmp_path / "run.cfg").write_text("[model]\nname = b\n")
@@ -95,6 +101,25 @@ class TestSection:
         cfg = parse_config(write(tmp_path, "[t]\n"))
         with pytest.raises(ConfigError, match="missing required key"):
             Section(cfg, "t").require("name")
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_float_rejected_with_line(self, tmp_path, text):
+        cfg = parse_config(write(tmp_path, f"[t]\nx = 1\ny = {text}\n"))
+        with pytest.raises(ConfigError, match=rf":3: y must be finite, got '{text}'"):
+            Section(cfg, "t").get_float("y")
+
+    @pytest.mark.parametrize("text", ["0", "-1", "nan", "-inf"])
+    def test_positive_float(self, tmp_path, text):
+        cfg = parse_config(write(tmp_path, f"[t]\nx = {text}\n"))
+        with pytest.raises(ConfigError, match=rf":2: x must be positive, got '{text}'"):
+            Section(cfg, "t").get_float("x", positive=True)
+
+    def test_seed(self, tmp_path):
+        cfg = parse_config(write(tmp_path, "[t]\nseed = 7\n[u]\n[v]\nseed = -1\n"))
+        assert Section(cfg, "t").seed() == 7
+        assert Section(cfg, "u").seed() == 0
+        with pytest.raises(ConfigError, match=r":5: seed must be >= 0, got -1"):
+            Section(cfg, "v").seed()
 
     def test_positive_int(self, tmp_path):
         cfg = parse_config(write(tmp_path, "[t]\nn = 0\n"))

@@ -210,6 +210,21 @@ class TestM2M:
         with pytest.raises(ValueError, match="variance_ratio_bound must exceed 1"):
             SearchSettings(variance_ratio_bound=bound)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda nan: TrainerConfig(lr=nan),
+            lambda nan: TrainerConfig(lr=1e-2, weight_decay=nan),
+            lambda nan: StepParams(step_f=nan),
+            lambda nan: M2OConfig(2, StepParams(step_a=1e-2), StopRule(0.0, 1, 1), eta_base=nan),
+            lambda nan: SearchSettings(mode_acceptance_loss=nan),
+        ],
+        ids=["lr", "weight_decay", "step_f", "eta_base", "mode_acceptance_loss"],
+    )
+    def test_nan_setting_rejected(self, make):
+        with pytest.raises(ValueError):
+            make(float("nan"))
+
     def test_final_phase_must_cover_all(self, quick_mode):
         g, _ = quick_mode
         plan = PhasePlan(
@@ -772,6 +787,81 @@ class TestFdfPhasePlan:
         a = fdf_phase_plan(g, 10, StepParams(step_a=1e-3), StopRule(0.0, 1, 1))
         b = fdf_phase_plan(g, 10, StepParams(step_a=1e-3), StopRule(0.0, 1, 1))
         assert a == b
+
+    @staticmethod
+    def _actives(nodes, in_dim=3):
+        plan = fdf_phase_plan(
+            ModelGraph(nodes, (in_dim,)), 10, StepParams(step_f=1e-3), StopRule(0.0, 1, 1)
+        )
+        return [phase.active_layers for phase in plan.phases]
+
+    @staticmethod
+    def _dense(*names):
+        return tuple(f"{name}.{leaf}" for name in names for leaf in ("weight", "bias"))
+
+    def test_parallel_branches_ordered_by_head_name(self):
+        # "z.fc" is declared first; "a.fc" still comes first, by name
+        nodes = [
+            GraphNode("stem", "dense", (), {"out": 3}),
+            GraphNode("z.fc", "dense", ("stem",), {"out": 3}),
+            GraphNode("a.fc", "dense", ("stem",), {"out": 3}),
+            GraphNode("join", "residual_add", ("z.fc", "a.fc")),
+            GraphNode("head", "dense", ("join",), {"out": 2}),
+        ]
+        assert self._actives(nodes) == [
+            self._dense("stem"),
+            self._dense("stem", "a.fc"),
+            self._dense("stem", "a.fc", "z.fc"),
+            self._dense("stem", "a.fc", "z.fc", "head"),
+            self._dense("stem", "a.fc", "z.fc", "head"),
+        ]
+
+    def test_fork_with_three_consumers(self):
+        # each reader of the fork heads a chain of its own, so the three
+        # branches are three phases although they share the block prefix
+        nodes = [
+            GraphNode("stem", "dense", (), {"out": 3}),
+            GraphNode("fork.c", "dense", ("stem",), {"out": 3}),
+            GraphNode("fork.b", "dense", ("stem",), {"out": 3}),
+            GraphNode("fork.a", "dense", ("stem",), {"out": 3}),
+            GraphNode("fork.add_ab", "residual_add", ("fork.a", "fork.b")),
+            GraphNode("fork.add", "residual_add", ("fork.add_ab", "fork.c")),
+            GraphNode("head", "dense", ("fork.add",), {"out": 2}),
+        ]
+        assert self._actives(nodes) == [
+            self._dense("stem"),
+            self._dense("stem", "fork.a"),
+            self._dense("stem", "fork.a", "fork.b"),
+            self._dense("stem", "fork.a", "fork.b", "fork.c"),
+            self._dense("stem", "fork.a", "fork.b", "fork.c", "head"),
+            self._dense("stem", "fork.a", "fork.b", "fork.c", "head"),
+        ]
+
+    def test_chain_ordered_as_a_unit(self):
+        # the chain "b" -> "z" ends in a fork whose readers "c" and "d" come
+        # before "b"'s sibling "y": chains are ordered by their heads, although
+        # the node order reaches "y" before "z" and so before "c" and "d"
+        nodes = [
+            GraphNode("stem", "dense", (), {"out": 3}),
+            GraphNode("b", "dense", ("stem",), {"out": 3}),
+            GraphNode("z", "relu", ("b",)),
+            GraphNode("c", "dense", ("z",), {"out": 3}),
+            GraphNode("d", "dense", ("z",), {"out": 3}),
+            GraphNode("cd", "residual_add", ("c", "d")),
+            GraphNode("y", "dense", ("stem",), {"out": 3}),
+            GraphNode("join", "residual_add", ("cd", "y")),
+            GraphNode("head", "dense", ("join",), {"out": 2}),
+        ]
+        assert [node.name for node in ModelGraph(nodes, (3,)).plan][:4] == ["stem", "b", "y", "z"]
+        assert self._actives(nodes) == [
+            self._dense("stem"),
+            self._dense("stem", "b"),
+            self._dense("stem", "b", "c"),
+            self._dense("stem", "b", "c", "d"),
+            self._dense("stem", "b", "y", "c", "d"),
+            self._dense("stem", "b", "y", "c", "d", "head"),
+            self._dense("stem", "b", "y", "c", "d", "head"),
+        ]
 
 
 class TestPathRecord:
