@@ -21,7 +21,7 @@ from .nn_engine.trainer import (
     norm_rows,
     train_modes,
 )
-from .param_space import ParamVector, l2_distance, layer_stats, radial_norm_sq
+from .param_space import ParamVector, l2_distance, layer_stats
 
 log = logging.getLogger(__name__)
 
@@ -48,12 +48,8 @@ class ContinuityReport:
     samples: int
 
     @property
-    def segment_max_loss(self) -> list[float]:
-        return [max(losses) for losses in self.segment_losses]
-
-    @property
     def global_max_loss(self) -> float:
-        return max(self.segment_max_loss)
+        return max(max(losses) for losses in self.segment_losses)
 
 
 def interpolation_continuity(
@@ -123,44 +119,38 @@ def interpolation_continuity(
 
 def path_metrics(
     path: PathRecord,
-    destination: ParamVector | str = "origin",
+    destination: ParamVector | None = None,
     graph: ModelGraph | None = None,
     test_data: Dataset | None = None,
     recompute: bool = False,
     norm_x: np.ndarray | None = None,
 ) -> list[dict[str, float]]:
     """One row per path point: iteration, phase, rolling train loss, per-layer
-    distance to the destination (per-layer norm when it is the origin), test
-    loss and accuracy (recorded at stored points only, NaN elsewhere), and
-    ``train_exhausted`` (1 when repair training ran out of rounds before
-    reaching its loss threshold, else 0).
+    distance to the destination (one ``dist:`` column per recorded slice, in
+    name order), test loss and accuracy (recorded at stored points only, NaN
+    elsewhere), and ``train_exhausted`` (1 when repair training ran out of
+    rounds before reaching its loss threshold, else 0).
 
     Rows come from the recorded point metrics; with ``recompute=True`` the
     distance and test columns are recomputed from stored checkpoints instead,
-    which is the cross-check oracle (points without checkpoints are skipped).
-    A batch-norm model's test metrics need ``norm_x``, the training rows its
-    statistics are fitted on (:func:`norm_rows` of the training set).
+    against the ``destination`` vector (required; the origin is a zero
+    vector), which is the cross-check oracle (points without checkpoints are
+    skipped).  A batch-norm model's test metrics need ``norm_x``, the
+    training rows its statistics are fitted on (:func:`norm_rows` of the
+    training set).
     """
+    if recompute and destination is None:
+        raise ValueError("recompute=True needs a destination vector")
     rows = []
     for p in path.points:
+        dists, t_loss, t_acc = p.per_layer_dist, p.test_loss, p.test_acc
         if recompute:
             if p.params is None:
                 continue
-            if isinstance(destination, str):
-                dists = {
-                    name: float(np.sqrt(radial_norm_sq(p.params.get(name))))
-                    for name in p.per_layer_dist
-                }
-            else:
-                p.params.require_compatible(destination)
-                dists = l2_distance(p.params.data, destination, list(p.per_layer_dist))
+            p.params.require_compatible(destination)
+            dists = l2_distance(p.params.data, destination, list(dists))
             if test_data is not None and graph is not None:
                 t_loss, t_acc = evaluate(graph, p.params, test_data, norm_x, accuracy=True)
-            else:
-                t_loss, t_acc = p.test_loss, p.test_acc
-        else:
-            dists = dict(p.per_layer_dist)
-            t_loss, t_acc = p.test_loss, p.test_acc
         row: dict[str, float] = {
             "iteration": p.iteration,
             "phase": p.phase,

@@ -66,15 +66,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="logging level (debug, info, warning, error)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, needs_config=True):
+    def add(name, handler):
         p = sub.add_parser(name)
-        if needs_config:
-            p.add_argument("--config", required=True, help="experiment config file")
-            p.add_argument("--out", help="override the [output] dir")
-            p.add_argument("--seed-override", type=nonnegative_int, dest="seed_override",
-                           help="replace every configured seed")
+        p.add_argument("--config", required=True, help="experiment config file")
+        p.add_argument("--out", help="override the [output] dir")
+        p.add_argument("--seed-override", type=nonnegative_int, dest="seed_override",
+                       help="replace every configured seed")
         p.set_defaults(handler=handler)
-        return p
 
     add("train-modes", cmd_train_modes)
     for walk in ("connect-m2m", "collapse-m2o", "connect-avs"):

@@ -159,10 +159,10 @@ class Section:
             return default
         return [part.strip() for part in raw.text.split(",") if part.strip()]
 
-    def get_int_list(self, key: str, default=None):
+    def get_int_list(self, key: str) -> list[int] | None:
         raw = self._raw(key)
         if raw is None:
-            return default
+            return None
         out = []
         for part in raw.text.split(","):
             part = part.strip()

@@ -15,16 +15,18 @@ from ..llpf_core import PathPoint, PathRecord
 from ..nn_engine.graph import ModelGraph
 from ..param_space import ParamVector
 from .checkpoint import load_checkpoint, save_checkpoint
-from .reports import csv_lines, emit_csv, metric_fieldnames, write_atomic
+from .reports import csv_lines, emit_csv, write_atomic
 
 POINTS_DIR = "points"
 
 
 def write_path_record(out_dir: str | Path, record: PathRecord, graph: ModelGraph) -> None:
+    """``metrics.csv`` in the first row's columns (every point reports the
+    same layers), the stored points' checkpoints, and ``record.json``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = path_metrics(record)
-    emit_csv(metric_fieldnames(rows), rows, out_dir / "metrics.csv")
+    emit_csv(list(rows[0]), rows, out_dir / "metrics.csv")
     points_dir = out_dir / POINTS_DIR
     points_dir.mkdir(exist_ok=True)
     stored = []
@@ -47,28 +49,26 @@ def _read_meta(record_dir: Path) -> dict:
     return json.loads((record_dir / "record.json").read_text())
 
 
-def _load_points(record_dir: Path, meta: dict, graph: ModelGraph, dtype) -> dict[int, ParamVector]:
+def _load_points(record_dir: Path, meta: dict, graph: ModelGraph) -> dict[int, ParamVector]:
     return {
-        i: load_checkpoint(graph, record_dir / POINTS_DIR / f"point_{i:08d}.ckpt", dtype)
+        i: load_checkpoint(graph, record_dir / POINTS_DIR / f"point_{i:08d}.ckpt")
         for i in meta["stored_iterations"]
     }
 
 
-def read_stored_points(
-    record_dir: str | Path, graph: ModelGraph, dtype=np.float32
-) -> dict[int, ParamVector]:
+def read_stored_points(record_dir: str | Path, graph: ModelGraph) -> dict[int, ParamVector]:
     """The parameters a path record keeps, by iteration in path order: the
     checkpoints that ``record.json`` lists under ``stored_iterations``, each
     verified as :func:`load_checkpoint` verifies it.  No metrics row is
     read."""
     record_dir = Path(record_dir)
-    return _load_points(record_dir, _read_meta(record_dir), graph, dtype)
+    return _load_points(record_dir, _read_meta(record_dir), graph)
 
 
-def read_path_record(record_dir: str | Path, graph: ModelGraph, dtype=np.float32) -> PathRecord:
+def read_path_record(record_dir: str | Path, graph: ModelGraph) -> PathRecord:
     record_dir = Path(record_dir)
     meta = _read_meta(record_dir)
-    stored = _load_points(record_dir, meta, graph, dtype)
+    stored = _load_points(record_dir, meta, graph)
     points = []
     with csv_lines(record_dir / "metrics.csv") as (header, lines):
         col = {name: i for i, name in enumerate(header)}

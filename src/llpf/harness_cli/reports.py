@@ -83,22 +83,14 @@ def read_csv(path: str | Path) -> tuple[list[str], list[dict]]:
         return header, [{name: parse_cell(cell) for name, cell in zip(header, line)} for line in lines]
 
 
-def metric_fieldnames(rows: Sequence[Mapping]) -> list[str]:
-    """Stable column order: iteration, phase, rolling loss, sorted per-layer
-    distance columns, the test metrics, then any other columns sorted."""
-    keys = {k for row in rows for k in row}
-    dist_cols = sorted(k for k in keys if k.startswith("dist:"))
-    named = ["iteration", "phase", "rolling_train_loss", *dist_cols, "test_loss", "test_acc"]
-    return named + sorted(keys - set(named))
-
-
 # -- SVG ---------------------------------------------------------------------
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Five evenly spaced ticks from ``lo`` to ``hi``."""
     if hi <= lo:
         hi = lo + 1.0
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 _PALETTE = (
@@ -121,14 +113,12 @@ def emit_svg(
     title: str = "",
     x_label: str = "",
     log_y: bool = False,
-    width: int = 720,
-    height: int = 480,
 ) -> None:
-    """Standalone line chart.  With ``log_y`` non-positive values are clamped
-    to ``LOG_FLOOR`` and a warning is logged."""
+    """Standalone 720x480 line chart.  With ``log_y`` non-positive values
+    are clamped to ``LOG_FLOOR`` and a warning is logged."""
     if not series or not len(x):
         raise ValueError("no data to plot")
-    pad = 60
+    width, height, pad = 720, 480, 60
     xs = [float(v) for v in x]
 
     def transform(v: float) -> float:

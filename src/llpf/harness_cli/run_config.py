@@ -25,6 +25,7 @@ from ..llpf_core import (
     SearchSettings,
     StepParams,
     fdf_phase_plan,
+    moving_layers,
 )
 from ..nn_engine.graph import MODEL_BUILDERS, ModelGraph, build_model
 from ..nn_engine.trainer import Dataset, StopRule, TrainerConfig
@@ -254,13 +255,16 @@ def _m2m_trainer(walk: WalkSection, default_lr: float) -> TrainerConfig:
 
 
 def _m2o_config(cfg: ConfigFile, graph: ModelGraph, walk: WalkSection) -> M2OConfig:
-    """An origin walk's config: the shared keys plus ``eta`` and ``exclude``.
-    Finishes the section."""
+    """An origin walk's config: the shared keys plus ``eta`` and ``exclude``,
+    which must leave the walk a slice to move.  Finishes the section."""
     sec = walk.sec
     eta = sec.get_float("eta", 1e-3)
     extra = sec.get_str_list("exclude", [])
     sec.finish()
     excluded = tuple(_expand_layers(cfg, extra, graph, sec.line))
+    if not moving_layers(graph, excluded):
+        message = f"[{sec.name}] exclude freezes every slice; the walk has nothing to move"
+        raise cfg.error(sec.line_of("exclude"), message)
     return _checked(sec, M2OConfig, iterations=walk.iterations, step=walk.step, stop=walk.stop,
                     eta_base=eta, excluded_layers=excluded, batch_size=walk.batch_size)
 

@@ -135,6 +135,9 @@ class PathRecord:
         iters = [p.iteration for p in self.points]
         if any(b <= a for a, b in zip(iters, iters[1:])):
             raise ValueError("path iterations must be strictly increasing")
+        layers = self.points[0].per_layer_dist.keys()
+        if any(p.per_layer_dist.keys() != layers for p in self.points):
+            raise ValueError("every path point must report the same layers")
 
     def stored_points(self) -> list[PathPoint]:
         return [p for p in self.points if p.params is not None]
@@ -346,7 +349,6 @@ def _walk(
     start: ParamVector,
     dest: ParamVector,
     phases: Sequence[Phase],
-    layers: Sequence[str],
     start_loss: float,
     repair: Callable[[Plan, Phase, np.random.Generator], TrainResult],
     *,
@@ -365,10 +367,11 @@ def _walk(
     the plan (the array is its ``params``) to ``repair`` together with the
     walk's one generator (seeded from ``settings.seed``), which repairs the
     array in place and returns its :class:`TrainResult`, and records the
-    repaired point: its repair loss and its per-layer distance to ``dest``
-    over ``layers``.  Arc anchors toward ``dest`` are captured at each phase
-    start.  The walk ends early, before moving, once ``stop_when`` holds for
-    the current array.
+    repaired point: its repair loss and its distance to ``dest`` over every
+    slice, so a slice the walk never moves reads its constant gap to ``dest``
+    (0.0 where ``dest`` keeps the start's value).  Arc anchors toward
+    ``dest`` are captured at each phase start.  The walk ends early, before
+    moving, once ``stop_when`` holds for the current array.
 
     Params are kept for the start (``start`` itself), and as ParamVector
     copies for every ``checkpoint_stride``-th iteration, the scheduled last
@@ -382,6 +385,7 @@ def _walk(
     rng = np.random.default_rng(settings.seed)
     total = sum(p.iterations for p in phases)
     points: list[PathPoint] = []
+    names = start.names()
     current = start.copy_data()
     engine_plan = Plan(graph, current, np.empty_like(current))
 
@@ -390,7 +394,7 @@ def _walk(
             iteration=iteration,
             phase=phase_idx,
             rolling_train_loss=loss,
-            per_layer_dist=l2_distance(current, dest, layers),
+            per_layer_dist=l2_distance(current, dest, names),
             train_exhausted=exhausted,
         )
         if iteration == 0:
@@ -479,12 +483,21 @@ def _m2m(start, dest, plan, trainer, train_data, test_data, graph, settings, *, 
         return result
 
     return _walk(
-        graph, start, dest, plan.phases, graph.slice_names(), start_loss, repair,
+        graph, start, dest, plan.phases, start_loss, repair,
         train_data=train_data, test_data=test_data, settings=settings,
     )
 
 
 # -- model-to-origin search ------------------------------------------------------
+
+
+def moving_layers(graph: ModelGraph, excluded: Sequence[str]) -> tuple[str, ...]:
+    """The slices an origin walk moves: all but ``excluded`` and the
+    normalization parameters."""
+    return tuple(
+        info.name for info in graph.layout
+        if info.name not in excluded and info.kind not in ("norm_scale", "norm_shift")
+    )
 
 
 def llpf_m2o(
@@ -500,19 +513,18 @@ def llpf_m2o(
 ) -> PathRecord:
     """Walk a mode inward across shrinking variance spheres.
 
-    The destination defaults to the origin restricted to the non-excluded
-    layers, and the record then names it ``"origin"``.  There is no variance
-    correction; instead each layer's learning rate is rescaled by its
-    current-to-start variance ratio; excluded layers
-    (``cfg.excluded_layers`` and every normalization parameter) keep a zero
-    rate and stay bit-identical.  Repair rounds draw ``cfg.batch_size``-row
-    batches and run without momentum or weight decay.  The walk ends early,
-    before moving, once ``stop_when`` holds for its current flat array.
+    The destination defaults to the origin restricted to the layers the walk
+    moves (:func:`moving_layers`), and the record then names it
+    ``"origin"``.  There is no variance correction; instead each layer's
+    learning rate is rescaled by its current-to-start variance ratio;
+    excluded layers (``cfg.excluded_layers`` and every normalization
+    parameter) keep a zero rate and stay bit-identical, so toward the origin
+    their distance reads 0.0 at every point.  Repair rounds draw
+    ``cfg.batch_size``-row batches and run without momentum or weight decay.
+    The walk ends early, before moving, once ``stop_when`` holds for its
+    current flat array.
     """
-    active = tuple(
-        info.name for info in graph.layout
-        if info.name not in cfg.excluded_layers and info.kind not in ("norm_scale", "norm_shift")
-    )
+    active = moving_layers(graph, cfg.excluded_layers)
     if not active:
         raise ValueError("every layer is excluded; nothing to move")
 
@@ -543,7 +555,7 @@ def llpf_m2o(
         return train_until(engine_plan, repair_data, trainer, phase.stop, rng, lr=lr)
 
     return _walk(
-        graph, start, dest, phases, active, start_loss, repair,
+        graph, start, dest, phases, start_loss, repair,
         train_data=train_data, test_data=test_data, settings=settings, stop_when=stop_when,
     )
 

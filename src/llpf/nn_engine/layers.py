@@ -47,7 +47,8 @@ Every kernel takes buffers for its results and scratch arrays (``out``,
 allocates them all when it binds its steps; a kernel allocates none of them.
 :func:`conv_work` and :func:`loss_work` size a kernel's scratch arrays and
 take them from the allocator they are given.  Only batch norm, and the class
-sum above 128 classes, make temporaries of their own.
+sum from 8 classes up (two partial sums per call at lenet's 10 classes, more
+from 16), make temporaries of their own.
 """
 
 from __future__ import annotations

@@ -120,6 +120,8 @@ class StopRule:
             raise ValueError("window must be >= 1")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
+        if math.isnan(self.loss_threshold):
+            raise ValueError("loss_threshold must be a number, got nan")
         if self.loss_threshold > 0 and self.window > self.max_rounds:
             raise ValueError(
                 f"a {self.window}-round window never fills within {self.max_rounds} rounds,"
@@ -135,11 +137,11 @@ class TrainResult:
     losses: list[float] = field(default_factory=list)
 
 
-def fixed_subset(data: Dataset, size: int, seed: int = 1) -> Dataset:
-    """Deterministic evaluation subset (no augmentation)."""
+def fixed_subset(data: Dataset, size: int) -> Dataset:
+    """Deterministic evaluation subset (no augmentation), drawn with seed 1."""
     if size >= len(data):
         return Dataset(data.inputs, data.labels, data.split, data.num_classes, None)
-    idx = np.random.default_rng(seed).choice(len(data), size=size, replace=False)
+    idx = np.random.default_rng(1).choice(len(data), size=size, replace=False)
     idx.sort()
     return Dataset(data.inputs[idx], data.labels[idx], data.split, data.num_classes, None)
 

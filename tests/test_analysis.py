@@ -309,7 +309,8 @@ class TestPathMetrics:
         a = init_params(g, 0)
         norms = {n: float(np.sqrt(radial_norm_sq(a.get(n)))) for n in g.slice_names()}
         record = PathRecord(points=[PathPoint(0, 0, 0.5, norms, params=a)])
-        rows = path_metrics(record, "origin", recompute=True)
+        origin = ParamVector(np.zeros_like(a.data), a.layout)
+        rows = path_metrics(record, origin, recompute=True)
         for name, value in norms.items():
             assert rows[0][f"dist:{name}"] == pytest.approx(value, rel=1e-6)
 
@@ -342,6 +343,12 @@ class TestPathMetrics:
                 assert np.isfinite(row["test_loss"])
                 assert row["test_loss"] == other["test_loss"]
                 assert row["test_acc"] == other["test_acc"]
+
+    def test_recompute_needs_a_destination(self):
+        a = init_params(mlp2(20, 8, 3), 0)
+        record = PathRecord(points=[PathPoint(0, 0, 0.5, {"fc1.weight": 0.0}, params=a)])
+        with pytest.raises(ValueError, match="destination"):
+            path_metrics(record, recompute=True)
 
     def test_recompute_rejects_a_mismatched_destination(self):
         a = init_params(mlp2(20, 8, 3), 0)

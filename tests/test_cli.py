@@ -635,6 +635,31 @@ dir = out
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "command, body",
+        [
+            ("collapse-m2o", "[m2o]\nstart = {modes}/mode_1.ckpt\nstep_a = 1e-3\n"),
+            ("connect-avs", "[avs]\nstart = {modes}/mode_1.ckpt\ndest = {modes}/mode_2.ckpt\n"
+                            "[avs.m2o]\nstep_a = 1e-3\n[avs.m2m]\nstep_f = 1e-3\n"),
+        ],
+        ids=["m2o", "avs"],
+    )
+    def test_exclude_of_every_slice_rejected_at_its_line(
+        self, modes_dir, tmp_path, capsys, command, body
+    ):
+        """An origin walk that would move nothing is a config error, before
+        any work, wherever its section is."""
+        body = body.format(modes=modes_dir / "out").replace(
+            "step_a = 1e-3\n", "step_a = 1e-3\nexclude = fc1.*, fc2.*\n"
+        )
+        text = BASE + body + "\n[output]\ndir = out\n"
+        cfg = write_cfg(tmp_path, text)
+        line = text.splitlines().index("exclude = fc1.*, fc2.*") + 1
+        section = "m2o" if command == "collapse-m2o" else "avs.m2o"
+        assert main([command, "--config", str(cfg)]) == 1
+        assert f"{cfg}:{line}: [{section}] exclude freezes every slice" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "command, body, key",
         [
             ("connect-m2m", "[m2m]\nstart = a.ckpt\ndest = b.ckpt\nstep_f = 1e-3\n", "start"),
@@ -1070,6 +1095,47 @@ dir = out_avs
         assert batch_sizes == [16] * boundary + [64] * (len(batch_sizes) - boundary)
 
 
+    def test_excluded_slice_reads_zero_in_stage_one(self, modes_dir, tmp_path):
+        """An ``[avs.m2o] exclude`` keeps its slice at the start's value,
+        which the projection shares, so every stage-1 row reads 0.0 for it
+        and stage 2 keeps the column."""
+        g = mlp2(10, 8, 3)
+        start = load_checkpoint(g, modes_dir / "out" / "mode_1.ckpt")
+        save_checkpoint(ParamVector(start.data * 0.9, start.layout), g, tmp_path / "inner.ckpt")
+        cfg = write_cfg(
+            tmp_path,
+            BASE
+            + f"""
+[avs]
+start = {modes_dir}/out/mode_1.ckpt
+dest = inner.ckpt
+mode_acceptance_loss = 1.0
+
+[avs.m2o]
+iterations = 3
+step_a = 0.1
+eta = 1e-4
+batch_size = 16
+train_rounds = 2
+exclude = fc2.bias
+
+[avs.m2m]
+iterations = 2
+step_f = 1e-3
+lr = 1e-5
+batch_size = 16
+train_rounds = 2
+
+[output]
+dir = out_avs
+""",
+        )
+        assert main(["connect-avs", "--config", str(cfg)]) == 0
+        boundary = read_path_record(tmp_path / "out_avs", g).stage_boundary
+        _, rows = read_csv(tmp_path / "out_avs" / "metrics.csv")
+        assert 0 < boundary < len(rows) - 1
+        assert [row["dist:fc2.bias"] for row in rows[: boundary + 1]] == [0.0] * (boundary + 1)
+
     def test_failing_dest_rejected_before_any_repair(
         self, modes_dir, tmp_path, monkeypatch, caplog
     ):
@@ -1258,7 +1324,7 @@ checkpoint_stride = 1
         record = read_path_record(tmp_path / "out_m2o_excl", g)
         start = load_checkpoint(g, modes_dir / "out" / "mode_1.ckpt")
         for point in record.points:
-            assert "fc2.weight" not in point.per_layer_dist
+            assert point.per_layer_dist["fc2.weight"] == point.per_layer_dist["fc2.bias"] == 0.0
             if point.params is not None:
                 assert np.array_equal(point.params.get("fc2.weight"), start.get("fc2.weight"))
                 assert np.array_equal(point.params.get("fc2.bias"), start.get("fc2.bias"))
@@ -1324,6 +1390,12 @@ class TestRecordRoundTrip:
         loaded = read_path_record(out, g)
         assert len(loaded.points) == len(record.points)
         assert loaded.endpoints == record.endpoints
+        header, _ = read_csv(out / "metrics.csv")
+        assert header == [
+            "iteration", "phase", "rolling_train_loss",
+            "dist:fc1.bias", "dist:fc1.weight", "dist:fc2.bias", "dist:fc2.weight",
+            "test_loss", "test_acc", "train_exhausted",
+        ]
         for original, restored in zip(record.points, loaded.points):
             assert restored.iteration == original.iteration
             assert restored.rolling_train_loss == original.rolling_train_loss
@@ -1359,6 +1431,47 @@ class TestRecordRoundTrip:
         legacy = [name for name in header if name != "train_exhausted"]
         emit_csv(legacy, rows, out / "metrics.csv")
         assert [p.train_exhausted for p in read_path_record(out, g).points] == [False] * 4
+
+
+    def test_batch_norm_chain_records_every_slice(self, tmp_path):
+        """Stage 1 of the chain freezes resnet-micro's normalization slices
+        and stage 2 moves them; every row of the record carries all 20
+        distance columns, and the frozen ones read 0.0 in stage 1."""
+        from llpf.harness_cli.records import write_path_record
+        from llpf.llpf_core import (CrossVarianceConfig, M2OConfig, Phase, PhasePlan,
+                                    SearchSettings, StepParams, connect_cross_variance)
+        from llpf.nn_engine import Dataset, StopRule, TrainerConfig, resnet_micro
+
+        g = resnet_micro(1, 8, 3, width=2)
+        rng = np.random.default_rng(0)
+        data = Dataset(rng.normal(size=(64, 1, 8, 8)).astype(np.float32),
+                       rng.integers(0, 3, size=64), "train", 3)
+        init = init_params(g, 0)
+        # perturbed, so that every slice the origin walk moves has variance
+        start = ParamVector(
+            init.data + rng.normal(0, 0.05, init.size).astype(np.float32), init.layout
+        )
+        dest = ParamVector(start.data * 0.9, start.layout)
+        stop = StopRule(0.0, 2, 10)
+        cross = CrossVarianceConfig(
+            m2o=M2OConfig(3, StepParams(step_a=0.1), stop, eta_base=1e-3, batch_size=16),
+            m2m_plan=PhasePlan((Phase(g.slice_names(), 2, StepParams(step_f=1e-3), stop),)),
+        )
+        record = connect_cross_variance(
+            start, dest, cross, TrainerConfig(lr=1e-3, batch_size=16), data, graph=g,
+            settings=SearchSettings(mode_acceptance_loss=0.0, checkpoint_stride=1),
+        )
+        write_path_record(tmp_path / "rec", record, g)
+        header, rows = read_csv(tmp_path / "rec" / "metrics.csv")
+        names = sorted(g.slice_names())
+        assert len(names) == 20
+        assert [c for c in header if c.startswith("dist:")] == [f"dist:{n}" for n in names]
+        assert all(p.per_layer_dist.keys() == set(names) for p in record.points)
+        boundary = record.stage_boundary
+        assert 0 < boundary < len(rows) - 1
+        norm = [i.name for i in g.layout if i.kind in ("norm_scale", "norm_shift")]
+        for row in rows[: boundary + 1]:
+            assert all(row[f"dist:{n}"] == 0.0 for n in norm)
 
 
 class TestResnetMicroEndToEnd:

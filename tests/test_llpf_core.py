@@ -218,8 +218,9 @@ class TestM2M:
             lambda nan: StepParams(step_f=nan),
             lambda nan: M2OConfig(2, StepParams(step_a=1e-2), StopRule(0.0, 1, 1), eta_base=nan),
             lambda nan: SearchSettings(mode_acceptance_loss=nan),
+            lambda nan: StopRule(nan, 5, 10),
         ],
-        ids=["lr", "weight_decay", "step_f", "eta_base", "mode_acceptance_loss"],
+        ids=["lr", "weight_decay", "step_f", "eta_base", "mode_acceptance_loss", "loss_threshold"],
     )
     def test_nan_setting_rejected(self, make):
         with pytest.raises(ValueError):
@@ -375,8 +376,9 @@ class TestM2O:
         for point in record.stored_points():
             for name in norm_slices:
                 assert np.array_equal(point.params.get(name), params.get(name))
-            # excluded layers are also dropped from the distance report
-            assert all(name not in point.per_layer_dist for name in norm_slices)
+        for point in record.points:
+            # frozen slices stay in the distance report and read exactly 0.0
+            assert all(point.per_layer_dist[name] == 0.0 for name in norm_slices)
 
     def test_rates_never_exceed_base(self, blobs, quick_mode):
         train, _ = blobs
@@ -874,6 +876,14 @@ class TestPathRecord:
         q = PathPoint(0, 0, 0.1, {})
         with pytest.raises(ValueError, match="increasing"):
             PathRecord(points=[p, q])
+
+    def test_points_report_the_same_layers(self):
+        """A record's columns are its first point's, so a point that adds or
+        drops a layer is rejected."""
+        p = PathPoint(0, 0, 0.1, {"a": 1.0, "b": 2.0})
+        for dists in ({"a": 1.0}, {"a": 1.0, "b": 2.0, "c": 3.0}, {"a": 1.0, "c": 3.0}):
+            with pytest.raises(ValueError, match="same layers"):
+                PathRecord(points=[p, PathPoint(1, 0, 0.1, dists)])
 
 
 class TestMultiPhase:

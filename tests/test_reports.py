@@ -6,7 +6,6 @@ from llpf.harness_cli.reports import (
     LOG_FLOOR,
     emit_csv,
     emit_svg,
-    metric_fieldnames,
     read_csv,
 )
 
@@ -41,14 +40,6 @@ class TestCsv:
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_csv(["a"], [], tmp_path / "t.csv")
-
-    def test_metric_fieldnames_order(self):
-        rows = [{"iteration": 0, "phase": 0, "rolling_train_loss": 0.1,
-                 "dist:zz": 1.0, "dist:aa": 2.0, "test_loss": 0.2, "test_acc": 0.9}]
-        assert metric_fieldnames(rows) == [
-            "iteration", "phase", "rolling_train_loss",
-            "dist:aa", "dist:zz", "test_loss", "test_acc",
-        ]
 
 
 class TestSvg:
